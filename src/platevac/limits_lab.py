@@ -17,7 +17,6 @@ from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import regsum, scalar1d, specfun
 from .errors import DomainError, FitError
@@ -339,20 +338,19 @@ class CommutationReport:
 def _interacting_window_integral(
     g: Geometry, c: Couplings, delta: float
 ) -> tuple[float, float]:
-    def integrand(z: float) -> float:
-        return scalar1d.interacting_density(g, Position.from_z(z, g), c)
+    """Interacting density integrated over [delta, L - delta], in closed form.
 
-    value, _ = quad(integrand, delta, g.length - delta, epsabs=1e-10, epsrel=1e-11, limit=200)
-    a = math.pi * delta / g.length
-    # Exact antiderivative of the 1/sin^4 term: the window integral grows
-    # with cot(a) + cot(a)^3 / 3.
-    ct = specfun.cot(a)
-    estimate = (
-        -(c.alpha * math.pi ** 2 / (8.0 * c.m ** 2 * g.length ** 4))
-        * (2.0 * g.length / math.pi)
-        * (ct + ct ** 3 / 3.0)
-    )
-    return value, estimate
+    Returns (value, divergent part).  The density's constant part
+    contributes its value times L - 2 delta; the 1/sin^4 term has the
+    exact antiderivative -cot - cot^3/3, so the window grows with
+    cot(a) + cot(a)^3 / 3, a = pi delta / L.
+    """
+    scalar1d._warn_if_strong(c, g)
+    prefactor = -c.alpha * math.pi ** 2 / (8.0 * c.m ** 2 * g.length ** 4)
+    ct = specfun.cot(math.pi * delta / g.length)
+    estimate = prefactor * (2.0 * g.length / math.pi) * (ct + ct ** 3 / 3.0)
+    constant = scalar1d.free_total_energy(g) / g.length + prefactor / 18.0
+    return (g.length - 2.0 * delta) * constant + estimate, estimate
 
 
 def commutation_report(

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from scipy.integrate import quad
-
 from . import regsum, specfun
 from .errors import DomainError, SingularityError
 from .geometry import Geometry, Position, check_position
@@ -106,15 +104,15 @@ class Route(Enum):
 class WindowIntegral:
     """Integral of the continued electric density over [delta, L - delta].
 
-    ``divergent_estimate`` is the leading boundary term
-    cot(pi delta / L) / (8 L); the integral grows with it as delta -> 0,
-    which is the order-of-limits clash in one number.
+    ``value`` is the exact antiderivative cot(a)/(8 L) - (pi - 2a)/(48 L)
+    with a = pi delta / L.  ``divergent_estimate`` is its leading boundary
+    term cot(a) / (8 L); the integral grows with it as delta -> 0, which
+    is the order-of-limits clash in one number.
     """
 
     value: float
     delta: float
     divergent_estimate: float
-    quadrature_error: float
 
 
 def _warn_if_strong(c: Couplings, g: Geometry) -> None:
@@ -222,7 +220,7 @@ def total_energy_by_route(
     subtracted cutoff total, which approaches that value as eps^2.
 
     INTEGRATE_REGULARIZED_DENSITY instead integrates the continued
-    electric density over [delta, L - delta] and returns a
+    electric density over [delta, L - delta] in closed form and returns a
     :class:`WindowIntegral`; the result grows like cot(pi delta / L) and
     has no delta -> 0 limit.  delta = 0 is rejected with that diagnosis
     rather than attempted.
@@ -252,16 +250,12 @@ def total_energy_by_route(
     if not math.isfinite(delta) or delta < 0.0 or delta >= 0.5 * g.length:
         raise DomainError(f"delta must lie in (0, L/2), got {delta!r}")
 
-    def integrand(z: float) -> float:
-        return electric_density(g, Position.from_z(z, g), RegScheme.zeta())
-
-    value, err = quad(
-        integrand, delta, g.length - delta, epsabs=1e-10, epsrel=1e-11, limit=200
-    )
-    estimate = specfun.cot(math.pi * delta / g.length) / (8.0 * g.length)
-    return WindowIntegral(
-        value=value, delta=delta, divergent_estimate=estimate, quadrature_error=err
-    )
+    a = math.pi * delta / g.length
+    # The 1/sin^2 part of the density integrates to cot(a)/(8 L), its
+    # constant part -pi/(48 L^2) over the window length L - 2 delta.
+    estimate = specfun.cot(a) / (8.0 * g.length)
+    value = estimate - (math.pi - 2.0 * a) / (48.0 * g.length)
+    return WindowIntegral(value=value, delta=delta, divergent_estimate=estimate)
 
 
 # Constant part of the interaction correction: the coefficient 1/8 * 1/18

@@ -247,6 +247,13 @@ class TestScanCommand:
         assert lines[0] == "delta,window_integral,divergent_estimate"
         assert len(lines) == 3
 
+    def test_deep_delta_window(self):
+        result = run_cli(["scan", "--vary", "delta", "--values", "1e-8"], check=True)
+        row = result.stdout.decode().splitlines()[1].split(",")
+        assert row[1].startswith("3978873.51")
+        # cot(pi 1e-8)/8 - (pi - 2 pi 1e-8)/48, to 50 digits
+        assert float(row[1]) == pytest.approx(3978873.5118475363611865, rel=1e-12)
+
     def test_length_sweep_em(self):
         result = run_cli(
             ["scan", "--vary", "length", "--values", "1,2", "--model", "em",
@@ -294,3 +301,20 @@ class TestUnitsNote:
     def test_prints_and_exits_zero(self):
         result = run_cli(["--units-note"], check=True)
         assert b"hbar = c = 1" in result.stdout
+
+
+class TestRuntimeDependencies:
+    def test_commands_run_without_scipy(self):
+        # numpy is the only runtime dependency; scipy is a test-only oracle
+        code = "\n".join([
+            "import contextlib, io, sys",
+            "import platevac.cli as cli",
+            "runs = [['commute'], ['commute', '--alpha', '0.01', '--mass', '10'],",
+            "        ['verify', '--suite', 'full']]",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    codes = [cli.main(argv) for argv in runs]",
+            "assert codes == [0, 0, 0], codes",
+            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)",
+        ])
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True)
+        assert result.returncode == 0, result.stderr.decode()

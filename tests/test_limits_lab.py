@@ -1,8 +1,11 @@
 import json
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from platevac import em3d, limits_lab, scalar1d
 from platevac.errors import DomainError, FitError
@@ -15,7 +18,7 @@ from platevac.limits_lab import (
     GridSpec,
 )
 from platevac.regsum import RegScheme
-from platevac.scalar1d import Couplings, EnergySplit
+from platevac.scalar1d import Couplings, EnergySplit, ValidityWarning
 
 G1 = Geometry(1.0)
 
@@ -257,3 +260,55 @@ class TestCommutationReport:
                 G1, CommutationModel.INTERACTING_SCALAR, deltas=FREE_DELTAS,
                 epsilons=INTERACTING_EPSILONS,
             )
+
+
+def weak_couplings(length, m=10.0):
+    # alpha/(m L)^2 = 0.01 at every L: inside the validity regime, and the
+    # interaction keeps the same relative weight across length scales
+    return Couplings(alpha=0.01 * (m * length) ** 2, m=m)
+
+
+class TestInteractingWindow:
+    @staticmethod
+    def mp_window(delta, length, c):
+        # antiderivative of -pi/(24 L^2) + P (1/18 + csc^4), P = -alpha pi^2/(8 m^2 L^4),
+        # using int csc^4 = -cot - cot^3/3, taken between the window ends in 50 digits
+        with mpmath.workdps(50):
+            L, d = mpmath.mpf(length), mpmath.mpf(delta)
+            p = -mpmath.mpf(c.alpha) * mpmath.pi ** 2 / (8 * mpmath.mpf(c.m) ** 2 * L ** 4)
+
+            def antiderivative(z):
+                ct = mpmath.cot(mpmath.pi * z / L)
+                return (-mpmath.pi / (24 * L ** 2) + p / 18) * z + p * (L / mpmath.pi) * (
+                    -ct - ct ** 3 / 3
+                )
+
+            return antiderivative(L - d) - antiderivative(d)
+
+    @pytest.mark.parametrize("length", [1e-2, 1.0, 1e2])
+    @pytest.mark.parametrize("fraction", [1e-8, 1e-6, 0.49])
+    def test_against_mpmath_down_to_deep_margins(self, length, fraction):
+        c = weak_couplings(length)
+        delta = fraction * length
+        value, _ = limits_lab._interacting_window_integral(Geometry(length), c, delta)
+        assert value == pytest.approx(float(self.mp_window(delta, length, c)), rel=1e-12)
+
+    @pytest.mark.parametrize("length", [0.5, 3.0])
+    @pytest.mark.parametrize("fraction", [0.01, 0.03, 0.1, 0.2])
+    def test_against_quadrature(self, length, fraction):
+        g = Geometry(length)
+        c = weak_couplings(length)
+        delta = fraction * length
+        oracle, _ = quad(
+            lambda z: scalar1d.interacting_density(g, Position.from_z(z, g), c),
+            delta, length - delta, epsabs=1e-12, epsrel=1e-12, limit=200,
+        )
+        value, _ = limits_lab._interacting_window_integral(g, c, delta)
+        assert value == pytest.approx(oracle, rel=1e-10)
+
+    def test_warns_once_per_window(self):
+        strong = Couplings(alpha=1.0, m=1.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            limits_lab._interacting_window_integral(G1, strong, 0.01)
+        assert [w.category for w in caught] == [ValidityWarning]

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -308,6 +309,41 @@ class TestTotalEnergyByRoute:
         ]
         slope = np.polyfit(np.log(deltas), np.log(np.abs(values)), 1)[0]
         assert slope == pytest.approx(-1.0, abs=0.02)
+
+    @staticmethod
+    def mp_window(delta, length):
+        # antiderivative -pi z/(48 L^2) - cot(pi z/L)/(16 L) of the continued
+        # electric density, taken between the window ends in 50 digits
+        with mpmath.workdps(50):
+            L, d = mpmath.mpf(length), mpmath.mpf(delta)
+
+            def antiderivative(z):
+                return -mpmath.pi * z / (48 * L ** 2) - mpmath.cot(mpmath.pi * z / L) / (16 * L)
+
+            return antiderivative(L - d) - antiderivative(d)
+
+    @pytest.mark.parametrize("length", [1e-2, 1.0, 1e2])
+    @pytest.mark.parametrize("fraction", [1e-8, 1e-6, 0.49])
+    def test_window_against_mpmath_down_to_deep_margins(self, length, fraction):
+        delta = fraction * length
+        result = scalar1d.total_energy_by_route(
+            Geometry(length), Route.INTEGRATE_REGULARIZED_DENSITY, delta=delta
+        )
+        assert result.value == pytest.approx(float(self.mp_window(delta, length)), rel=1e-12)
+
+    @pytest.mark.parametrize("length", [0.5, 3.0])
+    @pytest.mark.parametrize("fraction", [0.01, 0.03, 0.1, 0.2])
+    def test_window_against_quadrature(self, length, fraction):
+        g = Geometry(length)
+        delta = fraction * length
+        oracle, _ = quad(
+            lambda z: scalar1d.electric_density(g, Position.from_z(z, g), RegScheme.zeta()),
+            delta, length - delta, epsabs=1e-12, epsrel=1e-12, limit=200,
+        )
+        result = scalar1d.total_energy_by_route(
+            g, Route.INTEGRATE_REGULARIZED_DENSITY, delta=delta
+        )
+        assert result.value == pytest.approx(oracle, rel=1e-10)
 
     def test_zero_margin_rejected_with_diagnosis(self):
         with pytest.raises(SingularityError):
