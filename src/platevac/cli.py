@@ -14,13 +14,12 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 
 from . import em3d, limits_lab, scalar1d, verify
 from .errors import ConfigError, PlatevacError
 from .geometry import Geometry, Position
-from .limits_lab import Clustering, CommutationModel, GridSpec
+from .limits_lab import Clustering, CommutationModel, FieldModel as Model, GridSpec
 from .regsum import RegKind, RegScheme
 from .scalar1d import Couplings, Route
 
@@ -33,11 +32,6 @@ energies, densities are energy per length.  EM totals are per unit plate
 area, densities per unit volume, forces per unit area.  Multiply by
 hbar*c with your favourite length unit to restore SI.
 """
-
-
-class Model(Enum):
-    SCALAR = "scalar"
-    EM = "em"
 
 
 _DEFAULTS = {
@@ -65,10 +59,6 @@ _CONVERTERS = {
     "format": str,
     "out": str,
 }
-
-
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
 
 
 @dataclass
@@ -197,9 +187,12 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _csv(header: list[str], rows: list[list]) -> str:
+    # One row template per table, from the cell types of the first row (all
+    # rows share them): '%.17g' gives the bytes of format(x, ".17g").
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row))
+    if rows:
+        template = ",".join("%s" if isinstance(cell, str) else "%.17g" for cell in rows[0])
+        lines.extend(template % tuple(row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -214,29 +207,19 @@ def _json(payload: dict) -> str:
 
 def _cmd_density(args: argparse.Namespace) -> int:
     config = _build_config(args)
-    g = config.geometry
-    thetas = limits_lab.theta_grid(config.grid)
     with_correction = config.alpha is not None
-    header = ["theta", "z", "electric", "magnetic", "total"]
+    couplings = None
     if with_correction:
-        header.append("correction")
-    rows = []
-    for theta in thetas:
-        pos = Position.from_theta(theta, g)
-        if config.model is Model.SCALAR:
-            split = scalar1d.density_split(g, pos, config.scheme)
-            row = [theta, pos.z, split.electric, split.magnetic, split.total]
-            if with_correction:
-                correction = scalar1d.interacting_density(
-                    g, pos, config.couplings
-                ) - scalar1d.free_total_energy(g) / g.length
-                row.append(correction)
-        else:
-            split = em3d.density_split(g, pos, config.scheme)
-            row = [theta, pos.z, split.electric, split.magnetic, split.total]
-            if with_correction:
-                row.append(em3d.eh_correction_density(g, pos, config.eh_couplings))
-        rows.append(row)
+        couplings = config.couplings if config.model is Model.SCALAR else config.eh_couplings
+    columns = limits_lab.density_columns(
+        config.geometry,
+        config.model,
+        config.scheme,
+        limits_lab.theta_array(config.grid),
+        couplings,
+    )
+    header = list(columns)
+    rows = list(zip(*(column.tolist() for column in columns.values())))
     if config.out_format == "csv":
         text = _csv(header, rows)
     else:

@@ -18,7 +18,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import regsum, scalar1d, specfun
+from . import em3d, regsum, scalar1d, specfun
+from .em3d import EhCouplings
 from .errors import DomainError, FitError
 from .geometry import Geometry, Position
 from .regsum import RegKind, RegScheme
@@ -26,6 +27,7 @@ from .scalar1d import Couplings, EnergySplit, Route
 
 __all__ = [
     "Clustering",
+    "FieldModel",
     "GridSpec",
     "DensityProfile",
     "Endpoint",
@@ -36,7 +38,9 @@ __all__ = [
     "CutoffRow",
     "Verdict",
     "CommutationReport",
+    "theta_array",
     "theta_grid",
+    "density_columns",
     "sample_profile",
     "fit_divergence",
     "epsilon_expansion_check",
@@ -61,13 +65,80 @@ class GridSpec:
             raise DomainError(f"grid count must be an integer >= 2, got {self.count!r}")
 
 
-def theta_grid(spec: GridSpec) -> tuple[float, ...]:
-    """Strictly increasing angles strictly inside (0, pi)."""
+def theta_array(spec: GridSpec) -> np.ndarray:
+    """Strictly increasing angles strictly inside (0, pi), as an array."""
     n = spec.count
     if spec.clustering is Clustering.UNIFORM:
-        return tuple(math.pi * (i + 1) / (n + 1) for i in range(n))
+        return math.pi * np.arange(1, n + 1) / (n + 1)
     # Chebyshev-style clustering toward both endpoints.
-    return tuple(0.5 * math.pi * (1.0 - math.cos(math.pi * (i + 0.5) / n)) for i in range(n))
+    return 0.5 * math.pi * (1.0 - np.cos(math.pi * (np.arange(n) + 0.5) / n))
+
+
+def theta_grid(spec: GridSpec) -> tuple[float, ...]:
+    """The angles of :func:`theta_array` as a tuple of floats."""
+    return tuple(theta_array(spec).tolist())
+
+
+class FieldModel(Enum):
+    SCALAR = "scalar"
+    EM = "em"
+
+
+def density_columns(
+    g: Geometry,
+    model: FieldModel,
+    scheme: RegScheme,
+    thetas: Sequence[float] | np.ndarray,
+    couplings: Couplings | EhCouplings | None = None,
+) -> dict[str, np.ndarray]:
+    """The energy density at every angle of ``thetas``, in one array pass.
+
+    Returns the columns theta, z, electric, magnetic and total, plus
+    correction (the interaction correction to the density) when
+    ``couplings`` is given: :class:`Couplings` for the scalar model,
+    :class:`EhCouplings` for the EM model.  The arrays run the formulas of
+    the point functions (``density_split``, ``interacting_density`` minus
+    the free constant, ``eh_correction_density``), so every entry equals
+    their value bit for bit.  Validation happens once per array with the
+    point functions' errors: DomainError for angles outside [0, pi] or an
+    EM cutoff scheme, SingularityError for wall angles where the density
+    diverges, and at most one ValidityWarning for a strong scalar coupling.
+    """
+    theta = np.asarray(thetas, dtype=float)
+    rim = theta[~((theta > 0.0) & (theta < math.pi))]  # walls, outside, nan
+    for value in rim.tolist():
+        Position.from_theta(value, g)  # DomainError unless on a wall
+    em = model is FieldModel.EM
+    if em:
+        em3d._require_zeta(scheme)
+    if rim.size and (em or scheme.kind is RegKind.ZETA or couplings is not None):
+        specfun.require_interior_angle(float(rim[0]))  # SingularityError on the wall
+    columns = {"theta": theta, "z": g.length * theta / math.pi}
+    sin_theta = np.sin(theta)
+    # Python raises ZeroDivisionError where the point path divides by zero;
+    # numpy raises FloatingPointError, another ArithmeticError.
+    with np.errstate(divide="raise", over="ignore", invalid="ignore"):
+        if em:
+            f_value = em3d._profile(sin_theta)
+            e2, b2 = em3d._correlators(g, f_value, any_=np.any)
+            electric, magnetic = 0.5 * e2, 0.5 * b2
+            if couplings is not None:
+                correction = em3d.eh_correction_constant(g, couplings) + em3d._eh_position(
+                    g, couplings, f_value
+                )
+        else:
+            electric, magnetic = scalar1d._split(
+                g.length, scheme, sin_theta, np.cos(2.0 * theta)
+            )
+            if couplings is not None:
+                scalar1d._warn_if_strong(couplings, g)
+                correction = scalar1d._interacting(
+                    g.length, couplings, sin_theta
+                ) - scalar1d._free_constant(g.length)
+    columns.update(electric=electric, magnetic=magnetic, total=electric + magnetic)
+    if couplings is not None:
+        columns["correction"] = correction
+    return columns
 
 
 @dataclass(frozen=True)
@@ -346,7 +417,7 @@ def _interacting_window_integral(
     cot(a) + cot(a)^3 / 3, a = pi delta / L.
     """
     scalar1d._warn_if_strong(c, g)
-    prefactor = -c.alpha * math.pi ** 2 / (8.0 * c.m ** 2 * g.length ** 4)
+    prefactor = scalar1d._interaction_prefactor(g.length, c)
     ct = specfun.cot(math.pi * delta / g.length)
     estimate = prefactor * (2.0 * g.length / math.pi) * (ct + ct ** 3 / 3.0)
     constant = scalar1d.free_total_energy(g) / g.length + prefactor / 18.0

@@ -162,7 +162,13 @@ def zeta_regularize_trig(spec: TrigSeriesSpec) -> float:
         specfun.require_interior_angle(theta)
         return 0.0
     # COS, p == 1
-    return -0.25 * specfun.csc2(theta)
+    return _sum_n_cos_continued(math.sin(specfun.require_interior_angle(theta)))
+
+
+def _sum_n_cos_continued(sin_theta):
+    # sum n cos(2 n theta) -> -1 / (4 sin^2 theta); plain arithmetic, so a
+    # float or a numpy array of sines works unchanged.
+    return -0.25 * (1.0 / (sin_theta * sin_theta))
 
 
 # --------------------------------------------------------------------------
@@ -208,10 +214,16 @@ def abel_sum_sin_dtheta(eps: float, theta: float) -> float:
     """
     eps = _check_eps(eps)
     theta = float(theta)
+    return _abel_sin_dtheta(eps, math.sin(theta), math.cos(2.0 * theta))
+
+
+def _abel_sin_dtheta(eps: float, sin_theta, cos_2theta):
+    # The closed form of abel_sum_sin_dtheta as plain arithmetic on sin(theta)
+    # and cos(2 theta), so a float or a numpy array works unchanged.  The
+    # square is a product: numpy and Python's float ** differ in the last ulp.
     a = math.exp(-eps)
-    s = math.sin(theta)
-    denom = math.expm1(-eps) ** 2 + 4.0 * a * s * s
-    return 2.0 * a * ((1.0 + a * a) * math.cos(2.0 * theta) - 2.0 * a) / denom ** 2
+    denom = math.expm1(-eps) ** 2 + 4.0 * a * sin_theta * sin_theta
+    return 2.0 * a * ((1.0 + a * a) * cos_2theta - 2.0 * a) / (denom * denom)
 
 
 def abel_sum_sin_limit(theta: float) -> float:

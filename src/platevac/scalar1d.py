@@ -22,7 +22,7 @@ from fractions import Fraction
 from . import regsum, specfun
 from .errors import DomainError, SingularityError
 from .geometry import Geometry, Position, check_position
-from .regsum import PowerSeriesSpec, RegKind, RegScheme, TrigFlavor, TrigSeriesSpec
+from .regsum import PowerSeriesSpec, RegKind, RegScheme
 
 __all__ = [
     "Mode",
@@ -144,6 +144,11 @@ def mode_function(m: Mode, g: Geometry, pos: Position) -> float:
     return math.sqrt(2.0 / g.length) * specfun.sin_pi(m.n * pos.z / g.length)
 
 
+# zeta(-1) = -1/12, the continued value of sum n, taken from the engine
+# once rather than rebuilt from Bernoulli numbers at every point.
+_ZETA_MINUS_ONE = specfun.riemann_zeta(-1.0)
+
+
 def free_total_energy(g: Geometry) -> float:
     """Total vacuum energy of the free field: -pi/(24 L).
 
@@ -154,29 +159,32 @@ def free_total_energy(g: Geometry) -> float:
     return regsum.zeta_regularize_power(series)
 
 
-def _density(g: Geometry, pos: Position, scheme: RegScheme, cos_sign: float) -> float:
-    # Both densities are (pi/(4 L^2)) [sum n + cos_sign * sum n cos(2 n theta)];
-    # cos_sign is -1 for electric, +1 for magnetic.
-    check_position(g, pos)
-    ll = g.length * g.length
-    constant = regsum.zeta_regularize_power(
-        PowerSeriesSpec(exponent=1.0, scale=math.pi / (4.0 * ll))
-    )
+def _split(length: float, scheme: RegScheme, sin_theta, cos_2theta):
+    # (electric, magnetic) as plain arithmetic on sin(theta) and cos(2 theta):
+    # a float or a numpy array works unchanged.  Both densities are
+    # (pi/(4 L^2)) [sum n -/+ sum n cos(2 n theta)], electric taking the minus.
+    # The caller validates the positions (zeta: strictly inside the walls).
+    ll = length * length
+    constant = (math.pi / (4.0 * ll)) * _ZETA_MINUS_ONE
     if scheme.kind is RegKind.ZETA:
-        if not pos.interior:
-            raise SingularityError(
-                "the continued density diverges on the walls; evaluate the "
-                "cutoff scheme there instead"
-            )
-        shape = TrigSeriesSpec(theta=pos.theta, flavor=TrigFlavor.COS, weight_power=1)
-        position_part = cos_sign * (math.pi / (4.0 * ll)) * regsum.zeta_regularize_trig(shape)
+        position_part = (math.pi / (4.0 * ll)) * regsum._sum_n_cos_continued(sin_theta)
     else:
         # sum n e^(-eps n) cos(2 n theta) is half the theta-derivative of
         # the cutoff sine sum, taken analytically on the closed form.
-        position_part = cos_sign * (math.pi / (8.0 * ll)) * regsum.abel_sum_sin_dtheta(
-            scheme.epsilon, pos.theta
+        position_part = (math.pi / (8.0 * ll)) * regsum._abel_sin_dtheta(
+            scheme.epsilon, sin_theta, cos_2theta
         )
-    return constant + position_part
+    return constant - position_part, constant + position_part
+
+
+def _split_at(g: Geometry, pos: Position, scheme: RegScheme) -> tuple[float, float]:
+    check_position(g, pos)
+    if scheme.kind is RegKind.ZETA and not pos.interior:
+        raise SingularityError(
+            "the continued density diverges on the walls; evaluate the "
+            "cutoff scheme there instead"
+        )
+    return _split(g.length, scheme, math.sin(pos.theta), math.cos(2.0 * pos.theta))
 
 
 def electric_density(g: Geometry, pos: Position, scheme: RegScheme) -> float:
@@ -186,7 +194,7 @@ def electric_density(g: Geometry, pos: Position, scheme: RegScheme) -> float:
     Cutoff scheme: -pi/(48 L^2) - (pi/(8 L^2)) dS(eps, theta)/dtheta,
     defined on the closed interval.
     """
-    return _density(g, pos, scheme, cos_sign=-1.0)
+    return _split_at(g, pos, scheme)[0]
 
 
 def magnetic_density(g: Geometry, pos: Position, scheme: RegScheme) -> float:
@@ -195,15 +203,13 @@ def magnetic_density(g: Geometry, pos: Position, scheme: RegScheme) -> float:
     Continued scheme: -(pi/(16 L^2)) (1/3 + 1/sin^2 theta).  The position
     dependence is the exact negative of the electric one.
     """
-    return _density(g, pos, scheme, cos_sign=+1.0)
+    return _split_at(g, pos, scheme)[1]
 
 
 def density_split(g: Geometry, pos: Position, scheme: RegScheme) -> EnergySplit:
     """Electric and magnetic densities bundled with their sum."""
-    return EnergySplit.from_parts(
-        electric=electric_density(g, pos, scheme),
-        magnetic=magnetic_density(g, pos, scheme),
-    )
+    electric, magnetic = _split_at(g, pos, scheme)
+    return EnergySplit.from_parts(electric=electric, magnetic=magnetic)
 
 
 def total_energy_by_route(
@@ -275,10 +281,24 @@ def interacting_density(g: Geometry, pos: Position, c: Couplings) -> float:
     _warn_if_strong(c, g)
     if not pos.interior:
         raise SingularityError("the interaction correction diverges on the walls")
-    free_constant = free_total_energy(g) / g.length
-    csc2 = specfun.csc2(pos.theta)
-    prefactor = -c.alpha * math.pi ** 2 / (8.0 * c.m ** 2 * g.length ** 4)
-    return free_constant + prefactor * (1.0 / 18.0 + csc2 * csc2)
+    return _interacting(g.length, c, math.sin(pos.theta))
+
+
+def _interaction_prefactor(length: float, c: Couplings) -> float:
+    return -c.alpha * math.pi ** 2 / (8.0 * c.m ** 2 * length ** 4)
+
+
+def _free_constant(length: float) -> float:
+    # free_total_energy / L from the hoisted zeta(-1), bit for bit.
+    return (math.pi / (2.0 * length)) * _ZETA_MINUS_ONE / length
+
+
+def _interacting(length: float, c: Couplings, sin_theta):
+    # interacting_density as plain arithmetic on sin(theta); the caller
+    # validates the positions (strictly inside the walls) and warns.
+    csc2 = 1.0 / (sin_theta * sin_theta)
+    prefactor = _interaction_prefactor(length, c)
+    return _free_constant(length) + prefactor * (1.0 / 18.0 + csc2 * csc2)
 
 
 def interacting_total_energy(g: Geometry, c: Couplings) -> float:

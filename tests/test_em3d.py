@@ -145,6 +145,12 @@ class TestFreeDensityAndForce:
             math.pi ** 2 / 240.0 / 16.0, rel=1e-8
         )
 
+    def test_force_is_exact(self):
+        for length in (0.3, 1.0, 1.5, 17.0):
+            assert em3d.casimir_force_per_area(Geometry(length)) == math.pi ** 2 / (
+                240.0 * length ** 4
+            )
+
     def test_numeric_derivative_agreement(self):
         # the finite-difference value itself must sit within 1e-8 of the
         # analytic force

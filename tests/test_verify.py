@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -22,3 +24,12 @@ class TestGaussLegendre:
                 2.0 / (degree + 1), rel=1e-13
             )
         assert abs(np.dot(weights, nodes ** (2 * n - 1))) < 1e-14
+
+
+class TestCasimirForceCheck:
+    def test_cross_checks_a_finite_difference(self):
+        # The check compares the exact force with a central difference of
+        # the free energy, so its deviation is the difference's own error.
+        (result,) = [r for r in verify.run_suite("quick") if r.name == "Casimir force per area"]
+        assert result.passed and result.tolerance == 1e-8
+        assert 0.0 < result.measured < 1e-8
