@@ -152,9 +152,17 @@ def near_plate_asymptotics(g: Geometry, z: float) -> CorrelatorPair:
     return CorrelatorPair(e2=e2, b2=-e2)
 
 
+def _finite(value: float, what: str, g: Geometry) -> float:
+    # Division by a tiny L^4 overflows to inf silently, where L^4 itself
+    # would raise OverflowError.
+    if math.isinf(value):
+        raise PlatevacError(f"{what} overflows a double at L = {g.length!r}")
+    return value
+
+
 def free_casimir_density(g: Geometry) -> float:
     """Free Casimir energy per unit volume: -pi^2/(720 L^4)."""
-    return -math.pi ** 2 / (720.0 * g.length ** 4)
+    return _finite(-math.pi ** 2 / (720.0 * g.length ** 4), "the free density", g)
 
 
 def casimir_force_per_area(g: Geometry) -> float:
@@ -164,7 +172,7 @@ def casimir_force_per_area(g: Geometry) -> float:
     ``verify`` suite cross-checks it against a central difference of that
     energy.
     """
-    return math.pi ** 2 / (240.0 * g.length ** 4)
+    return _finite(math.pi ** 2 / (240.0 * g.length ** 4), "the Casimir force", g)
 
 
 def _eh_scale(g: Geometry, c: EhCouplings) -> float:
@@ -202,8 +210,12 @@ def corrected_total_energy(g: Geometry, c: EhCouplings) -> float:
     -pi^2/(720 L^3) - 11 alpha^2 pi^4 / (2^7 3^5 5^3 m^4 L^7).  The
     correction term is L times the constant part of the correction
     density; the integrated position-dependent part contributes nothing.
+    At alpha = 0 the correction is not formed, so its L^8 cannot overflow
+    where the free total is representable.
     """
     free = g.length * free_casimir_density(g)
+    if c.alpha == 0.0:
+        return free
     correction = g.length * eh_correction_constant(g, c)
     return free + correction
 

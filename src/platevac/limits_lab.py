@@ -14,9 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import em3d, regsum, scalar1d, specfun
 from .em3d import EhCouplings
@@ -24,6 +22,9 @@ from .errors import DomainError, FitError
 from .geometry import Geometry, Position
 from .regsum import RegKind, RegScheme
 from .scalar1d import Couplings, EnergySplit, Route
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Clustering",
@@ -67,6 +68,8 @@ class GridSpec:
 
 def theta_array(spec: GridSpec) -> np.ndarray:
     """Strictly increasing angles strictly inside (0, pi), as an array."""
+    import numpy as np
+
     n = spec.count
     if spec.clustering is Clustering.UNIFORM:
         return math.pi * np.arange(1, n + 1) / (n + 1)
@@ -104,6 +107,8 @@ def density_columns(
     EM cutoff scheme, SingularityError for wall angles where the density
     diverges, and at most one ValidityWarning for a strong scalar coupling.
     """
+    import numpy as np
+
     theta = np.asarray(thetas, dtype=float)
     rim = theta[~((theta > 0.0) & (theta < math.pi))]  # walls, outside, nan
     for value in rim.tolist():
@@ -161,6 +166,8 @@ class DensityProfile:
             raise DomainError("zeta-scheme grids must stay strictly inside (0, pi)")
 
     def component(self, name: str) -> np.ndarray:
+        import numpy as np
+
         return np.array([getattr(v, name) for v in self.values])
 
 
@@ -206,13 +213,25 @@ class DivergenceFit:
         return self.r_squared >= 0.99
 
 
-def _log_log_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    slope, intercept = np.polyfit(x, y, 1)
-    predicted = slope * x + intercept
-    ss_res = float(np.sum((y - predicted) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+def _log_log_fit(x: Sequence[float], y: Sequence[float]) -> tuple[float, float, float]:
+    """Least-squares line y = slope x + intercept, with its r^2.
+
+    Every sum is centred and taken with math.fsum.
+    """
+    n = len(x)
+    x_mean = math.fsum(x) / n
+    y_mean = math.fsum(y) / n
+    dx = [xi - x_mean for xi in x]
+    dy = [yi - y_mean for yi in y]
+    sxx = math.fsum(d * d for d in dx)
+    if sxx == 0.0:
+        raise FitError("the abscissae of a fit must not all be equal")
+    slope = math.fsum(a * b for a, b in zip(dx, dy)) / sxx
+    intercept = y_mean - slope * x_mean
+    ss_res = math.fsum((b - slope * a) ** 2 for a, b in zip(dx, dy))
+    ss_tot = math.fsum(d * d for d in dy)
     r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return float(slope), float(intercept), min(max(r_squared, 0.0), 1.0)
+    return slope, intercept, min(max(r_squared, 0.0), 1.0)
 
 
 def fit_divergence(
@@ -230,6 +249,8 @@ def fit_divergence(
     angles within ``window`` of that endpoint).  When ``constant_part`` is
     not given, the sample nearest theta = pi/2 is subtracted.
     """
+    import numpy as np
+
     if n_points < 2:
         raise DomainError(f"n_points must be >= 2, got {n_points}")
     values = profile.component(component)
@@ -257,7 +278,7 @@ def fit_divergence(
         )
     x = np.log(np.sin(grid[chosen]))
     y = np.log(residual[chosen])
-    slope, intercept, r_squared = _log_log_fit(x, y)
+    slope, intercept, r_squared = _log_log_fit(x.tolist(), y.tolist())
     thetas = grid[chosen]
     return DivergenceFit(
         exponent=slope,
@@ -295,7 +316,7 @@ def epsilon_expansion_check(
         if a <= 0.0 or b <= 0.0 or abs(a / b - 2.0) > 1e-9:
             raise DomainError("eps_list must decrease geometrically with ratio 2")
     results = []
-    log_eps = np.log(eps)
+    log_eps = [math.log(e) for e in eps]
     for theta in thetas:
         theta = specfun.require_interior_angle(theta)
         limit = regsum.abel_sum_sin_limit(theta)
@@ -303,7 +324,8 @@ def epsilon_expansion_check(
         residuals = [
             regsum.abel_sum_sin(e, theta) - limit + quadratic * e * e for e in eps
         ]
-        slope, _, r_squared = _log_log_fit(log_eps, np.log(np.abs(residuals)))
+        log_residuals = [math.log(abs(r)) for r in residuals]
+        slope, _, r_squared = _log_log_fit(log_eps, log_residuals)
         results.append(
             ExpansionFit(
                 theta=theta,
@@ -478,8 +500,8 @@ def commutation_report(
         window_rows.append(
             WindowRow(delta=delta, partial_total=value, divergent_estimate=estimate)
         )
-    log_d = np.log(deltas)
-    log_v = np.log([abs(r.partial_total) for r in window_rows])
+    log_d = [math.log(d) for d in deltas]
+    log_v = [math.log(abs(r.partial_total)) for r in window_rows]
     window_exponent, _, window_r2 = _log_log_fit(log_d, log_v)
 
     # (c) cutoff scheme on the full interval; position terms integrate to

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import pytest
 
 from platevac import scalar1d
@@ -11,6 +12,16 @@ from platevac.geometry import Geometry, Position
 from platevac.regsum import RegScheme
 
 CLI = [sys.executable, "-m", "platevac"]
+
+
+def em_free_total_and_force(length):
+    """-pi^2/(720 L^3) and pi^2/(240 L^4) at the double ``length``, to 50 digits."""
+    with mpmath.workdps(50):
+        L = mpmath.mpf(length)
+        return (
+            float(-mpmath.pi ** 2 / (720 * L ** 3)),
+            float(mpmath.pi ** 2 / (240 * L ** 4)),
+        )
 
 
 def run_cli(args, env=None, check=False):
@@ -143,6 +154,24 @@ class TestTotalCommand:
         assert payload["total_energy"] == pytest.approx(expected, rel=1e-12)
         assert payload["force_per_area"] == pytest.approx(math.pi ** 2 / 240.0, rel=1e-8)
 
+    @pytest.mark.parametrize("length", ["1e50", "1e-50"])
+    def test_em_free_total_at_extreme_length(self, length):
+        # Without --alpha the correction, with its L^8, is not formed.
+        result = run_cli(
+            ["total", "--model", "em", "--length", length, "--format", "json"], check=True
+        )
+        payload = json.loads(result.stdout)
+        total, force = em_free_total_and_force(float(length))
+        assert payload["total_energy"] == pytest.approx(total, rel=1e-15)
+        assert payload["force_per_area"] == pytest.approx(force, rel=1e-15)
+
+    def test_em_density_overflow_is_a_numeric_error(self):
+        # At L = 1e-80 pi^2/(720 L^4) exceeds the largest double; no inf is printed.
+        result = run_cli(["total", "--model", "em", "--length", "1e-80"])
+        assert result.returncode == 1
+        assert result.stdout == b""
+        assert b"overflows" in result.stderr
+
     def test_csv_single_record(self):
         result = run_cli(["total", "--model", "em", "--format", "csv"], check=True)
         lines = result.stdout.decode().splitlines()
@@ -265,6 +294,19 @@ class TestScanCommand:
         force_1 = payload["rows"][0][2]
         force_2 = payload["rows"][1][2]
         assert force_1 / force_2 == pytest.approx(16.0, rel=1e-8)
+
+    def test_length_sweep_em_extreme_lengths(self):
+        result = run_cli(
+            ["scan", "--vary", "length", "--values", "1e50,1e-50", "--model", "em",
+             "--format", "json"],
+            check=True,
+        )
+        rows = json.loads(result.stdout)["rows"]
+        assert [row[0] for row in rows] == [1e50, 1e-50]
+        for length, total, force in rows:
+            expected_total, expected_force = em_free_total_and_force(length)
+            assert total == pytest.approx(expected_total, rel=1e-15)
+            assert force == pytest.approx(expected_force, rel=1e-15)
 
     def test_bad_values_rejected(self):
         result = run_cli(["scan", "--vary", "length", "--values", "1,-2"])

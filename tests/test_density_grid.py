@@ -265,3 +265,53 @@ class TestNumpyFreeImport:
         code = "import sys, platevac; assert 'numpy' not in sys.modules"
         result = subprocess.run([sys.executable, "-c", code], capture_output=True)
         assert result.returncode == 0, result.stderr.decode()
+
+
+# Commands that need no array work: with numpy blocked they must run, and
+# print the bytes they print with numpy available.
+SCALAR_COMMANDS = [
+    ["total"],
+    ["total", "--model", "em", "--alpha", "0.01", "--format", "json"],
+    ["commute"],
+    ["commute", "--format", "json"],
+    ["commute", "--alpha", "0.01", "--mass", "10"],
+    ["commute", "--alpha", "0.01", "--mass", "10", "--format", "json"],
+    ["scan", "--vary", "length", "--values", "0.1,1,10"],
+    ["scan", "--vary", "delta", "--values", "0.02,0.01,1e-8"],
+    ["scan", "--vary", "epsilon", "--values", "0.04,0.02,0.01", "--format", "json"],
+    ["verify", "--suite", "quick"],
+]
+
+
+def stdout_in_process(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(argv)
+    return out.getvalue()
+
+
+class TestNumpyFreeCommands:
+    def test_commands_run_without_numpy(self):
+        code = "\n".join([
+            "import contextlib, io, json, sys",
+            "sys.modules['numpy'] = None",
+            "from platevac import cli",
+            f"runs = {SCALAR_COMMANDS!r}",
+            "results = []",
+            "for argv in runs:",
+            "    out = io.StringIO()",
+            "    with contextlib.redirect_stdout(out):",
+            "        results.append([cli.main(argv), out.getvalue()])",
+            "sys.stdout.write(json.dumps(results))",
+        ])
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True)
+        assert result.returncode == 0, result.stderr.decode()
+        blocked = json.loads(result.stdout)
+        for argv, (exit_code, text) in zip(SCALAR_COMMANDS, blocked):
+            assert exit_code == 0, argv
+            assert text == stdout_in_process(argv), argv
+
+    def test_import_cli_loads_no_numpy(self):
+        code = "import sys, platevac.cli; assert 'numpy' not in sys.modules"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True)
+        assert result.returncode == 0, result.stderr.decode()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from platevac import em3d, limits_lab, scalar1d
+from platevac import em3d, limits_lab, regsum, scalar1d
 from platevac.errors import DomainError, FitError
 from platevac.geometry import Geometry, Position
 from platevac.limits_lab import (
@@ -259,6 +259,79 @@ class TestCommutationReport:
             limits_lab.commutation_report(
                 G1, CommutationModel.INTERACTING_SCALAR, deltas=FREE_DELTAS,
                 epsilons=INTERACTING_EPSILONS,
+            )
+
+
+def mp_least_squares(x, y):
+    """Slope, intercept and r^2 of the least-squares line, to 50 digits."""
+    with mpmath.workdps(50):
+        x = [mpmath.mpf(v) for v in x]
+        y = [mpmath.mpf(v) for v in y]
+        x_mean, y_mean = mpmath.fsum(x) / len(x), mpmath.fsum(y) / len(y)
+        sxx = mpmath.fsum((a - x_mean) ** 2 for a in x)
+        sxy = mpmath.fsum((a - x_mean) * (b - y_mean) for a, b in zip(x, y))
+        slope = sxy / sxx
+        intercept = y_mean - slope * x_mean
+        ss_res = mpmath.fsum((b - slope * a - intercept) ** 2 for a, b in zip(x, y))
+        ss_tot = mpmath.fsum((b - y_mean) ** 2 for b in y)
+        return float(slope), float(intercept), float(1 - ss_res / ss_tot)
+
+
+def window_ladder_points(model, couplings=None):
+    report = limits_lab.commutation_report(
+        G1, model, deltas=FREE_DELTAS, epsilons=FREE_EPSILONS, couplings=couplings
+    )
+    x = [math.log(r.delta) for r in report.window_rows]
+    y = [math.log(abs(r.partial_total)) for r in report.window_rows]
+    return x, y
+
+
+def expansion_residual_points(theta=1.0, eps_list=(0.04, 0.02, 0.01)):
+    limit = regsum.abel_sum_sin_limit(theta)
+    quadratic = 0.125 * math.cos(theta) / math.sin(theta) ** 3
+    x = [math.log(e) for e in eps_list]
+    y = [
+        math.log(abs(regsum.abel_sum_sin(e, theta) - limit + quadratic * e * e))
+        for e in eps_list
+    ]
+    return x, y
+
+
+def divergence_window_points():
+    # The 4 samples fit_divergence takes at the left wall of this profile.
+    profile = limits_lab.sample_profile(
+        scalar1d.density_split, G1, RegScheme.zeta(), GridSpec(200, Clustering.ENDPOINTS)
+    )
+    x = [math.log(math.sin(t)) for t in profile.grid[:4]]
+    y = [math.log(abs(v.electric + math.pi / 48.0)) for v in profile.values[:4]]
+    return x, y
+
+
+class TestLogLogFit:
+    @pytest.mark.parametrize(
+        "points",
+        [
+            lambda: window_ladder_points(CommutationModel.FREE_SCALAR),
+            lambda: window_ladder_points(
+                CommutationModel.INTERACTING_SCALAR, Couplings(alpha=0.01, m=10.0)
+            ),
+            expansion_residual_points,
+            divergence_window_points,
+        ],
+        ids=["free_window", "interacting_window", "expansion_residual", "divergence_window"],
+    )
+    def test_against_mpmath(self, points):
+        x, y = points()
+        fitted = limits_lab._log_log_fit(x, y)
+        for value, exact in zip(fitted, mp_least_squares(x, y)):
+            assert value == pytest.approx(exact, rel=1e-14)
+
+    def test_equal_abscissae_diagnosed(self):
+        # Two deltas one ulp apart near 1e299 have the same logarithm.
+        with pytest.raises(FitError):
+            limits_lab.commutation_report(
+                Geometry(1e300), CommutationModel.FREE_SCALAR,
+                deltas=[1e299, 9.999999999999999e298], epsilons=FREE_EPSILONS,
             )
 
 
