@@ -13,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import em3d, limits_lab, scalar1d, verify
@@ -64,27 +64,17 @@ _CONVERTERS = {
 @dataclass
 class RunConfig:
     model: Model
-    length: float
-    alpha: float | None
-    mass: float
+    geometry: Geometry
+    couplings: Couplings  # alpha = 0 unless a coupling was given
+    interacting: bool  # a coupling was given: report the correction
     scheme: RegScheme
     grid: GridSpec
     out_format: str
     out_path: str | None
 
     @property
-    def geometry(self) -> Geometry:
-        return Geometry(self.length)
-
-    @property
-    def couplings(self) -> Couplings | None:
-        if self.alpha is None:
-            return None
-        return Couplings(alpha=self.alpha, m=self.mass)
-
-    @property
-    def eh_couplings(self) -> em3d.EhCouplings:
-        return em3d.EhCouplings(alpha=0.0 if self.alpha is None else self.alpha, m=self.mass)
+    def alpha(self) -> float | None:
+        return self.couplings.alpha if self.interacting else None
 
 
 def _read_config_file(path: str) -> dict:
@@ -126,53 +116,39 @@ def _resolve(args: argparse.Namespace) -> dict:
     return resolved
 
 
+def _checked(field: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, its DomainError or ValueError named by ``field``."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:  # DomainError is a ValueError
+        raise ConfigError(field, str(exc)) from None
+
+
 def _build_config(args: argparse.Namespace) -> RunConfig:
+    # The domain types check their own ranges; each is built in the order
+    # the fields are reported.  Couplings and GridSpec take two fields, so
+    # the second is set by replace() to name it on its own.
     raw = _resolve(args)
-    try:
-        model = Model(raw["model"])
-    except ValueError:
-        raise ConfigError("model", f"must be one of {[m.value for m in Model]}") from None
-    length = raw["length"]
-    if not math.isfinite(length) or length <= 0.0:
-        raise ConfigError("length", f"must be finite and > 0, got {length!r}")
+    model = _checked("model", Model, raw["model"])
+    geometry = _checked("length", Geometry, raw["length"])
     alpha = raw["alpha"]
-    if alpha is not None and (not math.isfinite(alpha) or alpha < 0.0):
-        raise ConfigError("alpha", f"must be finite and >= 0, got {alpha!r}")
-    mass = raw["mass"]
-    if not math.isfinite(mass) or mass <= 0.0:
-        raise ConfigError("mass", f"must be finite and > 0, got {mass!r}")
-    if raw["scheme"] not in ("zeta", "cutoff"):
-        raise ConfigError("scheme", f"must be 'zeta' or 'cutoff', got {raw['scheme']!r}")
-    epsilon = raw["epsilon"]
-    if raw["scheme"] == "cutoff":
-        if epsilon is None:
-            raise ConfigError("epsilon", "required when scheme = cutoff")
-        if not math.isfinite(epsilon) or epsilon <= 0.0:
-            raise ConfigError("epsilon", f"must be finite and > 0, got {epsilon!r}")
-        scheme = RegScheme.cutoff(epsilon)
-    else:
-        if epsilon is not None:
-            raise ConfigError("epsilon", "only meaningful when scheme = cutoff")
-        scheme = RegScheme.zeta()
-    if model is Model.EM and scheme.kind is RegKind.CUTOFF:
-        raise ConfigError("scheme", "the em model defines densities in the zeta scheme only")
-    if raw["grid"] < 2:
-        raise ConfigError("grid", f"must be >= 2, got {raw['grid']!r}")
-    try:
-        cluster = Clustering(raw["cluster"])
-    except ValueError:
-        raise ConfigError(
-            "cluster", f"must be one of {[c.value for c in Clustering]}"
-        ) from None
+    couplings = _checked("alpha", Couplings, 0.0 if alpha is None else alpha, 1.0)
+    couplings = _checked("mass", replace, couplings, m=raw["mass"])
+    kind = _checked("scheme", RegKind, raw["scheme"])
+    scheme = _checked("epsilon", RegScheme, kind, raw["epsilon"])
+    if model is Model.EM:
+        _checked("scheme", em3d._require_zeta, scheme)
+    grid = _checked("grid", GridSpec, raw["grid"])
+    grid = replace(grid, clustering=_checked("cluster", Clustering, raw["cluster"]))
     if raw["format"] not in ("csv", "json"):
         raise ConfigError("format", f"must be 'csv' or 'json', got {raw['format']!r}")
     return RunConfig(
         model=model,
-        length=length,
-        alpha=alpha,
-        mass=mass,
+        geometry=geometry,
+        couplings=couplings,
+        interacting=alpha is not None,
         scheme=scheme,
-        grid=GridSpec(count=raw["grid"], clustering=cluster),
+        grid=grid,
         out_format=raw["format"],
         out_path=raw["out"],
     )
@@ -207,16 +183,12 @@ def _json(payload: dict) -> str:
 
 def _cmd_density(args: argparse.Namespace) -> int:
     config = _build_config(args)
-    with_correction = config.alpha is not None
-    couplings = None
-    if with_correction:
-        couplings = config.couplings if config.model is Model.SCALAR else config.eh_couplings
     columns = limits_lab.density_columns(
         config.geometry,
         config.model,
         config.scheme,
         limits_lab.theta_array(config.grid),
-        couplings,
+        config.couplings if config.interacting else None,
     )
     header = list(columns)
     rows = list(zip(*(column.tolist() for column in columns.values())))
@@ -227,11 +199,11 @@ def _cmd_density(args: argparse.Namespace) -> int:
             {
                 "command": "density",
                 "model": config.model.value,
-                "length": config.length,
+                "length": config.geometry.length,
                 "scheme": config.scheme.kind.value,
                 "epsilon": config.scheme.epsilon,
                 "alpha": config.alpha,
-                "mass": config.mass if with_correction else None,
+                "mass": config.couplings.m if config.interacting else None,
                 "columns": header,
                 "rows": rows,
             }
@@ -246,25 +218,24 @@ def _cmd_total(args: argparse.Namespace) -> int:
     payload: dict = {
         "command": "total",
         "model": config.model.value,
-        "length": config.length,
+        "length": g.length,
         "alpha": config.alpha,
-        "mass": config.mass if config.alpha is not None else None,
+        "mass": config.couplings.m if config.interacting else None,
     }
-    if config.model is Model.SCALAR:
-        if config.alpha is None:
-            payload["total_energy"] = scalar1d.free_total_energy(g)
-        else:
-            payload["total_energy"] = scalar1d.interacting_total_energy(g, config.couplings)
-    else:
-        payload["total_energy"] = em3d.corrected_total_energy(g, config.eh_couplings)
+    if config.model is Model.EM:
+        payload["total_energy"] = em3d.corrected_total_energy(g, config.couplings)
         payload["force_per_area"] = em3d.casimir_force_per_area(g)
+    elif config.interacting:
+        payload["total_energy"] = scalar1d.interacting_total_energy(g, config.couplings)
+    else:
+        payload["total_energy"] = scalar1d.free_total_energy(g)
     if config.out_format == "csv":
         header = ["model", "length", "alpha", "mass", "total_energy"]
         row: list = [
             config.model.value,
-            config.length,
-            0.0 if config.alpha is None else config.alpha,
-            config.mass,
+            g.length,
+            config.couplings.alpha,
+            config.couplings.m,
             payload["total_energy"],
         ]
         if "force_per_area" in payload:
@@ -315,7 +286,7 @@ def _cmd_commute(args: argparse.Namespace) -> int:
         raise ConfigError("model", "the commutation report covers the scalar model")
     deltas = _parse_float_list(args.deltas, "deltas")
     epsilons = _parse_float_list(args.epsilons, "epsilons")
-    if config.alpha is not None:
+    if config.interacting:
         model = CommutationModel.INTERACTING_SCALAR
         couplings = config.couplings
     else:
@@ -352,18 +323,14 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         if config.model is Model.EM:
             header.append("force_per_area")
         for length in values:
-            if not math.isfinite(length) or length <= 0.0:
-                raise ConfigError("values", f"lengths must be > 0, got {length!r}")
-            gg = Geometry(length)
-            if config.model is Model.SCALAR:
-                if config.alpha is None:
-                    total = scalar1d.free_total_energy(gg)
-                else:
-                    total = scalar1d.interacting_total_energy(gg, config.couplings)
-                rows.append([length, total])
-            else:
-                total = em3d.corrected_total_energy(gg, config.eh_couplings)
+            gg = _checked("values", Geometry, length)
+            if config.model is Model.EM:
+                total = em3d.corrected_total_energy(gg, config.couplings)
                 rows.append([length, total, em3d.casimir_force_per_area(gg)])
+            elif config.interacting:
+                rows.append([length, scalar1d.interacting_total_energy(gg, config.couplings)])
+            else:
+                rows.append([length, scalar1d.free_total_energy(gg)])
     elif vary == "epsilon":
         if config.model is not Model.SCALAR:
             raise ConfigError("vary", "epsilon sweeps apply to the scalar model")
@@ -373,19 +340,16 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         header = ["epsilon", "electric", "magnetic", "total"]
         pos = Position.from_theta(theta, g)
         for eps in values:
-            if not math.isfinite(eps) or eps <= 0.0:
-                raise ConfigError("values", f"epsilons must be > 0, got {eps!r}")
-            split = scalar1d.density_split(g, pos, RegScheme.cutoff(eps))
+            split = scalar1d.density_split(g, pos, _checked("values", RegScheme.cutoff, eps))
             rows.append([eps, split.electric, split.magnetic, split.total])
     elif vary == "delta":
         if config.model is not Model.SCALAR:
             raise ConfigError("vary", "delta sweeps apply to the scalar model")
         header = ["delta", "window_integral", "divergent_estimate"]
         for delta in values:
-            if not math.isfinite(delta) or not 0.0 < delta < 0.5 * g.length:
-                raise ConfigError("values", f"deltas must lie in (0, L/2), got {delta!r}")
-            result = scalar1d.total_energy_by_route(
-                g, Route.INTEGRATE_REGULARIZED_DENSITY, RegScheme.zeta(), delta=delta
+            result = _checked(
+                "values", scalar1d.total_energy_by_route,
+                g, Route.INTEGRATE_REGULARIZED_DENSITY, RegScheme.zeta(), delta=delta,
             )
             rows.append([delta, result.value, result.divergent_estimate])
     else:  # pragma: no cover - argparse restricts choices

@@ -17,7 +17,6 @@ from enum import Enum
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import em3d, regsum, scalar1d, specfun
-from .em3d import EhCouplings
 from .errors import DomainError, FitError
 from .geometry import Geometry, Position
 from .regsum import RegKind, RegScheme
@@ -92,20 +91,21 @@ def density_columns(
     model: FieldModel,
     scheme: RegScheme,
     thetas: Sequence[float] | np.ndarray,
-    couplings: Couplings | EhCouplings | None = None,
+    couplings: Couplings | None = None,
 ) -> dict[str, np.ndarray]:
     """The energy density at every angle of ``thetas``, in one array pass.
 
     Returns the columns theta, z, electric, magnetic and total, plus
     correction (the interaction correction to the density) when
-    ``couplings`` is given: :class:`Couplings` for the scalar model,
-    :class:`EhCouplings` for the EM model.  The arrays run the formulas of
-    the point functions (``density_split``, ``interacting_density`` minus
-    the free constant, ``eh_correction_density``), so every entry equals
-    their value bit for bit.  Validation happens once per array with the
-    point functions' errors: DomainError for angles outside [0, pi] or an
-    EM cutoff scheme, SingularityError for wall angles where the density
-    diverges, and at most one ValidityWarning for a strong scalar coupling.
+    ``couplings`` is given; both models take a :class:`Couplings`, of
+    which :class:`em3d.EhCouplings` is the one with the EM defaults.  The
+    arrays run the formulas of the point functions (``density_split``,
+    ``interacting_density`` minus the free constant,
+    ``eh_correction_density``), so every entry equals their value bit for
+    bit.  Validation happens once per array with the point functions'
+    errors: DomainError for angles outside [0, pi] or an EM cutoff scheme,
+    SingularityError for wall angles where the density diverges, and at
+    most one ValidityWarning for a strong scalar coupling.
     """
     import numpy as np
 
@@ -245,9 +245,12 @@ def fit_divergence(
     """Least-squares slope of log|density - constant| against log sin(theta).
 
     The fit window is the ``n_points`` samples nearest the chosen endpoint
-    whose residual magnitude is positive (optionally further restricted to
-    angles within ``window`` of that endpoint).  When ``constant_part`` is
-    not given, the sample nearest theta = pi/2 is subtracted.
+    whose residual magnitude is positive, taken from that endpoint's half
+    of the interval (theta <= pi/2 for LEFT, theta >= pi/2 for RIGHT) so a
+    mirror sample from the other wall, with the same sin(theta), never
+    enters the fit; ``window`` optionally restricts them further to angles
+    within that distance of the endpoint.  When ``constant_part`` is not
+    given, the sample nearest theta = pi/2 is subtracted.
     """
     import numpy as np
 
@@ -260,13 +263,13 @@ def fit_divergence(
     residual = np.abs(values - constant_part)
 
     order = np.argsort(grid) if endpoint is Endpoint.LEFT else np.argsort(-grid)
+    reach = 0.5 * math.pi if window is None else min(window, 0.5 * math.pi)
     chosen: list[int] = []
     for idx in order:
         theta = grid[idx]
-        if window is not None:
-            distance = theta if endpoint is Endpoint.LEFT else math.pi - theta
-            if distance > window:
-                break
+        distance = theta if endpoint is Endpoint.LEFT else math.pi - theta
+        if distance > reach:
+            break
         if residual[idx] > 0.0:
             chosen.append(int(idx))
         if len(chosen) == n_points:

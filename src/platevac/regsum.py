@@ -15,6 +15,7 @@ of scope.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -52,6 +53,13 @@ class RegKind(Enum):
     CUTOFF = "cutoff"
 
 
+def _check_eps(eps: float) -> float:
+    eps = float(eps)
+    if not math.isfinite(eps) or eps <= 0.0:
+        raise DomainError(f"epsilon must be finite and > 0, got {eps!r}")
+    return eps
+
+
 @dataclass(frozen=True)
 class RegScheme:
     """Which regularization defines a divergent sum.
@@ -66,10 +74,7 @@ class RegScheme:
         if self.kind is RegKind.CUTOFF:
             if self.epsilon is None:
                 raise DomainError("the cutoff scheme requires epsilon > 0")
-            eps = float(self.epsilon)
-            if not math.isfinite(eps) or eps <= 0.0:
-                raise DomainError(f"epsilon must be finite and > 0, got {self.epsilon!r}")
-            object.__setattr__(self, "epsilon", eps)
+            object.__setattr__(self, "epsilon", _check_eps(self.epsilon))
         elif self.epsilon is not None:
             raise DomainError("epsilon is meaningful only for the cutoff scheme")
 
@@ -176,13 +181,6 @@ def _sum_n_cos_continued(sin_theta):
 # --------------------------------------------------------------------------
 
 
-def _check_eps(eps: float) -> float:
-    eps = float(eps)
-    if not math.isfinite(eps) or eps <= 0.0:
-        raise DomainError(f"eps must be finite and > 0, got {eps!r}")
-    return eps
-
-
 def abel_sum_sin(eps: float, theta: float) -> float:
     """sum_{n>=1} e^(-eps n) sin(2 n theta), by its geometric closed form.
 
@@ -252,36 +250,25 @@ def abel_sum_linear(eps: float) -> float:
 _SUBTRACT_SERIES_TERMS = 14
 _SUBTRACT_SERIES_RADIUS = 1.0
 
-# Coefficient tables are swapped in whole so concurrent callers never see a
-# partially built one.
-_linear_coeffs: tuple[float, ...] | None = None
-_quadratic_coeffs: tuple[float, ...] | None = None
 
-
+# The coefficient tables are built on first use, not at import, so the
+# commands that never take a cutoff total do not pay for the Bernoulli numbers.
+@functools.cache
 def _linear_bulk_coeffs() -> tuple[float, ...]:
     # sum n e^(-eps n) - 1/eps^2 = -sum_{k>=1} (2k-1) B_{2k} eps^(2k-2) / (2k)!
-    global _linear_coeffs
-    coeffs = _linear_coeffs
-    if coeffs is None:
-        coeffs = tuple(
-            -(2 * k - 1) * float(specfun.bernoulli(2 * k)) / math.factorial(2 * k)
-            for k in range(1, _SUBTRACT_SERIES_TERMS + 1)
-        )
-        _linear_coeffs = coeffs
-    return coeffs
+    return tuple(
+        -(2 * k - 1) * float(specfun.bernoulli(2 * k)) / math.factorial(2 * k)
+        for k in range(1, _SUBTRACT_SERIES_TERMS + 1)
+    )
 
 
+@functools.cache
 def _quadratic_bulk_coeffs() -> tuple[float, ...]:
     # sum n^2 e^(-d n) - 2/d^3 = sum_{j>=2} (2j-1)(2j-2) B_{2j} d^(2j-3) / (2j)!
-    global _quadratic_coeffs
-    coeffs = _quadratic_coeffs
-    if coeffs is None:
-        coeffs = tuple(
-            (2 * j - 1) * (2 * j - 2) * float(specfun.bernoulli(2 * j)) / math.factorial(2 * j)
-            for j in range(2, _SUBTRACT_SERIES_TERMS + 2)
-        )
-        _quadratic_coeffs = coeffs
-    return coeffs
+    return tuple(
+        (2 * j - 1) * (2 * j - 2) * float(specfun.bernoulli(2 * j)) / math.factorial(2 * j)
+        for j in range(2, _SUBTRACT_SERIES_TERMS + 2)
+    )
 
 
 def abel_sum_linear_minus_bulk(eps: float) -> float:

@@ -9,6 +9,7 @@ are exact rationals rendered as doubles.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -131,19 +132,14 @@ def gamma(x: float) -> float:
 
 _EM_CUT = 20  # partial-sum length
 _EM_ORDER = 13  # number of B_{2k} tail-correction terms
-_em_coeffs: tuple[float, ...] | None = None
 
 
+@functools.cache
 def _em_coefficients() -> tuple[float, ...]:
-    global _em_coeffs
-    coeffs = _em_coeffs
-    if coeffs is None:
-        coeffs = tuple(
-            float(bernoulli(2 * k) / math.factorial(2 * k))
-            for k in range(1, _EM_ORDER + 1)
-        )
-        _em_coeffs = coeffs
-    return coeffs
+    return tuple(
+        float(bernoulli(2 * k) / math.factorial(2 * k))
+        for k in range(1, _EM_ORDER + 1)
+    )
 
 
 def _zeta_euler_maclaurin(s: float) -> float:

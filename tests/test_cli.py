@@ -206,6 +206,33 @@ class TestExitCodes:
         assert result.returncode == 2
 
 
+class TestConfigFieldContract:
+    """Every bad field exits 2, prints nothing and names itself on stderr."""
+
+    @pytest.mark.parametrize("flags,config_line,field", [
+        (["--length", "nan"], None, "length"),
+        (["--alpha", "-1"], None, "alpha"),
+        (["--mass", "0"], None, "mass"),
+        (["--grid", "1"], None, "grid"),
+        (["--scheme", "cutoff", "--epsilon", "0"], None, "epsilon"),
+        (["--model", "em", "--scheme", "cutoff", "--epsilon", "0.1"], None, "scheme"),
+        ([], "model = photon", "model"),
+        ([], "scheme = bogus", "scheme"),
+        ([], "cluster = spiral", "cluster"),
+        ([], "format = xml", "format"),
+    ])
+    def test_bad_field_is_named(self, tmp_path, flags, config_line, field):
+        args = ["total", *flags]
+        if config_line is not None:
+            config = tmp_path / "run.conf"
+            config.write_text(config_line + "\n")
+            args += ["--config", str(config)]
+        result = run_cli(args)
+        assert result.returncode == 2
+        assert result.stdout == b""
+        assert result.stderr.startswith(f"error: {field}:".encode())
+
+
 class TestVerifyCommand:
     def test_quick_suite_passes(self):
         result = run_cli(["verify", "--suite", "quick"], check=True)
@@ -311,6 +338,18 @@ class TestScanCommand:
     def test_bad_values_rejected(self):
         result = run_cli(["scan", "--vary", "length", "--values", "1,-2"])
         assert result.returncode == 2
+
+    @pytest.mark.parametrize("vary,values", [
+        ("epsilon", "0.1,0"),
+        ("delta", "0.5"),
+        ("delta", "nan"),
+        ("length", "inf"),
+    ])
+    def test_every_sweep_rejects_bad_values(self, vary, values):
+        result = run_cli(["scan", "--vary", vary, "--values", values])
+        assert result.returncode == 2
+        assert result.stdout == b""
+        assert result.stderr.startswith(b"error: values:")
 
 
 class TestConfigFile:

@@ -154,6 +154,19 @@ class TestFitDivergence:
         )
         assert abs(wide.exponent - narrow.exponent) < 0.05
 
+    def test_window_stays_on_its_half(self):
+        # GridSpec(2) holds pi/3 and 2 pi/3, one sample per half: a fit at
+        # the left wall must not borrow the right wall's mirror sample.
+        profile = limits_lab.sample_profile(
+            scalar1d.density_split, G1, RegScheme.zeta(), GridSpec(2)
+        )
+        for endpoint in (Endpoint.LEFT, Endpoint.RIGHT):
+            with pytest.raises(FitError):
+                limits_lab.fit_divergence(
+                    profile, endpoint, component="electric",
+                    constant_part=-math.pi / 48.0, n_points=2,
+                )
+
     def test_all_zero_residuals_diagnosed(self):
         profile = limits_lab.sample_profile(
             lambda g, p, _s: 1.0, G1, RegScheme.zeta(), GridSpec(16)
