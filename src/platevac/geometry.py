@@ -1,4 +1,4 @@
-"""Interval geometry and scaled positions shared by the field modules.
+"""Interval geometry, scaled positions and sample grids shared by the field modules.
 
 Natural units throughout: hbar = c = 1, so energies and masses carry the
 dimension of inverse length.
@@ -8,10 +8,33 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 
 from .errors import DomainError
 
-__all__ = ["Geometry", "Position", "check_position"]
+__all__ = ["FieldModel", "Clustering", "GridSpec", "Geometry", "Position", "check_position"]
+
+
+class FieldModel(Enum):
+    SCALAR = "scalar"
+    EM = "em"
+
+
+class Clustering(Enum):
+    UNIFORM = "uniform"
+    ENDPOINTS = "endpoints"
+
+
+@dataclass(frozen=True)
+class GridSpec:
+    """How to lay out sample angles over (0, pi)."""
+
+    count: int
+    clustering: Clustering = Clustering.UNIFORM
+
+    def __post_init__(self):
+        if isinstance(self.count, bool) or not isinstance(self.count, int) or self.count < 2:
+            raise DomainError(f"grid count must be an integer >= 2, got {self.count!r}")
 
 
 @dataclass(frozen=True)

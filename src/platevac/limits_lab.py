@@ -12,13 +12,13 @@ independent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import em3d, regsum, scalar1d, specfun
 from .errors import DomainError, FitError
-from .geometry import Geometry, Position
+from .geometry import Clustering, FieldModel, Geometry, GridSpec, Position
 from .regsum import RegKind, RegScheme
 from .scalar1d import Couplings, EnergySplit, Route
 
@@ -48,23 +48,6 @@ __all__ = [
 ]
 
 
-class Clustering(Enum):
-    UNIFORM = "uniform"
-    ENDPOINTS = "endpoints"
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """How to lay out sample angles over (0, pi)."""
-
-    count: int
-    clustering: Clustering = Clustering.UNIFORM
-
-    def __post_init__(self):
-        if isinstance(self.count, bool) or not isinstance(self.count, int) or self.count < 2:
-            raise DomainError(f"grid count must be an integer >= 2, got {self.count!r}")
-
-
 def theta_array(spec: GridSpec) -> np.ndarray:
     """Strictly increasing angles strictly inside (0, pi), as an array."""
     import numpy as np
@@ -79,11 +62,6 @@ def theta_array(spec: GridSpec) -> np.ndarray:
 def theta_grid(spec: GridSpec) -> tuple[float, ...]:
     """The angles of :func:`theta_array` as a tuple of floats."""
     return tuple(theta_array(spec).tolist())
-
-
-class FieldModel(Enum):
-    SCALAR = "scalar"
-    EM = "em"
 
 
 def density_columns(
@@ -350,6 +328,7 @@ class CommutationModel(Enum):
     INTERACTING_SCALAR = "interacting_scalar"
 
 
+# The rows' and the verdict's field names, in order, are their JSON keys.
 @dataclass(frozen=True)
 class WindowRow:
     delta: float
@@ -397,36 +376,15 @@ class CommutationReport:
             "alpha": self.alpha,
             "mass": self.mass,
             "sum_then_regularize": self.sum_then_regularize,
-            "integrate_then_regularize": [
-                {
-                    "delta": r.delta,
-                    "partial_total": r.partial_total,
-                    "divergent_estimate": r.divergent_estimate,
-                }
-                for r in self.window_rows
-            ],
+            "integrate_then_regularize": [asdict(r) for r in self.window_rows],
             "window_fit": {
                 "exponent": self.window_fit_exponent,
                 "r_squared": self.window_fit_r_squared,
             },
-            "cutoff_full_interval": [
-                {
-                    "epsilon": r.epsilon,
-                    "raw_total": r.raw_total,
-                    "bulk": r.bulk,
-                    "subtracted": r.subtracted,
-                }
-                for r in self.cutoff_rows
-            ],
+            "cutoff_full_interval": [asdict(r) for r in self.cutoff_rows],
             "cutoff_spread": self.cutoff_spread,
             "cutoff_limit": self.cutoff_limit,
-            "verdict": {
-                "agrees": self.verdict.agrees,
-                "sum_then_regularize": self.verdict.sum_then_regularize,
-                "cutoff_limit": self.verdict.cutoff_limit,
-                "difference": self.verdict.difference,
-                "tolerance": self.verdict.tolerance,
-            },
+            "verdict": asdict(self.verdict),
             "notes": list(self.notes),
         }
 
@@ -447,6 +405,21 @@ def _interacting_window_integral(
     estimate = prefactor * (2.0 * g.length / math.pi) * (ct + ct ** 3 / 3.0)
     constant = scalar1d.free_total_energy(g) / g.length + prefactor / 18.0
     return (g.length - 2.0 * delta) * constant + estimate, estimate
+
+
+def _ladder(name: str, values: Sequence[float], g: Geometry) -> list[float]:
+    """``values`` as floats, strictly decreasing inside the range of ``name``.
+
+    A delta lies in (0, L/2), an epsilon in (0, inf); nan and inf fail
+    the range test.
+    """
+    ladder = [float(v) for v in values]
+    upper, bounds = (0.5 * g.length, "(0, L/2)") if name == "delta" else (math.inf, "(0, inf)")
+    if not ladder or any(b >= a for a, b in zip(ladder, ladder[1:])):
+        raise DomainError(f"{name}s must be a decreasing sequence")
+    if any(not 0.0 < v < upper for v in ladder):
+        raise DomainError(f"every {name} must lie in {bounds}")
+    return ladder
 
 
 def commutation_report(
@@ -470,16 +443,8 @@ def commutation_report(
     squared-frequency series of the interacting position term); removing
     it is this harness's own construction, not an input prescription.
     """
-    deltas = [float(d) for d in deltas]
-    epsilons = [float(e) for e in epsilons]
-    if not deltas or any(b >= a for a, b in zip(deltas, deltas[1:])):
-        raise DomainError("deltas must be a decreasing sequence")
-    if any(d <= 0.0 or d >= 0.5 * g.length for d in deltas):
-        raise DomainError("every delta must lie in (0, L/2)")
-    if not epsilons or any(b >= a for a, b in zip(epsilons, epsilons[1:])):
-        raise DomainError("epsilons must be a decreasing sequence")
-    if any(e <= 0.0 for e in epsilons):
-        raise DomainError("every epsilon must be positive")
+    deltas = _ladder("delta", deltas, g)
+    epsilons = _ladder("epsilon", epsilons, g)
     interacting = model is CommutationModel.INTERACTING_SCALAR
     if interacting and couplings is None:
         raise DomainError("the interacting model requires couplings")

@@ -31,6 +31,8 @@ TOLERANCE_SCALE_ENV = "PLATEVAC_VERIFY_TOLERANCE_SCALE"
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check's outcome; the field names, in order, are its JSON keys."""
+
     name: str
     measured: float
     tolerance: float
@@ -202,33 +204,23 @@ def _expansion_slope():
 
 
 def _near_plate_exponent(kind: str):
+    # Per wall law: the density source, its constant part at L = 1, the
+    # exponent of sin(theta) and the tolerance on that exponent.
     g = Geometry(1.0)
-    spec = GridSpec(count=200, clustering=Clustering.ENDPOINTS)
-    if kind == "scalar":
-        profile = limits_lab.sample_profile(scalar1d.density_split, g, RegScheme.zeta(), spec)
-        fit = limits_lab.fit_divergence(
-            profile, Endpoint.LEFT, component="electric",
-            constant_part=-math.pi / 48.0,
-        )
-        return abs(fit.exponent + 2.0), 0.02
-    if kind == "em":
-        profile = limits_lab.sample_profile(
-            lambda g_, pos, _s: em3d.correlators(g_, pos).e2, g, RegScheme.zeta(), spec
-        )
-        fit = limits_lab.fit_divergence(
-            profile, Endpoint.LEFT, component="electric",
-            constant_part=-math.pi ** 2 / (16.0 * 45.0),
-        )
-        return abs(fit.exponent + 4.0), 0.02
     c = em3d.EhCouplings()
-    profile = limits_lab.sample_profile(
-        lambda g_, pos, _s: em3d.eh_correction_density(g_, pos, c), g, RegScheme.zeta(), spec
-    )
+    source, constant, exponent, tolerance = {
+        "scalar": (scalar1d.density_split, -math.pi / 48.0, -2.0, 0.02),
+        "em": (lambda g_, pos, _s: em3d.correlators(g_, pos).e2,
+               -math.pi ** 2 / (16.0 * 45.0), -4.0, 0.02),
+        "eh": (lambda g_, pos, _s: em3d.eh_correction_density(g_, pos, c),
+               em3d.eh_correction_constant(g, c), -8.0, 0.1),
+    }[kind]
+    spec = GridSpec(count=200, clustering=Clustering.ENDPOINTS)
+    profile = limits_lab.sample_profile(source, g, RegScheme.zeta(), spec)
     fit = limits_lab.fit_divergence(
-        profile, Endpoint.LEFT, component="electric",
-        constant_part=em3d.eh_correction_constant(g, c),
+        profile, Endpoint.LEFT, component="electric", constant_part=constant
     )
-    return abs(fit.exponent + 8.0), 0.1
+    return abs(fit.exponent - exponent), tolerance
 
 
 def _route_equivalence(model: CommutationModel):

@@ -197,6 +197,13 @@ class TestExitCodes:
         assert result.returncode == 2
         assert b"scheme" in result.stderr
 
+    @pytest.mark.parametrize("command", ["total", "verify"])
+    def test_unwritable_out_is_config_error(self, tmp_path, command):
+        result = run_cli([command, "--out", str(tmp_path / "missing" / "out.txt")])
+        assert result.returncode == 2
+        assert result.stderr.startswith(b"error: out: cannot write")
+        assert b"Traceback" not in result.stderr
+
     def test_epsilon_without_cutoff_rejected(self):
         result = run_cli(["density", "--epsilon", "0.1"])
         assert result.returncode == 2
@@ -279,6 +286,19 @@ class TestCommuteCommand:
         assert lines[0] == "section,index,parameter,value,reference"
         sections = {line.split(",")[0] for line in lines[1:]}
         assert sections == {"0", "1", "2"}
+
+    @pytest.mark.parametrize("flag,values", [
+        ("--deltas", "0.1,0.2"),
+        ("--deltas", "0.6"),
+        ("--deltas", "nan"),
+        ("--epsilons", "0.1,-0.05"),
+        ("--epsilons", "inf,1"),
+    ])
+    def test_bad_ladder_is_config_error(self, flag, values):
+        result = run_cli(["commute", flag, values])
+        assert result.returncode == 2
+        assert result.stdout == b""
+        assert result.stderr.startswith(f"error: {flag[2:]}:".encode())
 
 
 class TestScanCommand:
@@ -399,3 +419,34 @@ class TestRuntimeDependencies:
         ])
         result = subprocess.run([sys.executable, "-c", code], capture_output=True)
         assert result.returncode == 0, result.stderr.decode()
+
+
+class TestImports:
+    """Each subcommand imports only the modules it runs."""
+
+    @pytest.mark.parametrize("argv,absent", [
+        (["total"], ["platevac.limits_lab", "platevac.verify"]),
+        (["scan", "--vary", "length", "--values", "1,2"],
+         ["platevac.limits_lab", "platevac.verify"]),
+        (["density", "--grid", "5"], ["platevac.verify"]),
+        (["commute"], ["platevac.verify"]),
+    ])
+    def test_subcommand_leaves_modules_unloaded(self, argv, absent):
+        code = "\n".join([
+            "import contextlib, io, sys",
+            "from platevac.cli import main",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            f"    assert main({argv!r}) == 0",
+            f"loaded = [m for m in {absent!r} if m in sys.modules]",
+            "assert not loaded, loaded",
+        ])
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True)
+        assert result.returncode == 0, result.stderr.decode()
+
+    def test_suite_choices_match_verify(self):
+        from platevac import cli, verify
+
+        parser = cli._build_parser()
+        commands = next(a for a in parser._actions if a.dest == "command")
+        suite = next(a for a in commands.choices["verify"]._actions if a.dest == "suite")
+        assert suite.choices == sorted(verify.SUITES)
