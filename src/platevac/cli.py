@@ -171,6 +171,21 @@ def _json(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _json_rows(header: dict, rows: list) -> str:
+    """``_json({**header, "rows": rows})`` for one or more rows of floats.
+
+    ``indent`` makes json.dumps run its pure-Python encoder.  The C
+    encoder writes the rows with the indented item separator; a float's
+    text holds no ']', so one replacement turns the breaks between rows
+    into the indented ones, and the bytes equal ``_json``'s in about half
+    the time.
+    """
+    cells = json.dumps(rows, separators=(",\n      ", ":"))[2:-2]  # without [[ and ]]
+    body = cells.replace("],\n      [", "\n    ],\n    [\n      ")
+    head = json.dumps(header, indent=2)[:-2]  # without the closing \n}
+    return head + ',\n  "rows": [\n    [\n      ' + body + "\n    ]\n  ]\n}\n"
+
+
 # --------------------------------------------------------------------------
 # Subcommands
 # --------------------------------------------------------------------------
@@ -192,7 +207,7 @@ def _cmd_density(args: argparse.Namespace) -> int:
     if config.out_format == "csv":
         text = _csv(header, rows)
     else:
-        text = _json(
+        text = _json_rows(
             {
                 "command": "density",
                 "model": config.model.value,
@@ -202,8 +217,8 @@ def _cmd_density(args: argparse.Namespace) -> int:
                 "alpha": config.alpha,
                 "mass": config.mass,
                 "columns": header,
-                "rows": rows,
-            }
+            },
+            rows,
         )
     _emit(text, config.out_path)
     return 0

@@ -12,9 +12,10 @@ independent.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable
 
 from . import em3d, regsum, scalar1d, specfun
 from .errors import DomainError, FitError
@@ -124,14 +125,76 @@ def density_columns(
     return columns
 
 
+_COMPONENTS = ("electric", "magnetic", "total")
+
+
+class _SplitColumns(Sequence):
+    """Read-only electric, magnetic and total columns, read as EnergySplit.
+
+    Indexing, slicing and iteration build EnergySplit values, so the
+    sequence behaves as the tuple of EnergySplit it holds: it compares
+    equal to that tuple, hashes and prints as it.
+    """
+
+    def __init__(self, columns: dict[str, np.ndarray]):
+        for column in columns.values():
+            column.flags.writeable = False
+        self._columns = columns
+
+    @classmethod
+    def of(cls, splits: Sequence[EnergySplit]) -> "_SplitColumns":
+        import numpy as np
+
+        return cls({name: np.array([getattr(s, name) for s in splits], dtype=float)
+                    for name in _COMPONENTS})
+
+    def column(self, name: str) -> np.ndarray:
+        if name not in self._columns:
+            raise DomainError(f"component must be one of {_COMPONENTS}, got {name!r}")
+        return self._columns[name]
+
+    def __len__(self) -> int:
+        return len(self._columns["total"])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(EnergySplit, *(c[index].tolist() for c in self._columns.values())))
+        # ndarray.item takes negative indices and raises IndexError past the end.
+        return EnergySplit(*(c.item(index) for c in self._columns.values()))
+
+    def __iter__(self):
+        return map(EnergySplit, *(c.tolist() for c in self._columns.values()))
+
+    def __eq__(self, other):
+        if isinstance(other, _SplitColumns):
+            import numpy as np
+
+            return all(map(np.array_equal, self._columns.values(), other._columns.values()))
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class DensityProfile:
-    """A density sampled over a theta grid, with scheme provenance."""
+    """A density sampled over a theta grid, with scheme provenance.
+
+    The density is held as electric, magnetic and total columns.
+    ``values`` reads them as a sequence of EnergySplit, one per grid
+    angle, built on indexing; :meth:`component` returns one column as a
+    read-only array.  EnergySplit values passed in are stored as columns.
+    """
 
     g: Geometry
     scheme: RegScheme
     grid: tuple[float, ...]
-    values: tuple[EnergySplit, ...]
+    values: Sequence[EnergySplit]
 
     def __post_init__(self):
         if len(self.values) != len(self.grid):
@@ -142,11 +205,12 @@ class DensityProfile:
             self.grid[0] <= 0.0 or self.grid[-1] >= math.pi
         ):
             raise DomainError("zeta-scheme grids must stay strictly inside (0, pi)")
+        if not isinstance(self.values, _SplitColumns):
+            object.__setattr__(self, "values", _SplitColumns.of(self.values))
 
     def component(self, name: str) -> np.ndarray:
-        import numpy as np
-
-        return np.array([getattr(v, name) for v in self.values])
+        """The electric, magnetic or total column, read-only."""
+        return self.values.column(name)
 
 
 DensitySource = Callable[[Geometry, Position, RegScheme], "EnergySplit | float"]
@@ -159,8 +223,17 @@ def sample_profile(
 
     ``source`` is called as source(g, position, scheme) and may return an
     EnergySplit or a bare density; bare values are stored in the electric
-    slot with a zero magnetic part.  Deterministic for a given spec.
+    slot with a zero magnetic part.  ``scalar1d.density_split`` and
+    ``em3d.density_split`` are evaluated in one pass by
+    :func:`density_columns` instead, with the same values bit for bit.
+    Deterministic for a given spec.
     """
+    if source is scalar1d.density_split or source is em3d.density_split:
+        model = FieldModel.EM if source is em3d.density_split else FieldModel.SCALAR
+        thetas = theta_array(spec)
+        columns = density_columns(g, model, scheme, thetas)
+        values = _SplitColumns({name: columns[name] for name in _COMPONENTS})
+        return DensityProfile(g=g, scheme=scheme, grid=tuple(thetas.tolist()), values=values)
     grid = theta_grid(spec)
     values = []
     for theta in grid:

@@ -430,6 +430,7 @@ class TestImports:
          ["platevac.limits_lab", "platevac.verify"]),
         (["density", "--grid", "5"], ["platevac.verify"]),
         (["commute"], ["platevac.verify"]),
+        (["verify", "--suite", "quick"], ["platevac.limits_lab"]),
     ])
     def test_subcommand_leaves_modules_unloaded(self, argv, absent):
         code = "\n".join([

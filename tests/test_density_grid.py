@@ -245,6 +245,60 @@ class TestDensityCommandBytes:
         assert [w.category for w in caught] == [ValidityWarning]
 
 
+# The header fields of a density table, with null and set
+# epsilon/alpha/mass, for 5- and 6-column tables.
+JSON_HEADERS = {
+    5: {"command": "density", "model": "scalar", "length": 0.37, "scheme": "zeta",
+        "epsilon": None, "alpha": None, "mass": None,
+        "columns": ["theta", "z", "electric", "magnetic", "total"]},
+    6: {"command": "density", "model": "scalar", "length": 1e-2, "scheme": "cutoff",
+        "epsilon": 3.7e-4, "alpha": 0.01, "mass": 1.9,
+        "columns": ["theta", "z", "electric", "magnetic", "total", "correction"]},
+}
+SPECIAL_DOUBLES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308]
+
+
+def table(values, width):
+    return [values[i:i + width] for i in range(0, len(values) - width + 1, width)]
+
+
+class TestJsonRows:
+    """cli._json_rows writes the bytes of json.dumps(payload, indent=2)."""
+
+    @pytest.mark.parametrize("width,seed", [(5, 1), (6, 2)])
+    def test_random_bit_patterns(self, width, seed):
+        # 5e5 doubles per table, drawn from uniform 64-bit patterns: every
+        # exponent, subnormals and NaN payloads.
+        rng = np.random.default_rng(seed)
+        drawn = rng.integers(0, 2 ** 64, size=500_000, dtype=np.uint64)
+        values = SPECIAL_DOUBLES + drawn.view(np.float64).tolist()
+        rows = table(values, width)
+        header = JSON_HEADERS[width]
+        assert cli._json_rows(header, rows) == json.dumps({**header, "rows": rows}, indent=2) + "\n"
+
+    @pytest.mark.parametrize("width", [5, 6])
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_short_tables(self, width, count):
+        rows = table((SPECIAL_DOUBLES * 3)[:width * count], width)
+        header = JSON_HEADERS[width]
+        assert cli._json_rows(header, rows) == cli._json({**header, "rows": rows})
+
+    @pytest.mark.parametrize("model,epsilon,alpha", CLI_CASES)
+    def test_two_point_grid_command(self, model, epsilon, alpha):
+        argv = ["density", "--model", model, "--grid", "2", "--format", "json"]
+        if epsilon is not None:
+            argv += ["--scheme", "cutoff", "--epsilon", repr(epsilon)]
+        if alpha is not None:
+            argv += ["--alpha", repr(alpha)]
+        text = run_main(argv)
+        payload = json.loads(text)
+        assert len(payload["rows"]) == 2
+        assert (payload["alpha"] is None) == (alpha is None)
+        assert (payload["mass"] is None) == (alpha is None)
+        assert (payload["epsilon"] is None) == (epsilon is None)
+        assert text == json.dumps(payload, indent=2) + "\n"
+
+
 class TestNumpyFreeImport:
     def test_point_modules_import_without_numpy(self):
         code = "\n".join([

@@ -177,6 +177,114 @@ class TestFitDivergence:
             )
 
 
+def point_by_point(source):
+    # Any callable other than the library's density_split is sampled point
+    # by point, so this wrapper gives the per-point reference profile.
+    return lambda g, pos, scheme: source(g, pos, scheme)
+
+
+def fit_outcome(profile, endpoint, constant):
+    try:
+        return limits_lab.fit_divergence(
+            profile, endpoint, component="electric", constant_part=constant
+        )
+    except FitError as exc:
+        return repr(exc)
+
+
+class TestColumnsProfile:
+    """sample_profile evaluates the library's density_split as columns."""
+
+    @pytest.mark.parametrize("count", [2, 200, 10001])
+    @pytest.mark.parametrize("length", [1e-2, 1.0, 73.2])
+    @pytest.mark.parametrize("cluster", list(Clustering))
+    @pytest.mark.parametrize("model", ["scalar", "em"])
+    def test_equals_the_point_loop(self, model, cluster, length, count):
+        g = Geometry(length)
+        if model == "scalar":
+            source, constant = scalar1d.density_split, -math.pi / (48.0 * length ** 2)
+        else:
+            source, constant = em3d.density_split, -math.pi ** 2 / (1440.0 * length ** 4)
+        spec = GridSpec(count, cluster)
+        columns = limits_lab.sample_profile(source, g, RegScheme.zeta(), spec)
+        points = limits_lab.sample_profile(point_by_point(source), g, RegScheme.zeta(), spec)
+        # repr and tobytes tell -0.0 from 0.0 and show every bit.
+        assert columns.grid == points.grid
+        for name in ("electric", "magnetic", "total"):
+            assert columns.component(name).tobytes() == points.component(name).tobytes()
+        assert len(columns.values) == count
+        for i in range(count):
+            assert repr(columns.values[i]) == repr(points.values[i]), i
+        for endpoint in Endpoint:
+            for given in (None, constant):
+                assert repr(fit_outcome(columns, endpoint, given)) == repr(
+                    fit_outcome(points, endpoint, given)
+                )
+
+    def test_cutoff_scheme_equals_the_point_loop(self):
+        spec = GridSpec(2001, Clustering.ENDPOINTS)
+        scheme = RegScheme.cutoff(3.7e-4)
+        columns = limits_lab.sample_profile(scalar1d.density_split, G1, scheme, spec)
+        points = limits_lab.sample_profile(
+            point_by_point(scalar1d.density_split), G1, scheme, spec
+        )
+        assert repr(columns.values) == repr(points.values)
+
+    def test_em_cutoff_scheme_rejected(self):
+        with pytest.raises(DomainError):
+            limits_lab.sample_profile(em3d.density_split, G1, RegScheme.cutoff(0.01), GridSpec(5))
+
+    @pytest.mark.parametrize("source", [scalar1d.density_split, em3d.density_split])
+    def test_repr_and_equality_repeat(self, source):
+        spec = GridSpec(201, Clustering.ENDPOINTS)
+        a = limits_lab.sample_profile(source, G1, RegScheme.zeta(), spec)
+        b = limits_lab.sample_profile(source, G1, RegScheme.zeta(), spec)
+        points = limits_lab.sample_profile(point_by_point(source), G1, RegScheme.zeta(), spec)
+        assert a == b and repr(a) == repr(b) and hash(a) == hash(b)
+        # the same text as a profile built from EnergySplit values
+        assert repr(a) == repr(points) and a == points
+        assert "EnergySplit(electric=" in repr(a) and " at 0x" not in repr(a)
+        assert a != limits_lab.sample_profile(source, Geometry(2.0), RegScheme.zeta(), spec)
+
+    def test_values_is_a_sequence_of_splits(self):
+        profile = limits_lab.sample_profile(
+            scalar1d.density_split, G1, RegScheme.zeta(), GridSpec(11)
+        )
+        values = profile.values
+        splits = [values[i] for i in range(len(values))]
+        assert all(isinstance(v, EnergySplit) for v in splits)
+        assert list(values) == splits and tuple(values) == values
+        assert values[-1] == splits[-1] and values[-11] == splits[0]
+        assert values[2:5] == tuple(splits[2:5])
+        assert type(values[0].electric) is float
+        for index in (11, -12):
+            with pytest.raises(IndexError):
+                values[index]
+
+    def test_component_is_read_only(self):
+        for source in (scalar1d.density_split, eh_density_source):
+            profile = limits_lab.sample_profile(source, G1, RegScheme.zeta(), GridSpec(11))
+            column = profile.component("electric")
+            assert column is profile.component("electric")
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = 0.0
+
+    def test_unknown_component_rejected(self):
+        profile = limits_lab.sample_profile(
+            scalar1d.density_split, G1, RegScheme.zeta(), GridSpec(11)
+        )
+        with pytest.raises(DomainError):
+            profile.component("z")
+
+    def test_constructed_profile_stores_its_splits(self):
+        splits = (EnergySplit.from_parts(1.0, -0.5), EnergySplit.from_parts(-2.0, 0.25))
+        profile = DensityProfile(g=G1, scheme=RegScheme.zeta(), grid=(0.1, 0.2), values=splits)
+        assert profile.values == splits and list(profile.values) == list(splits)
+        assert profile.component("total").tolist() == [0.5, -1.75]
+        assert repr(profile.values) == repr(splits)
+
+
 class TestEpsilonExpansionCheck:
     def test_interior_slopes(self):
         fits = limits_lab.epsilon_expansion_check([0.5, 1.0, 2.0], [0.04, 0.02, 0.01])
