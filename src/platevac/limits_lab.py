@@ -12,6 +12,7 @@ independent.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 from enum import Enum
@@ -126,6 +127,7 @@ def density_columns(
 
 
 _COMPONENTS = ("electric", "magnetic", "total")
+_SPLIT_REPR = "EnergySplit(electric={!r}, magnetic={!r}, total={!r})"
 
 
 class _SplitColumns(Sequence):
@@ -178,7 +180,10 @@ class _SplitColumns(Sequence):
         return hash(tuple(self))
 
     def __repr__(self) -> str:
-        return repr(tuple(self))
+        # The tuple's repr, formatted from the columns without building
+        # the EnergySplit values.
+        items = list(map(_SPLIT_REPR.format, *(c.tolist() for c in self._columns.values())))
+        return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
 
 
 @dataclass(frozen=True)
@@ -199,7 +204,7 @@ class DensityProfile:
     def __post_init__(self):
         if len(self.values) != len(self.grid):
             raise DomainError("grid and values must have equal length")
-        if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
+        if not all(map(operator.lt, self.grid, self.grid[1:])):
             raise DomainError("grid must be strictly increasing")
         if self.scheme.kind is RegKind.ZETA and (
             self.grid[0] <= 0.0 or self.grid[-1] >= math.pi

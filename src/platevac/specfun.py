@@ -49,9 +49,10 @@ def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n as an exact rational, with B_1 = -1/2.
 
     Values come from the defining recurrence
-    sum_{k=0}^{n} C(n+1, k) B_k = 0 evaluated in exact arithmetic and are
-    cached.  ``n`` must lie in [0, 64]; larger indices are rejected rather
-    than silently losing exactness guarantees.
+    sum_{k=0}^{n} C(n+1, k) B_k = 0, evaluated exactly in integers over the
+    common denominator of the earlier terms, and are cached.  ``n`` must
+    lie in [0, 64]; larger indices are rejected rather than silently
+    losing exactness guarantees.
     """
     global _bernoulli_cache
     if isinstance(n, bool) or not isinstance(n, int):
@@ -63,10 +64,12 @@ def bernoulli(n: int) -> Fraction:
         work = list(cache)
         while len(work) <= n:
             m = len(work)
-            acc = Fraction(0)
-            for k, b_k in enumerate(work):
-                acc += math.comb(m + 1, k) * b_k
-            work.append(-acc / (m + 1))
+            d = math.lcm(*(b_k.denominator for b_k in work))
+            s = sum(
+                math.comb(m + 1, k) * b_k.numerator * (d // b_k.denominator)
+                for k, b_k in enumerate(work)
+            )
+            work.append(Fraction(-s, d * (m + 1)))
         cache = tuple(work)
         _bernoulli_cache = cache
     return cache[n]

@@ -9,6 +9,7 @@ all tolerances (useful for exercising the harness itself).
 from __future__ import annotations
 
 import math
+import operator
 import os
 import random
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from typing import TYPE_CHECKING, Callable
 
 from . import em3d, regsum, scalar1d, specfun
 from .errors import ConfigError
-from .geometry import Clustering, Geometry, GridSpec, Position
+from .geometry import Clustering, FieldModel, Geometry, GridSpec, Position
 from .regsum import RegScheme
 from .scalar1d import Couplings
 
@@ -97,12 +98,15 @@ def _casimir_force():
 
 
 def _cutoff_sine_closed_form():
+    # The first 2000 terms e^(-eps n) sin(2 theta n), from one table of
+    # decays per eps and one of sines per theta.
+    n_range = range(1, 2001)
+    sines = {theta: [math.sin(2.0 * theta * n) for n in n_range] for theta in (0.3, 1.0, 2.5)}
     worst = 0.0
     for eps in (0.05, 0.1, 0.5):
-        for theta in (0.3, 1.0, 2.5):
-            direct = math.fsum(
-                math.exp(-eps * n) * math.sin(2.0 * theta * n) for n in range(1, 2001)
-            )
+        decay = [math.exp(-eps * n) for n in n_range]
+        for theta, sine in sines.items():
+            direct = math.fsum(map(operator.mul, decay, sine))
             value = regsum.abel_sum_sin(eps, theta)
             worst = max(worst, abs(value - direct) / max(abs(direct), 1e-30))
     return worst, regsum.CLOSED_FORM_RTOL
@@ -150,13 +154,13 @@ def _gamma_recurrence():
 
 
 def _bernoulli_recurrence():
-    from fractions import Fraction
-
+    # sum_k C(n+1, k) B_k = 0 for n = 1..64, in integers: every B_k is
+    # scaled by the common denominator D, which leaves each sum exact.
+    b = [specfun.bernoulli(k) for k in range(specfun.MAX_BERNOULLI_INDEX + 1)]
+    d = math.lcm(*(b_k.denominator for b_k in b))
+    scaled = [b_k.numerator * (d // b_k.denominator) for b_k in b]
     for n in range(1, specfun.MAX_BERNOULLI_INDEX + 1):
-        acc = Fraction(0)
-        for k in range(n + 1):
-            acc += math.comb(n + 1, k) * specfun.bernoulli(k)
-        if acc != 0:
+        if sum(math.comb(n + 1, k) * scaled[k] for k in range(n + 1)):
             return 1.0, 0.0
     return 0.0, 0.0
 
@@ -207,21 +211,36 @@ def _expansion_slope():
 
 
 def _near_plate_exponent(kind: str):
+    import numpy as np
+
     from . import limits_lab
 
-    # Per wall law: the density source, its constant part at L = 1, the
-    # exponent of sin(theta) and the tolerance on that exponent.
+    # Per wall law: the density, as a function of the grid's columns, its
+    # constant part at L = 1, the exponent of sin(theta) and the tolerance
+    # on that exponent.  2 electric is <E^2> and correction is
+    # eh_correction_density, bit for bit.
     g = Geometry(1.0)
     c = em3d.EhCouplings()
-    source, constant, exponent, tolerance = {
-        "scalar": (scalar1d.density_split, -math.pi / 48.0, -2.0, 0.02),
-        "em": (lambda g_, pos, _s: em3d.correlators(g_, pos).e2,
+    model, density, constant, exponent, tolerance = {
+        "scalar": (FieldModel.SCALAR, lambda cols: cols["electric"],
+                   -math.pi / 48.0, -2.0, 0.02),
+        "em": (FieldModel.EM, lambda cols: 2.0 * cols["electric"],
                -math.pi ** 2 / (16.0 * 45.0), -4.0, 0.02),
-        "eh": (lambda g_, pos, _s: em3d.eh_correction_density(g_, pos, c),
+        "eh": (FieldModel.EM, lambda cols: cols["correction"],
                em3d.eh_correction_constant(g, c), -8.0, 0.1),
     }[kind]
-    spec = GridSpec(count=200, clustering=Clustering.ENDPOINTS)
-    profile = limits_lab.sample_profile(source, g, RegScheme.zeta(), spec)
+    scheme = RegScheme.zeta()
+    thetas = limits_lab.theta_array(GridSpec(count=200, clustering=Clustering.ENDPOINTS))
+    columns = limits_lab.density_columns(
+        g, model, scheme, thetas, couplings=c if kind == "eh" else None
+    )
+    # Stored as sample_profile stores a bare density: electric, magnetic 0.
+    electric = density(columns)
+    magnetic = np.zeros_like(electric)
+    values = limits_lab._SplitColumns(
+        {"electric": electric, "magnetic": magnetic, "total": electric + magnetic}
+    )
+    profile = limits_lab.DensityProfile(g, scheme, tuple(thetas.tolist()), values)
     fit = limits_lab.fit_divergence(
         profile, limits_lab.Endpoint.LEFT, component="electric", constant_part=constant
     )

@@ -277,6 +277,27 @@ class TestColumnsProfile:
         with pytest.raises(DomainError):
             profile.component("z")
 
+    @pytest.mark.parametrize(
+        "grid", [(0.1, math.nan), (math.nan, 0.2), (0.1, math.nan, 0.3), (0.1, 0.1, 0.3)]
+    )
+    def test_grid_with_nan_or_repeat_rejected(self, grid):
+        splits = tuple(EnergySplit.from_parts(0.0, 0.0) for _ in grid)
+        with pytest.raises(DomainError, match="strictly increasing"):
+            DensityProfile(g=G1, scheme=RegScheme.zeta(), grid=grid, values=splits)
+
+    @pytest.mark.parametrize("count", [1, 2, 10001])
+    @pytest.mark.parametrize("source", [scalar1d.density_split, em3d.density_split])
+    def test_repr_is_the_tuple_repr(self, source, count):
+        if count == 1:
+            split = source(G1, Position.from_theta(0.3, G1), RegScheme.zeta())
+            profile = DensityProfile(
+                g=G1, scheme=RegScheme.zeta(), grid=(0.3,), values=(split,)
+            )
+        else:
+            spec = GridSpec(count, Clustering.ENDPOINTS)
+            profile = limits_lab.sample_profile(source, G1, RegScheme.zeta(), spec)
+        assert repr(profile.values) == repr(tuple(profile.values))
+
     def test_constructed_profile_stores_its_splits(self):
         splits = (EnergySplit.from_parts(1.0, -0.5), EnergySplit.from_parts(-2.0, 0.25))
         profile = DensityProfile(g=G1, scheme=RegScheme.zeta(), grid=(0.1, 0.2), values=splits)

@@ -148,6 +148,19 @@ class TestBernoulli:
                 acc += math.comb(n + 1, k) * specfun.bernoulli(k)
             assert acc == 0
 
+    def test_table_equals_the_fraction_loop_from_any_partial_table(self, monkeypatch):
+        reference = [Fraction(1)]
+        while len(reference) <= specfun.MAX_BERNOULLI_INDEX:
+            m = len(reference)
+            acc = sum(math.comb(m + 1, k) * b_k for k, b_k in enumerate(reference))
+            reference.append(-acc / (m + 1))
+        for start in range(specfun.MAX_BERNOULLI_INDEX + 1):
+            monkeypatch.setattr(specfun, "_bernoulli_cache", (Fraction(1),))
+            specfun.bernoulli(start)
+            table = [specfun.bernoulli(n) for n in range(specfun.MAX_BERNOULLI_INDEX + 1)]
+            assert table == reference
+            assert all(type(b_n) is Fraction for b_n in table)
+
     @pytest.mark.parametrize("bad", [-1, 65, 2.0, "3", True])
     def test_bad_index_rejected(self, bad):
         with pytest.raises(DomainError):

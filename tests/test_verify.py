@@ -1,9 +1,13 @@
+import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from platevac import verify
+from platevac import em3d, limits_lab, regsum, scalar1d, specfun, verify
+from platevac.geometry import Clustering, Geometry, GridSpec
+from platevac.regsum import RegScheme
 
 
 class TestGaussLegendre:
@@ -33,3 +37,107 @@ class TestCasimirForceCheck:
         (result,) = [r for r in verify.run_suite("quick") if r.name == "Casimir force per area"]
         assert result.passed and result.tolerance == 1e-8
         assert 0.0 < result.measured < 1e-8
+
+
+# The checks as they were first written, kept as references: each rewritten
+# check must return the same (measured, tolerance), bit for bit.
+def fraction_bernoulli_recurrence():
+    for n in range(1, specfun.MAX_BERNOULLI_INDEX + 1):
+        acc = Fraction(0)
+        for k in range(n + 1):
+            acc += math.comb(n + 1, k) * specfun.bernoulli(k)
+        if acc != 0:
+            return 1.0, 0.0
+    return 0.0, 0.0
+
+
+def generator_cutoff_sine_closed_form():
+    worst = 0.0
+    for eps in (0.05, 0.1, 0.5):
+        for theta in (0.3, 1.0, 2.5):
+            direct = math.fsum(
+                math.exp(-eps * n) * math.sin(2.0 * theta * n) for n in range(1, 2001)
+            )
+            value = regsum.abel_sum_sin(eps, theta)
+            worst = max(worst, abs(value - direct) / max(abs(direct), 1e-30))
+    return worst, regsum.CLOSED_FORM_RTOL
+
+
+def per_point_near_plate_exponent(kind):
+    g = Geometry(1.0)
+    c = em3d.EhCouplings()
+    source, constant, exponent, tolerance = {
+        "scalar": (lambda g_, pos, s: scalar1d.density_split(g_, pos, s),
+                   -math.pi / 48.0, -2.0, 0.02),
+        "em": (lambda g_, pos, _s: em3d.correlators(g_, pos).e2,
+               -math.pi ** 2 / (16.0 * 45.0), -4.0, 0.02),
+        "eh": (lambda g_, pos, _s: em3d.eh_correction_density(g_, pos, c),
+               em3d.eh_correction_constant(g, c), -8.0, 0.1),
+    }[kind]
+    spec = GridSpec(count=200, clustering=Clustering.ENDPOINTS)
+    profile = limits_lab.sample_profile(source, g, RegScheme.zeta(), spec)
+    fit = limits_lab.fit_divergence(
+        profile, limits_lab.Endpoint.LEFT, component="electric", constant_part=constant
+    )
+    return abs(fit.exponent - exponent), tolerance
+
+
+def bits(pair):
+    return tuple(float(v).hex() for v in pair)
+
+
+def suite_result(name):
+    (result,) = [r for r in verify.run_suite("full") if r.name == name]
+    return result
+
+
+class TestRewrittenChecks:
+    @pytest.mark.parametrize("check, reference", [
+        (verify._bernoulli_recurrence, fraction_bernoulli_recurrence),
+        (verify._cutoff_sine_closed_form, generator_cutoff_sine_closed_form),
+    ] + [
+        (functools.partial(verify._near_plate_exponent, kind),
+         functools.partial(per_point_near_plate_exponent, kind))
+        for kind in ("scalar", "em", "eh")
+    ])
+    def test_equals_the_reference_bit_for_bit(self, check, reference):
+        assert bits(check()) == bits(reference())
+
+    def test_full_suite_passes(self):
+        results = verify.run_suite("full")
+        assert [r.name for r in results] == [name for name, _ in verify.FULL_CHECKS]
+        assert all(r.passed for r in results)
+
+    @pytest.mark.parametrize("offset", [Fraction(1, 10 ** 6), Fraction(-1, 10 ** 6)])
+    @pytest.mark.parametrize("index", [0, 1, 2, 33, 64])
+    def test_bernoulli_off_by_a_millionth_fails(self, monkeypatch, index, offset):
+        exact = specfun.bernoulli
+
+        def bernoulli(k):
+            return exact(k) + (offset if k == index else 0)
+
+        monkeypatch.setattr(specfun, "bernoulli", bernoulli)
+        assert verify._bernoulli_recurrence() == (1.0, 0.0)
+        assert fraction_bernoulli_recurrence() == (1.0, 0.0)
+        assert not suite_result("bernoulli recurrence").passed
+
+    def test_closed_form_scaled_by_one_plus_1e_9_fails(self, monkeypatch):
+        exact = regsum.abel_sum_sin
+        monkeypatch.setattr(
+            regsum, "abel_sum_sin", lambda eps, theta: exact(eps, theta) * (1.0 + 1e-9)
+        )
+        measured, tolerance = verify._cutoff_sine_closed_form()
+        assert measured > tolerance
+        assert bits((measured, tolerance)) == bits(generator_cutoff_sine_closed_form())
+        assert not suite_result("cutoff sine sum closed form").passed
+
+    def test_em_profile_exponent_perturbed_fails(self, monkeypatch):
+        # F ~ 3/sin^4 near a wall; F * sin^0.05 moves <E^2>'s exponent to
+        # -3.95, outside the check's 0.02.
+        exact = em3d._profile
+        monkeypatch.setattr(em3d, "_profile", lambda s: exact(s) * s ** 0.05)
+        measured, tolerance = verify._near_plate_exponent("em")
+        assert measured == pytest.approx(0.05, abs=0.01) and measured > tolerance
+        assert per_point_near_plate_exponent("em")[0] > tolerance
+        assert not suite_result("EM boundary exponent -4").passed
+        assert suite_result("scalar boundary exponent -2").passed
