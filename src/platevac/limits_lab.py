@@ -11,6 +11,7 @@ independent.
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from collections.abc import Sequence
@@ -193,7 +194,8 @@ class DensityProfile:
     The density is held as electric, magnetic and total columns.
     ``values`` reads them as a sequence of EnergySplit, one per grid
     angle, built on indexing; :meth:`component` returns one column as a
-    read-only array.  EnergySplit values passed in are stored as columns.
+    read-only array.  EnergySplit values passed in are stored as columns;
+    :meth:`from_columns` takes the columns themselves.
     """
 
     g: Geometry
@@ -212,6 +214,29 @@ class DensityProfile:
             raise DomainError("zeta-scheme grids must stay strictly inside (0, pi)")
         if not isinstance(self.values, _SplitColumns):
             object.__setattr__(self, "values", _SplitColumns.of(self.values))
+
+    @classmethod
+    def from_columns(
+        cls,
+        g: Geometry,
+        scheme: RegScheme,
+        grid: Sequence[float],
+        electric: Sequence[float] | np.ndarray,
+        magnetic: Sequence[float] | np.ndarray | None = None,
+    ) -> "DensityProfile":
+        """A profile holding copies of the given columns; total is their sum.
+
+        Without ``magnetic`` the density is stored as ``sample_profile``
+        stores a bare density: in the electric column, magnetic zero.
+        """
+        import numpy as np
+
+        electric = np.array(electric, dtype=float)
+        magnetic = np.zeros_like(electric) if magnetic is None else np.array(magnetic, float)
+        values = _SplitColumns(
+            {"electric": electric, "magnetic": magnetic, "total": electric + magnetic}
+        )
+        return cls(g=g, scheme=scheme, grid=tuple(grid), values=values)
 
     def component(self, name: str) -> np.ndarray:
         """The electric, magnetic or total column, read-only."""
@@ -237,8 +262,9 @@ def sample_profile(
         model = FieldModel.EM if source is em3d.density_split else FieldModel.SCALAR
         thetas = theta_array(spec)
         columns = density_columns(g, model, scheme, thetas)
-        values = _SplitColumns({name: columns[name] for name in _COMPONENTS})
-        return DensityProfile(g=g, scheme=scheme, grid=tuple(thetas.tolist()), values=values)
+        return DensityProfile.from_columns(
+            g, scheme, thetas.tolist(), columns["electric"], columns["magnetic"]
+        )
     grid = theta_grid(spec)
     values = []
     for theta in grid:
@@ -308,26 +334,30 @@ def fit_divergence(
     within that distance of the endpoint.  When ``constant_part`` is not
     given, the sample nearest theta = pi/2 is subtracted.
     """
-    import numpy as np
-
     if n_points < 2:
         raise DomainError(f"n_points must be >= 2, got {n_points}")
     values = profile.component(component)
-    grid = np.array(profile.grid)
+    grid = profile.grid  # strictly increasing
     if constant_part is None:
-        constant_part = float(values[int(np.argmin(np.abs(grid - 0.5 * math.pi)))])
-    residual = np.abs(values - constant_part)
+        # The angle nearest pi/2, the lower index on a tie (as argmin): the
+        # distance falls towards pi/2 and grows past it, so step left from
+        # the first angle >= pi/2 while the neighbour is no farther.
+        half = 0.5 * math.pi
+        nearest = min(bisect.bisect_left(grid, half), len(grid) - 1)
+        while nearest > 0 and abs(grid[nearest - 1] - half) <= abs(grid[nearest] - half):
+            nearest -= 1
+        constant_part = float(values[nearest])
 
-    order = np.argsort(grid) if endpoint is Endpoint.LEFT else np.argsort(-grid)
+    left = endpoint is Endpoint.LEFT
     reach = 0.5 * math.pi if window is None else min(window, 0.5 * math.pi)
-    chosen: list[int] = []
-    for idx in order:
+    chosen: list[tuple[float, float]] = []  # (theta, residual), from the wall inward
+    for idx in range(len(grid)) if left else reversed(range(len(grid))):
         theta = grid[idx]
-        distance = theta if endpoint is Endpoint.LEFT else math.pi - theta
-        if distance > reach:
+        if (theta if left else math.pi - theta) > reach:
             break
-        if residual[idx] > 0.0:
-            chosen.append(int(idx))
+        residual = abs(float(values[idx]) - constant_part)
+        if residual > 0.0:  # skips zero and nan
+            chosen.append((theta, residual))
         if len(chosen) == n_points:
             break
     if len(chosen) < n_points:
@@ -335,15 +365,15 @@ def fit_divergence(
             f"only {len(chosen)} usable residuals available near the "
             f"{endpoint.value} endpoint; the rest vanish and cannot be logged"
         )
-    x = np.log(np.sin(grid[chosen]))
-    y = np.log(residual[chosen])
-    slope, intercept, r_squared = _log_log_fit(x.tolist(), y.tolist())
-    thetas = grid[chosen]
+    thetas, residuals = zip(*chosen)
+    slope, intercept, r_squared = _log_log_fit(
+        [math.log(math.sin(t)) for t in thetas], [math.log(r) for r in residuals]
+    )
     return DivergenceFit(
         exponent=slope,
         amplitude=math.exp(intercept),
         r_squared=r_squared,
-        window=(float(thetas.min()), float(thetas.max())),
+        window=(min(thetas), max(thetas)),
         n_points=len(chosen),
     )
 

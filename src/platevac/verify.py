@@ -2,18 +2,15 @@
 
 Each check reduces to a single measured deviation compared against a
 tolerance; the suite passes when every deviation is inside its tolerance.
-Setting the environment variable PLATEVAC_VERIFY_TOLERANCE_SCALE scales
-all tolerances (useful for exercising the harness itself).
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import os
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from . import em3d, regsum, scalar1d, specfun
 from .errors import ConfigError
@@ -21,12 +18,7 @@ from .geometry import Clustering, FieldModel, Geometry, GridSpec, Position
 from .regsum import RegScheme
 from .scalar1d import Couplings
 
-if TYPE_CHECKING:
-    import numpy as np
-
 __all__ = ["CheckResult", "run_suite", "SUITES"]
-
-TOLERANCE_SCALE_ENV = "PLATEVAC_VERIFY_TOLERANCE_SCALE"
 
 
 @dataclass(frozen=True)
@@ -39,21 +31,14 @@ class CheckResult:
     passed: bool
 
 
-def _tolerance_scale() -> float:
-    raw = os.environ.get(TOLERANCE_SCALE_ENV)
-    if raw is None:
-        return 1.0
-    try:
-        scale = float(raw)
-    except ValueError:
-        raise ConfigError(TOLERANCE_SCALE_ENV, f"not a number: {raw!r}") from None
-    if not math.isfinite(scale) or scale <= 0.0:
-        raise ConfigError(TOLERANCE_SCALE_ENV, f"must be finite and > 0: {raw!r}")
-    return scale
-
-
 # Each check returns (measured deviation, tolerance).
 Check = Callable[[], tuple[float, float]]
+
+
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    # numpy.linspace's points, bit for bit: i step + start, then stop.
+    step = (stop - start) / (num - 1)
+    return [i * step + start for i in range(num - 1)] + [stop]
 
 
 def _zeta_minus_one():
@@ -142,11 +127,9 @@ def _rational_identities():
 
 
 def _gamma_recurrence():
-    import numpy as np
-
-    rng = np.random.default_rng(7)
+    rng = random.Random(7)
     worst = 0.0
-    for x in rng.uniform(0.1, 20.0, 100):
+    for x in (rng.uniform(0.1, 20.0) for _ in range(100)):
         lhs = specfun.gamma(x + 1.0)
         rhs = x * specfun.gamma(x)
         worst = max(worst, abs(lhs - rhs) / abs(rhs))
@@ -185,11 +168,9 @@ _SCHEME_LADDER = (0.04, 0.02, 0.01, 0.005)
 
 
 def _scheme_agreement():
-    import numpy as np
-
     g = Geometry(1.0)
     worst = 0.0
-    for theta in np.linspace(0.2, math.pi - 0.2, 20):
+    for theta in _linspace(0.2, math.pi - 0.2, 20):
         pos = Position.from_theta(theta, g)
         continued = scalar1d.electric_density(g, pos, RegScheme.zeta())
         samples = [
@@ -211,8 +192,6 @@ def _expansion_slope():
 
 
 def _near_plate_exponent(kind: str):
-    import numpy as np
-
     from . import limits_lab
 
     # Per wall law: the density, as a function of the grid's columns, its
@@ -234,13 +213,9 @@ def _near_plate_exponent(kind: str):
     columns = limits_lab.density_columns(
         g, model, scheme, thetas, couplings=c if kind == "eh" else None
     )
-    # Stored as sample_profile stores a bare density: electric, magnetic 0.
-    electric = density(columns)
-    magnetic = np.zeros_like(electric)
-    values = limits_lab._SplitColumns(
-        {"electric": electric, "magnetic": magnetic, "total": electric + magnetic}
+    profile = limits_lab.DensityProfile.from_columns(
+        g, scheme, thetas.tolist(), density(columns)
     )
-    profile = limits_lab.DensityProfile(g, scheme, tuple(thetas.tolist()), values)
     fit = limits_lab.fit_divergence(
         profile, limits_lab.Endpoint.LEFT, component="electric", constant_part=constant
     )
@@ -266,40 +241,18 @@ def _route_equivalence(model: str):
     return rel, 1e-7
 
 
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # Nodes and weights on [-1, 1] by Newton's method on the Legendre
-    # recurrence.  numpy's leggauss solves a dense eigenproblem instead,
-    # which at n = 200 costs ~5x the CPU time and loses ~1e-11 in the
-    # weights next to +-1; factoring 1 - x^2 keeps them accurate there.
-    import numpy as np
-
-    x = np.cos(np.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
-    for _ in range(10):
-        p0, p1 = np.ones_like(x), x
-        for k in range(2, n + 1):
-            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-        one_minus_x2 = (1.0 - x) * (1.0 + x)
-        q = n * (x * p1 - p0)  # (x^2 - 1) P_n'(x)
-        step = -p1 * one_minus_x2 / q
-        x = x - step
-        if np.max(np.abs(step)) < 1e-15:
-            break
-    return x, 2.0 * one_minus_x2 / (q * q)
-
-
 def _cutoff_integral_nullity():
-    # Gauss-Legendre over [0, L].  The integrand peaks within ~eps of the
-    # walls; 200 nodes resolve eps = 0.05 to ~2e-13, while 100 nodes miss
-    # the tolerance, so the check still measures the quadrature it runs.
-    import numpy as np
-
+    # The position term is pi-periodic in theta and analytic for eps > 0,
+    # so the trapezoidal rule over one period converges exponentially.
+    # 800 angles resolve eps = 0.05 to ~2e-13, while 400 miss the tolerance
+    # (~6e-7), so the check still measures the rule it runs.
     g = Geometry(1.0)
-    nodes, weights = _gauss_legendre(200)
-    z = 0.5 * g.length * (nodes + 1.0)
+    m = 800
     worst = 0.0
     for eps in (0.5, 0.05):
-        values = [regsum.abel_sum_sin_dtheta(eps, math.pi * zi / g.length) for zi in z]
-        value = 0.5 * g.length * float(np.dot(weights, values))
+        value = g.length / m * math.fsum(
+            regsum.abel_sum_sin_dtheta(eps, math.pi * k / m) for k in range(m)
+        )
         worst = max(worst, abs(-(math.pi / 8.0) * value))
     return worst, 1e-10
 
@@ -316,10 +269,8 @@ def _near_plate_asymptote():
 
 
 def _profile_dual_definitions():
-    import numpy as np
-
     worst = 0.0
-    for theta in np.linspace(0.3, math.pi - 0.3, 20):
+    for theta in _linspace(0.3, math.pi - 0.3, 20):
         worst = max(
             worst, abs(em3d.profile_F(theta) - em3d.profile_F_via_cot_derivative(theta))
         )
@@ -381,11 +332,9 @@ def run_suite(suite: str) -> list[CheckResult]:
     """Run the named invariant suite ("quick" or "full")."""
     if suite not in SUITES:
         raise ConfigError("suite", f"must be one of {sorted(SUITES)}, got {suite!r}")
-    scale = _tolerance_scale()
     results = []
     for name, check in SUITES[suite]:
         measured, tolerance = check()
-        tolerance = tolerance * scale
         results.append(
             CheckResult(
                 name=name,

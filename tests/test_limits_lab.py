@@ -177,6 +177,127 @@ class TestFitDivergence:
             )
 
 
+def numpy_fit_divergence(profile, endpoint, component="total", constant_part=None,
+                         n_points=4, window=None):
+    # fit_divergence as it was written with numpy arrays, kept as the
+    # reference the plain-float fit must equal bit for bit.
+    if n_points < 2:
+        raise DomainError(f"n_points must be >= 2, got {n_points}")
+    values = profile.component(component)
+    grid = np.array(profile.grid)
+    if constant_part is None:
+        constant_part = float(values[int(np.argmin(np.abs(grid - 0.5 * math.pi)))])
+    residual = np.abs(values - constant_part)
+    order = np.argsort(grid) if endpoint is Endpoint.LEFT else np.argsort(-grid)
+    reach = 0.5 * math.pi if window is None else min(window, 0.5 * math.pi)
+    chosen = []
+    for idx in order:
+        theta = grid[idx]
+        distance = theta if endpoint is Endpoint.LEFT else math.pi - theta
+        if distance > reach:
+            break
+        if residual[idx] > 0.0:
+            chosen.append(int(idx))
+        if len(chosen) == n_points:
+            break
+    if len(chosen) < n_points:
+        raise FitError(
+            f"only {len(chosen)} usable residuals available near the "
+            f"{endpoint.value} endpoint; the rest vanish and cannot be logged"
+        )
+    x = np.log(np.sin(grid[chosen]))
+    y = np.log(residual[chosen])
+    slope, intercept, r_squared = limits_lab._log_log_fit(x.tolist(), y.tolist())
+    thetas = grid[chosen]
+    return limits_lab.DivergenceFit(
+        exponent=slope,
+        amplitude=math.exp(intercept),
+        r_squared=r_squared,
+        window=(float(thetas.min()), float(thetas.max())),
+        n_points=len(chosen),
+    )
+
+
+def fit_bits(fit, *args, **kwargs):
+    """A fit's every bit, or its FitError message."""
+    try:
+        result = fit(*args, **kwargs)
+    except FitError as exc:
+        return "FitError", str(exc)
+    return (result.exponent.hex(), result.amplitude.hex(), result.r_squared.hex(),
+            *(t.hex() for t in result.window), result.n_points)
+
+
+def electric_profile_and_constant(model, cluster, length, count):
+    g = Geometry(length)
+    if model == "scalar":
+        source, constant = scalar1d.density_split, -math.pi / (48.0 * length ** 2)
+    else:
+        source, constant = em3d.density_split, -math.pi ** 2 / (1440.0 * length ** 4)
+    return limits_lab.sample_profile(source, g, RegScheme.zeta(), GridSpec(count, cluster)), constant
+
+
+class TestFitDivergenceBits:
+    """The plain-float fit equals the numpy reference in every bit."""
+
+    def assert_fits_equal(self, profile, **kwargs):
+        assert fit_bits(limits_lab.fit_divergence, profile, **kwargs) == fit_bits(
+            numpy_fit_divergence, profile, **kwargs
+        ), kwargs
+
+    @pytest.mark.parametrize("count", [200, 2001, 10001])
+    @pytest.mark.parametrize("length", [0.01, 1.0, 73.0])
+    @pytest.mark.parametrize("cluster", list(Clustering))
+    @pytest.mark.parametrize("model", ["scalar", "em"])
+    def test_equals_the_numpy_fit(self, model, cluster, length, count):
+        profile, constant = electric_profile_and_constant(model, cluster, length, count)
+        for endpoint in Endpoint:
+            for given in (None, constant):
+                for settings in ({}, {"n_points": 6, "window": 0.1}):
+                    self.assert_fits_equal(
+                        profile, endpoint=endpoint, component="electric",
+                        constant_part=given, **settings,
+                    )
+
+    @pytest.mark.parametrize("count", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("cluster", list(Clustering))
+    @pytest.mark.parametrize("model", ["scalar", "em"])
+    def test_small_grids_with_two_points(self, model, cluster, count):
+        # The default constant on these grids sits at or next to pi/2, and
+        # a half may hold fewer than two usable samples (FitError).
+        profile, constant = electric_profile_and_constant(model, cluster, 1.0, count)
+        for endpoint in Endpoint:
+            for given in (None, constant):
+                self.assert_fits_equal(
+                    profile, endpoint=endpoint, component="electric",
+                    constant_part=given, n_points=2,
+                )
+
+    def test_nan_sample_at_the_wall_is_skipped(self):
+        grid = limits_lab.theta_grid(GridSpec(200, Clustering.ENDPOINTS))
+        electric = [1.0 / math.sin(t) ** 2 for t in grid]
+        electric[0] = math.nan
+        profile = DensityProfile.from_columns(G1, RegScheme.zeta(), grid, electric)
+        fit = limits_lab.fit_divergence(profile, Endpoint.LEFT, component="electric",
+                                        constant_part=0.0)
+        assert fit.window[0] == grid[1] and fit.n_points == 4
+        assert fit.exponent == pytest.approx(-2.0, abs=1e-9)
+        self.assert_fits_equal(profile, endpoint=Endpoint.LEFT, component="electric",
+                               constant_part=0.0)
+
+    def test_tie_nearest_pi_over_2_goes_to_the_lower_index(self):
+        # theta - pi/2 rounds to -pi/2 for all three angles: the default
+        # constant is the first sample's, so its residual is the zero one.
+        profile = DensityProfile.from_columns(
+            G1, RegScheme.cutoff(0.1), (1e-20, 2e-20, 3e-20), [1.0, 2.0, 4.0]
+        )
+        fit = limits_lab.fit_divergence(profile, Endpoint.LEFT, component="electric",
+                                        n_points=2)
+        assert fit.window == (2e-20, 3e-20)
+        self.assert_fits_equal(profile, endpoint=Endpoint.LEFT, component="electric",
+                               n_points=2)
+
+
 def point_by_point(source):
     # Any callable other than the library's density_split is sampled point
     # by point, so this wrapper gives the per-point reference profile.
@@ -297,6 +418,28 @@ class TestColumnsProfile:
             spec = GridSpec(count, Clustering.ENDPOINTS)
             profile = limits_lab.sample_profile(source, G1, RegScheme.zeta(), spec)
         assert repr(profile.values) == repr(tuple(profile.values))
+
+    def test_from_columns(self):
+        electric = np.array([1.0, -2.0, 0.5])
+        profile = DensityProfile.from_columns(G1, RegScheme.zeta(), [0.1, 0.2, 0.3], electric)
+        assert profile.grid == (0.1, 0.2, 0.3)
+        assert profile.component("magnetic").tolist() == [0.0, 0.0, 0.0]
+        assert profile.component("total").tolist() == electric.tolist()
+        assert electric.flags.writeable  # the caller's array is copied, not frozen
+        both = DensityProfile.from_columns(G1, RegScheme.zeta(), (0.1, 0.2), [1.0, 2.0], [0.5, -1.0])
+        assert both.values == (EnergySplit.from_parts(1.0, 0.5), EnergySplit.from_parts(2.0, -1.0))
+
+    def test_from_columns_equals_sample_profile(self):
+        spec = GridSpec(201, Clustering.ENDPOINTS)
+        sampled = limits_lab.sample_profile(em3d.density_split, G1, RegScheme.zeta(), spec)
+        columns = limits_lab.density_columns(
+            G1, limits_lab.FieldModel.EM, RegScheme.zeta(), limits_lab.theta_array(spec)
+        )
+        built = DensityProfile.from_columns(
+            G1, RegScheme.zeta(), limits_lab.theta_grid(spec),
+            columns["electric"], columns["magnetic"],
+        )
+        assert built == sampled and repr(built) == repr(sampled)
 
     def test_constructed_profile_stores_its_splits(self):
         splits = (EnergySplit.from_parts(1.0, -0.5), EnergySplit.from_parts(-2.0, 0.25))

@@ -6,28 +6,8 @@ import numpy as np
 import pytest
 
 from platevac import em3d, limits_lab, regsum, scalar1d, specfun, verify
-from platevac.geometry import Clustering, Geometry, GridSpec
+from platevac.geometry import Clustering, Geometry, GridSpec, Position
 from platevac.regsum import RegScheme
-
-
-class TestGaussLegendre:
-    @pytest.mark.parametrize("n", [1, 2, 7, 200])
-    def test_matches_numpy_rule(self, n):
-        nodes, weights = verify._gauss_legendre(n)
-        order = np.argsort(nodes)
-        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
-        np.testing.assert_allclose(nodes[order], ref_nodes, rtol=0, atol=1e-15)
-        # numpy's own weights lose ~1e-11 next to +-1 at n = 200
-        np.testing.assert_allclose(weights[order], ref_weights, rtol=1e-10)
-
-    @pytest.mark.parametrize("n", [5, 200])
-    def test_exact_for_degree_2n_minus_1(self, n):
-        nodes, weights = verify._gauss_legendre(n)
-        for degree in (0, 2 * n - 2):
-            assert np.dot(weights, nodes ** degree) == pytest.approx(
-                2.0 / (degree + 1), rel=1e-13
-            )
-        assert abs(np.dot(weights, nodes ** (2 * n - 1))) < 1e-14
 
 
 class TestCasimirForceCheck:
@@ -82,6 +62,30 @@ def per_point_near_plate_exponent(kind):
     return abs(fit.exponent - exponent), tolerance
 
 
+def linspace_scheme_agreement():
+    g = Geometry(1.0)
+    worst = 0.0
+    for theta in np.linspace(0.2, math.pi - 0.2, 20):
+        pos = Position.from_theta(theta, g)
+        continued = scalar1d.electric_density(g, pos, RegScheme.zeta())
+        samples = [
+            (eps, scalar1d.electric_density(g, pos, RegScheme.cutoff(eps)))
+            for eps in verify._SCHEME_LADDER
+        ]
+        limit, _ = regsum.richardson_extrapolate(samples, order=2)
+        worst = max(worst, abs(limit - continued))
+    return worst, 1e-7 * math.pi / 16.0
+
+
+def linspace_profile_dual_definitions():
+    worst = 0.0
+    for theta in np.linspace(0.3, math.pi - 0.3, 20):
+        worst = max(
+            worst, abs(em3d.profile_F(theta) - em3d.profile_F_via_cot_derivative(theta))
+        )
+    return worst, 1e-9
+
+
 def bits(pair):
     return tuple(float(v).hex() for v in pair)
 
@@ -99,6 +103,9 @@ class TestRewrittenChecks:
         (functools.partial(verify._near_plate_exponent, kind),
          functools.partial(per_point_near_plate_exponent, kind))
         for kind in ("scalar", "em", "eh")
+    ] + [
+        (verify._scheme_agreement, linspace_scheme_agreement),
+        (verify._profile_dual_definitions, linspace_profile_dual_definitions),
     ])
     def test_equals_the_reference_bit_for_bit(self, check, reference):
         assert bits(check()) == bits(reference())
@@ -141,3 +148,25 @@ class TestRewrittenChecks:
         assert per_point_near_plate_exponent("em")[0] > tolerance
         assert not suite_result("EM boundary exponent -4").passed
         assert suite_result("scalar boundary exponent -2").passed
+
+    def test_position_term_offset_by_1e_9_fails(self, monkeypatch):
+        # A constant 1e-9 integrates to pi/8 * 1e-9 ~ 3.9e-10 over [0, L].
+        exact = regsum.abel_sum_sin_dtheta
+        monkeypatch.setattr(
+            regsum, "abel_sum_sin_dtheta", lambda eps, theta: exact(eps, theta) + 1e-9
+        )
+        measured, tolerance = verify._cutoff_integral_nullity()
+        assert measured == pytest.approx(math.pi / 8.0 * 1e-9, rel=1e-3)
+        assert measured > tolerance
+        assert not suite_result("cutoff position term integrates to zero").passed
+
+
+class TestLinspace:
+    @pytest.mark.parametrize("start, stop, num", [
+        (0.2, math.pi - 0.2, 20), (0.3, math.pi - 0.3, 20), (0.0, 1.0, 2),
+        (-1.5, 7.25, 3), (1e-3, 0.7, 1001), (2.0, -3.0, 17),
+    ])
+    def test_numpy_points_bit_for_bit(self, start, stop, num):
+        assert [v.hex() for v in verify._linspace(start, stop, num)] == [
+            v.hex() for v in np.linspace(start, stop, num).tolist()
+        ]
