@@ -13,6 +13,7 @@ from .errors import (
     FitError,
     PlatevacError,
     PoleError,
+    RangeError,
     SingularityError,
 )
 from .geometry import Geometry, Position
@@ -34,6 +35,7 @@ __all__ = [
     "DomainError",
     "PoleError",
     "SingularityError",
+    "RangeError",
     "FitError",
     "ConfigError",
     "Geometry",

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, PlatevacError
+from .errors import DomainError, PlatevacError, check_overflow
 from .geometry import Geometry, Position, check_position
 from .regsum import RegKind, RegScheme
 from .scalar1d import Couplings, EnergySplit
@@ -143,17 +143,11 @@ def near_plate_asymptotics(g: Geometry, z: float) -> CorrelatorPair:
     return CorrelatorPair(e2=e2, b2=-e2)
 
 
-def _finite(value: float, what: str, g: Geometry) -> float:
-    # Division by a tiny L^4 overflows to inf silently, where L^4 itself
-    # would raise OverflowError.
-    if math.isinf(value):
-        raise PlatevacError(f"{what} overflows a double at L = {g.length!r}")
-    return value
-
-
 def free_casimir_density(g: Geometry) -> float:
     """Free Casimir energy per unit volume: -pi^2/(720 L^4)."""
-    return _finite(-math.pi ** 2 / (720.0 * g.length ** 4), "the free density", g)
+    # Division by a tiny L^4 overflows to inf silently, where L^4 itself
+    # would raise OverflowError.
+    return check_overflow(-math.pi ** 2 / (720.0 * g.length ** 4), "the free density", g.length)
 
 
 def casimir_force_per_area(g: Geometry) -> float:
@@ -163,7 +157,7 @@ def casimir_force_per_area(g: Geometry) -> float:
     ``verify`` suite cross-checks it against a central difference of that
     energy.
     """
-    return _finite(math.pi ** 2 / (240.0 * g.length ** 4), "the Casimir force", g)
+    return check_overflow(math.pi ** 2 / (240.0 * g.length ** 4), "the Casimir force", g.length)
 
 
 def _eh_scale(g: Geometry, c: Couplings) -> float:
@@ -233,7 +227,9 @@ def density_split(g: Geometry, pos: Position, scheme: RegScheme | None = None) -
     """
     _require_zeta(scheme)
     pair = correlators(g, pos)
-    return EnergySplit.from_parts(electric=0.5 * pair.e2, magnetic=0.5 * pair.b2)
+    electric = check_overflow(0.5 * pair.e2, "the electric density", g.length)
+    magnetic = check_overflow(0.5 * pair.b2, "the magnetic density", g.length)
+    return EnergySplit.from_parts(electric=electric, magnetic=magnetic)
 
 
 def _require_zeta(scheme: RegScheme | None) -> None:

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class PlatevacError(Exception):
     """Base class for every error raised by this package."""
@@ -15,6 +17,21 @@ class PoleError(DomainError):
 
 class SingularityError(DomainError):
     """Evaluation was requested at a boundary point where the quantity diverges."""
+
+
+class RangeError(PlatevacError):
+    """A result overflows the range of a finite double."""
+
+
+def check_overflow(value, what: str, length: float):
+    """``value`` itself if it is finite, everywhere for a numpy array.
+
+    Otherwise RangeError: "<what> overflows a double at L = <length>".
+    """
+    finite = abs(value) < math.inf  # False at nan; elementwise for an array
+    if not (finite if isinstance(finite, bool) else finite.all()):
+        raise RangeError(f"{what} overflows a double at L = {length!r}")
+    return value
 
 
 class FitError(PlatevacError):

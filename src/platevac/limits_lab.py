@@ -20,7 +20,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Callable
 
 from . import em3d, regsum, scalar1d, specfun
-from .errors import DomainError, FitError
+from .errors import DomainError, FitError, check_overflow
 from .geometry import Clustering, FieldModel, Geometry, GridSpec, Position
 from .regsum import RegKind, RegScheme
 from .scalar1d import Couplings, EnergySplit, Route
@@ -86,7 +86,8 @@ def density_columns(
     bit.  Validation happens once per array with the point functions'
     errors: DomainError for angles outside [0, pi] or an EM cutoff scheme,
     SingularityError for wall angles where the density diverges, and at
-    most one ValidityWarning for a strong scalar coupling.
+    most one ValidityWarning for a strong scalar coupling.  A column that
+    is not finite everywhere raises RangeError.
     """
     import numpy as np
 
@@ -99,31 +100,33 @@ def density_columns(
         em3d._require_zeta(scheme)
     if rim.size and (em or scheme.kind is RegKind.ZETA or couplings is not None):
         specfun.require_interior_angle(float(rim[0]))  # SingularityError on the wall
-    columns = {"theta": theta, "z": g.length * theta / math.pi}
     sin_theta = np.sin(theta)
     # Python raises ZeroDivisionError where the point path divides by zero;
-    # numpy raises FloatingPointError, another ArithmeticError.
+    # numpy raises FloatingPointError, another ArithmeticError.  Overflow
+    # is checked on the finished columns.
     with np.errstate(divide="raise", over="ignore", invalid="ignore"):
+        z = g.length * theta / math.pi
         if em:
             f_value = em3d._profile(sin_theta)
             e2, b2 = em3d._correlators(g, f_value, any_=np.any)
             electric, magnetic = 0.5 * e2, 0.5 * b2
+            total = electric + magnetic
             if couplings is not None:
                 correction = em3d.eh_correction_constant(g, couplings) + em3d._eh_position(
                     g, couplings, f_value
                 )
         else:
-            electric, magnetic = scalar1d._split(
-                g.length, scheme, sin_theta, np.cos(2.0 * theta)
-            )
+            electric, magnetic, total = scalar1d._split(g.length, scheme, sin_theta)
             if couplings is not None:
                 scalar1d._warn_if_strong(couplings, g)
                 correction = scalar1d._interacting(
                     g.length, couplings, sin_theta
                 ) - scalar1d._free_constant(g.length)
-    columns.update(electric=electric, magnetic=magnetic, total=electric + magnetic)
+    columns = {"theta": theta, "z": z, "electric": electric, "magnetic": magnetic, "total": total}
     if couplings is not None:
         columns["correction"] = correction
+    for name, column in columns.items():
+        check_overflow(column, f"the {name} column", g.length)
     return columns
 
 
@@ -262,9 +265,8 @@ def sample_profile(
         model = FieldModel.EM if source is em3d.density_split else FieldModel.SCALAR
         thetas = theta_array(spec)
         columns = density_columns(g, model, scheme, thetas)
-        return DensityProfile.from_columns(
-            g, scheme, thetas.tolist(), columns["electric"], columns["magnetic"]
-        )
+        values = _SplitColumns({name: columns[name] for name in _COMPONENTS})
+        return DensityProfile(g=g, scheme=scheme, grid=tuple(thetas.tolist()), values=values)
     grid = theta_grid(spec)
     values = []
     for theta in grid:
@@ -515,11 +517,16 @@ def _interacting_window_integral(
     return (g.length - 2.0 * delta) * constant + estimate, estimate
 
 
+# The verdict's agreement test: |limit - total| <= rtol * max(1, |total|).
+_AGREEMENT_RTOL = 1e-7
+
+
 def _ladder(name: str, values: Sequence[float], g: Geometry) -> list[float]:
     """``values`` as floats, strictly decreasing inside the range of ``name``.
 
     A delta lies in (0, L/2), an epsilon in (0, inf); nan and inf fail
-    the range test.
+    the range test.  Epsilons are extrapolated to zero, so their ratios
+    must also be constant, as richardson_extrapolate requires.
     """
     ladder = [float(v) for v in values]
     upper, bounds = (0.5 * g.length, "(0, L/2)") if name == "delta" else (math.inf, "(0, inf)")
@@ -527,6 +534,8 @@ def _ladder(name: str, values: Sequence[float], g: Geometry) -> list[float]:
         raise DomainError(f"{name}s must be a decreasing sequence")
     if any(not 0.0 < v < upper for v in ladder):
         raise DomainError(f"every {name} must lie in {bounds}")
+    if name == "epsilon" and len(ladder) > 1:
+        regsum._common_ratio(ladder, "epsilons")
     return ladder
 
 
@@ -536,7 +545,6 @@ def commutation_report(
     deltas: Sequence[float],
     epsilons: Sequence[float],
     couplings: Couplings | None = None,
-    tolerance: float = 1e-7,
 ) -> CommutationReport:
     """Quantify the non-commutation of regularization and integration.
 
@@ -611,11 +619,11 @@ def commutation_report(
 
     difference = abs(limit - total)
     verdict = Verdict(
-        agrees=difference <= tolerance * max(1.0, abs(total)),
+        agrees=difference <= _AGREEMENT_RTOL * max(1.0, abs(total)),
         sum_then_regularize=total,
         cutoff_limit=limit,
         difference=difference,
-        tolerance=tolerance,
+        tolerance=_AGREEMENT_RTOL,
     )
     notes = ()
     if interacting:

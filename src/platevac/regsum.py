@@ -208,20 +208,22 @@ def abel_sum_sin_dtheta(eps: float, theta: float) -> float:
 
     Equals 2 sum_{n>=1} n e^(-eps n) cos(2 n theta); differentiating the
     closed form gives 2 a ((1 + a^2) cos(2 theta) - 2 a) / D^2 with
-    a = e^(-eps) and D the abel_sum_sin denominator.
+    a = e^(-eps) and D the abel_sum_sin denominator.  The numerator is
+    evaluated as expm1(-eps)^2 - 2 (1 + a^2) sin^2(theta), which keeps
+    its relative accuracy for small eps and theta at either wall.
     """
     eps = _check_eps(eps)
-    theta = float(theta)
-    return _abel_sin_dtheta(eps, math.sin(theta), math.cos(2.0 * theta))
+    return _abel_sin_dtheta(eps, math.sin(float(theta)))
 
 
-def _abel_sin_dtheta(eps: float, sin_theta, cos_2theta):
-    # The closed form of abel_sum_sin_dtheta as plain arithmetic on sin(theta)
-    # and cos(2 theta), so a float or a numpy array works unchanged.  The
-    # square is a product: numpy and Python's float ** differ in the last ulp.
-    a = math.exp(-eps)
-    denom = math.expm1(-eps) ** 2 + 4.0 * a * sin_theta * sin_theta
-    return 2.0 * a * ((1.0 + a * a) * cos_2theta - 2.0 * a) / (denom * denom)
+def _abel_sin_dtheta(eps: float, sin_theta):
+    # The closed form of abel_sum_sin_dtheta as plain arithmetic on sin(theta),
+    # so a float or a numpy array works unchanged; cos(2 theta) = 1 - 2 sin^2.
+    # Squares are products: numpy and Python's float ** differ in the last ulp.
+    a, u = math.exp(-eps), math.expm1(-eps)
+    s2 = sin_theta * sin_theta
+    denom = u * u + 4.0 * a * s2
+    return 2.0 * a * (u * u - 2.0 * (1.0 + a * a) * s2) / (denom * denom)
 
 
 def abel_sum_sin_limit(theta: float) -> float:
@@ -324,6 +326,17 @@ def abel_sum_quadratic_minus_bulk(eps: float) -> float:
 # --------------------------------------------------------------------------
 
 
+def _common_ratio(values: Sequence[float], what: str) -> float:
+    """values[0] / values[1], which every ratio of neighbours must match to 1e-9."""
+    ratio = values[0] / values[1]
+    for a, b in zip(values[1:], values[2:]):
+        if abs(a / b - ratio) > 1e-9 * ratio:
+            raise DomainError(
+                f"{what} must form a geometric sequence; ratios {ratio!r} and {a / b!r} differ"
+            )
+    return ratio
+
+
 def richardson_extrapolate(
     samples: Sequence[tuple[float, float]], order: int
 ) -> tuple[float, float]:
@@ -346,14 +359,7 @@ def richardson_extrapolate(
         raise DomainError("sample step sizes must be positive")
     if any(hs[i + 1] >= hs[i] for i in range(len(hs) - 1)):
         raise DomainError("sample step sizes must be strictly decreasing")
-    ratio = hs[0] / hs[1]
-    for i in range(1, len(hs) - 1):
-        r = hs[i] / hs[i + 1]
-        if abs(r - ratio) > 1e-9 * ratio:
-            raise DomainError(
-                "sample step sizes must form a geometric sequence; "
-                f"ratios {ratio!r} and {r!r} differ"
-            )
+    ratio = _common_ratio(hs, "sample step sizes")
     level = [v for _, v in pts]
     previous_head = level[-1]
     stage = 1

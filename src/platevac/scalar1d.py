@@ -20,7 +20,7 @@ from enum import Enum
 from fractions import Fraction
 
 from . import regsum, specfun
-from .errors import DomainError, SingularityError
+from .errors import DomainError, SingularityError, check_overflow
 from .geometry import Geometry, Position, check_position
 from .regsum import PowerSeriesSpec, RegKind, RegScheme
 
@@ -159,10 +159,10 @@ def free_total_energy(g: Geometry) -> float:
     return regsum.zeta_regularize_power(series)
 
 
-def _split(length: float, scheme: RegScheme, sin_theta, cos_2theta):
-    # (electric, magnetic) as plain arithmetic on sin(theta) and cos(2 theta):
-    # a float or a numpy array works unchanged.  Both densities are
-    # (pi/(4 L^2)) [sum n -/+ sum n cos(2 n theta)], electric taking the minus.
+def _split(length: float, scheme: RegScheme, sin_theta):
+    # (electric, magnetic, total) as plain arithmetic on sin(theta): a float
+    # or a numpy array works unchanged.  Both densities are (pi/(4 L^2))
+    # [sum n -/+ sum n cos(2 n theta)], electric taking the minus.
     # The caller validates the positions (zeta: strictly inside the walls).
     ll = length * length
     constant = (math.pi / (4.0 * ll)) * _ZETA_MINUS_ONE
@@ -171,20 +171,28 @@ def _split(length: float, scheme: RegScheme, sin_theta, cos_2theta):
     else:
         # sum n e^(-eps n) cos(2 n theta) is half the theta-derivative of
         # the cutoff sine sum, taken analytically on the closed form.
-        position_part = (math.pi / (8.0 * ll)) * regsum._abel_sin_dtheta(
-            scheme.epsilon, sin_theta, cos_2theta
-        )
-    return constant - position_part, constant + position_part
+        dtheta = regsum._abel_sin_dtheta(scheme.epsilon, sin_theta)
+        position_part = (math.pi / (8.0 * ll)) * dtheta
+    electric, magnetic = constant - position_part, constant + position_part
+    if scheme.kind is RegKind.ZETA:
+        return electric, magnetic, electric + magnetic
+    # The position terms cancel in the cutoff total, which near the walls
+    # would otherwise be the rounding of two terms of order 1/(eps^2 L^2).
+    # 0 * position_part only gives the constant the shape of the input.
+    return electric, magnetic, 2.0 * constant + 0.0 * position_part
 
 
-def _split_at(g: Geometry, pos: Position, scheme: RegScheme) -> tuple[float, float]:
+def _split_at(g: Geometry, pos: Position, scheme: RegScheme) -> tuple[float, float, float]:
     check_position(g, pos)
     if scheme.kind is RegKind.ZETA and not pos.interior:
         raise SingularityError(
             "the continued density diverges on the walls; evaluate the "
             "cutoff scheme there instead"
         )
-    return _split(g.length, scheme, math.sin(pos.theta), math.cos(2.0 * pos.theta))
+    parts = _split(g.length, scheme, math.sin(pos.theta))
+    for name, value in zip(("electric", "magnetic", "total"), parts):
+        check_overflow(value, f"the {name} density", g.length)
+    return parts
 
 
 def electric_density(g: Geometry, pos: Position, scheme: RegScheme) -> float:
@@ -207,9 +215,12 @@ def magnetic_density(g: Geometry, pos: Position, scheme: RegScheme) -> float:
 
 
 def density_split(g: Geometry, pos: Position, scheme: RegScheme) -> EnergySplit:
-    """Electric and magnetic densities bundled with their sum."""
-    electric, magnetic = _split_at(g, pos, scheme)
-    return EnergySplit.from_parts(electric=electric, magnetic=magnetic)
+    """Electric and magnetic densities bundled with their sum.
+
+    The cutoff total is the constant -pi/(24 L^2), not the sum of the
+    parts: their position terms cancel analytically.
+    """
+    return EnergySplit(*_split_at(g, pos, scheme))
 
 
 def total_energy_by_route(

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import mpmath
 import pytest
@@ -308,6 +309,19 @@ class TestCommuteCommand:
         assert result.stdout == b""
         assert result.stderr.startswith(f"error: {flag[2:]}:".encode())
 
+    def test_non_geometric_epsilons_are_config_error(self, capsys):
+        # Decreasing, but the ratios 1.5 and 4 differ: Richardson cannot
+        # extrapolate them, and the ladder check says so before the report.
+        from platevac import cli
+
+        assert cli.main(["commute", "--epsilons", "0.003,0.002,0.0005"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: epsilons: epsilons must form a geometric sequence; "
+            "ratios 1.5 and 4.0 differ\n"
+        )
+
 
 class TestScanCommand:
     def test_epsilon_sweep(self):
@@ -363,6 +377,17 @@ class TestScanCommand:
             assert total == pytest.approx(expected_total, rel=1e-15)
             assert force == pytest.approx(expected_force, rel=1e-15)
 
+    def test_tiny_cutoff_near_the_wall(self):
+        # eps = 1e-12 at theta = 1e-10: the position term dominates; 50-digit
+        # mpmath gives 1.96334815247369201e19 for the electric density.
+        result = run_cli(
+            ["scan", "--vary", "epsilon", "--values", "1e-12", "--theta", "1e-10"], check=True
+        )
+        row = result.stdout.decode().splitlines()[1].split(",")
+        assert row[1] == "1.9633481524736918e+19"
+        assert row[2] == "-1.9633481524736918e+19"
+        assert float(row[3]) == pytest.approx(-math.pi / 24.0, rel=1e-15)  # not their sum, 0
+
     def test_bad_values_rejected(self):
         result = run_cli(["scan", "--vary", "length", "--values", "1,-2"])
         assert result.returncode == 2
@@ -378,6 +403,30 @@ class TestScanCommand:
         assert result.returncode == 2
         assert result.stdout == b""
         assert result.stderr.startswith(b"error: values:")
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("argv", [
+        ["density", "--grid", "3", "--length", "1e-160"],
+        ["density", "--grid", "3", "--length", "1e-160", "--format", "json"],
+        ["density", "--model", "em", "--grid", "10001", "--cluster", "endpoints",
+         "--length", "1e-70"],
+        ["density", "--grid", "3", "--length", "1e308"],
+        ["scan", "--vary", "epsilon", "--length", "1e-160", "--values", "0.01"],
+        ["scan", "--vary", "epsilon", "--length", "1e-150", "--theta", "1e-10",
+         "--values", "1e-12"],
+    ])
+    def test_density_overflow_is_a_numeric_error(self, argv, capsys):
+        # No nan or inf is printed, and no numpy RuntimeWarning is raised.
+        from platevac import cli
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numeric error: the ")
+        assert "overflows a double" in captured.err
 
 
 class TestConfigFile:

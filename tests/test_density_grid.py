@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from platevac import cli, em3d, limits_lab, scalar1d
-from platevac.errors import DomainError, PlatevacError, SingularityError
+from platevac.errors import DomainError, PlatevacError, RangeError, SingularityError
 from platevac.geometry import Geometry, Position
 from platevac.limits_lab import Clustering, FieldModel, GridSpec
 from platevac.regsum import RegScheme
@@ -109,6 +109,17 @@ class TestGoldenGrid:
         columns = limits_lab.density_columns(g, FieldModel.SCALAR, scheme, thetas)
         assert grid_rows(columns) == point_columns(g, FieldModel.SCALAR, scheme, thetas, None)
 
+    @pytest.mark.parametrize("eps", [1e-12, 1e-7])
+    def test_tiny_cutoff_grid_equals_point_path(self, eps):
+        # Where eps and theta are both tiny the position term is ~1/theta^4
+        # of either sign; the array and the point path still agree bit for bit.
+        g = Geometry(1.0)
+        scheme = RegScheme.cutoff(eps)
+        thetas = np.concatenate([[0.0], NEAR_WALL, [1e-11, 5e-13, 2e-12, math.pi]])
+        thetas.sort()
+        columns = limits_lab.density_columns(g, FieldModel.SCALAR, scheme, thetas)
+        assert grid_rows(columns) == point_columns(g, FieldModel.SCALAR, scheme, thetas, None)
+
     def test_theta_grid_is_the_array_grid(self):
         for spec in (GridSpec(10001), GridSpec(64, Clustering.ENDPOINTS)):
             n = spec.count
@@ -152,6 +163,22 @@ class TestGridValidation:
     def test_em_rejects_the_cutoff_scheme(self):
         with pytest.raises(DomainError):
             self.columns(FieldModel.EM, RegScheme.cutoff(0.1), [1.0])
+
+    @pytest.mark.parametrize("model,length,scheme,couplings,name", [
+        (FieldModel.SCALAR, 1e-160, RegScheme.zeta(), None, "electric"),
+        (FieldModel.SCALAR, 1e-150, RegScheme.cutoff(1e-12), None, "electric"),
+        (FieldModel.SCALAR, 1e308, RegScheme.zeta(), None, "z"),
+        (FieldModel.EM, 1e-70, RegScheme.zeta(), None, "electric"),
+        (FieldModel.EM, 1e-30, RegScheme.zeta(), em3d.EhCouplings(alpha=1.0), "correction"),
+    ])
+    def test_column_that_overflows(self, model, length, scheme, couplings, name):
+        # A column holding inf or nan is never returned, and numpy warns of nothing.
+        g = Geometry(length)
+        thetas = [1e-10, 1.0, 2.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RangeError, match=f"the {name} column overflows a double"):
+                limits_lab.density_columns(g, model, scheme, thetas, couplings)
 
     def test_em_cancellation_guard(self, monkeypatch):
         # A free density off by 1e-6 must trip the vectorised guard just

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from platevac import em3d, regsum
-from platevac.errors import DomainError, PlatevacError, SingularityError
+from platevac.errors import DomainError, PlatevacError, RangeError, SingularityError
 from platevac.geometry import Geometry, Position
 from platevac.regsum import RegScheme
 
@@ -266,6 +266,17 @@ class TestDensitySplitAdapter:
     def test_cutoff_scheme_rejected(self):
         with pytest.raises(DomainError):
             em3d.density_split(G1, pos(1.0), RegScheme.cutoff(0.1))
+
+    def test_overflow_near_the_wall_raises(self):
+        # <E^2> ~ 3/(16 pi^2 z^4) at z = 1e-8 L exceeds a double for L = 1e-70.
+        g = Geometry(1e-70)
+        with pytest.raises(RangeError, match="the electric density overflows a double"):
+            em3d.density_split(g, pos(1e-8, g), RegScheme.zeta())
+
+    @pytest.mark.parametrize("quantity", ["free_casimir_density", "casimir_force_per_area"])
+    def test_free_overflow_is_a_range_error(self, quantity):
+        with pytest.raises(RangeError, match="overflows a double at L = 1e-80"):
+            getattr(em3d, quantity)(Geometry(1e-80))
 
 
 class TestEhCouplings:

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import warnings
@@ -285,6 +286,15 @@ class TestFitDivergenceBits:
         self.assert_fits_equal(profile, endpoint=Endpoint.LEFT, component="electric",
                                constant_part=0.0)
 
+    def test_nan_profile_reads_back(self):
+        # A stored non-finite sample is read, compared and hashed without error.
+        profile = DensityProfile.from_columns(G1, RegScheme.zeta(), [0.1, 0.2], [math.nan, 1.0])
+        values = list(profile.values)
+        assert math.isnan(values[0].electric) and math.isnan(profile.values[0].total)
+        assert values[1] == EnergySplit.from_parts(1.0, 0.0)
+        hash(profile.values)
+        assert profile.values != tuple(values)  # nan != nan
+
     def test_tie_nearest_pi_over_2_goes_to_the_lower_index(self):
         # theta - pi/2 rounds to -pi/2 for all three angles: the default
         # constant is the first sample's, so its residual is the zero one.
@@ -545,6 +555,25 @@ class TestCommutationReport:
                 G1, CommutationModel.INTERACTING_SCALAR, deltas=FREE_DELTAS,
                 epsilons=INTERACTING_EPSILONS,
             )
+
+
+    def test_epsilon_ladder_must_be_geometric(self):
+        # Decreasing but not geometric: the ladder check rejects it with the
+        # relative 1e-9 ratio test of richardson_extrapolate.
+        with pytest.raises(
+            DomainError, match="^epsilons must form a geometric sequence; ratios 1.5 and 4.0 differ$"
+        ):
+            limits_lab._ladder("epsilon", [0.003, 0.002, 0.0005], G1)
+        ratio = 2.0 * (1.0 + 5e-10)  # within 1e-9 of 2: accepted
+        assert limits_lab._ladder("epsilon", [1e-3, 5e-4, 5e-4 / ratio], G1)
+        assert limits_lab._ladder("delta", [0.02, 0.01, 0.0005], G1)  # deltas are not
+
+    def test_verdict_tolerance_is_fixed(self):
+        report = limits_lab.commutation_report(
+            G1, CommutationModel.FREE_SCALAR, deltas=FREE_DELTAS, epsilons=FREE_EPSILONS
+        )
+        assert report.verdict.tolerance == 1e-7
+        assert "tolerance" not in inspect.signature(limits_lab.commutation_report).parameters
 
 
 def mp_least_squares(x, y):

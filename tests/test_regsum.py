@@ -1,8 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from platevac import regsum, specfun
@@ -124,6 +125,46 @@ class TestAbelSumSin:
             regsum.abel_sum_sin(0.0, 1.0)
         with pytest.raises(DomainError):
             regsum.abel_sum_sin(-0.1, 1.0)
+
+
+def mp_sin_dtheta(eps: float, theta: float) -> float:
+    """2 sum n e^(-eps n) cos(2 n theta) from the cos(2 theta) closed form, to 50 digits."""
+    with mpmath.workdps(50):
+        a = mpmath.exp(-mpmath.mpf(eps))
+        c = mpmath.cos(2 * mpmath.mpf(theta))
+        return float(2 * a * ((1 + a * a) * c - 2 * a) / (1 - 2 * a * c + a * a) ** 2)
+
+
+class TestAbelSumSinDtheta:
+    def test_tiny_cutoff_near_the_wall(self):
+        # About -5.0e19; the (1 + a^2) cos(2 theta) - 2 a numerator cancels to 0.0.
+        value = regsum.abel_sum_sin_dtheta(1e-12, 1e-10)
+        assert value == pytest.approx(mp_sin_dtheta(1e-12, 1e-10), rel=1e-13)
+
+    @pytest.mark.parametrize("eps", [0.05, 0.5])
+    @pytest.mark.parametrize("theta", [0.3, 1.0, 2.5])
+    def test_against_direct_summation(self, eps, theta):
+        direct = 2.0 * math.fsum(
+            n * math.exp(-eps * n) * math.cos(2.0 * theta * n) for n in range(1, 2001)
+        )
+        assert regsum.abel_sum_sin_dtheta(eps, theta) == pytest.approx(direct, rel=1e-10)
+
+
+log_uniform_unit = st.floats(min_value=-12.0, max_value=0.0).map(lambda x: 10.0 ** x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(log_uniform_unit, log_uniform_unit, st.booleans())
+def test_sin_dtheta_matches_mpmath_near_both_walls(eps, distance, right_wall):
+    theta = math.pi - distance if right_wall else distance
+    # The numerator expm1(-eps)^2 - 2 (1 + a^2) sin^2(theta) changes sign
+    # near theta = eps / 2; within 1% of that zero no double evaluation has
+    # a relative error bound (sin(theta) itself carries half an ulp).
+    u2 = math.expm1(-eps) ** 2
+    w = 2.0 * (1.0 + math.exp(-2.0 * eps)) * math.sin(theta) ** 2
+    assume(abs(u2 - w) >= 1e-2 * (u2 + w))
+    expected = mp_sin_dtheta(eps, theta)
+    assert regsum.abel_sum_sin_dtheta(eps, theta) == pytest.approx(expected, rel=1e-13)
 
 
 class TestAbelSumSinLimit:

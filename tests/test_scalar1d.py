@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from platevac import regsum, scalar1d
-from platevac.errors import DomainError, SingularityError
+from platevac.errors import DomainError, RangeError, SingularityError
 from platevac.geometry import Geometry, Position
 from platevac.regsum import RegScheme
 from platevac.scalar1d import Couplings, EnergySplit, Route, ValidityWarning
@@ -203,6 +203,34 @@ class TestDensitySplit:
     def test_energy_split_invariant_enforced(self):
         with pytest.raises(DomainError):
             EnergySplit(electric=1.0, magnetic=1.0, total=3.0)
+
+    @pytest.mark.parametrize("length,scheme,theta", [
+        (1e-160, RegScheme.zeta(), 1.0),
+        (1e-160, RegScheme.cutoff(0.01), 1.0),
+        (1e-150, RegScheme.cutoff(1e-12), 1e-10),
+    ])
+    @pytest.mark.parametrize(
+        "function", [scalar1d.electric_density, scalar1d.magnetic_density, scalar1d.density_split]
+    )
+    def test_point_density_overflow_raises(self, function, length, scheme, theta):
+        g = Geometry(length)
+        with pytest.raises(
+            RangeError, match=f"^the electric density overflows a double at L = {length!r}$"
+        ):
+            function(g, pos(theta, g), scheme)
+
+    def test_energy_split_holds_a_non_finite_part(self):
+        # Overflow is checked where a density is computed, not on every read.
+        split = EnergySplit(electric=math.nan, magnetic=1.0, total=math.nan)
+        assert math.isnan(split.electric)
+
+    @pytest.mark.parametrize("eps,theta", [(1e-12, 1e-10), (1e-8, 1e-10), (1e-12, math.pi - 1e-9)])
+    def test_cutoff_total_is_the_constant_near_the_wall(self, eps, theta):
+        # The parts are about +-2e19 and cancel: the total is -pi/24 from
+        # the constant, not the rounding of their sum.
+        split = scalar1d.density_split(G1, pos(theta), RegScheme.cutoff(eps))
+        assert abs(split.electric) > 1e15
+        assert split.total == pytest.approx(-math.pi / 24.0, rel=1e-15)
 
 
 class TestSchemeComparison:
