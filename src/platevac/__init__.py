@@ -17,14 +17,8 @@ from .errors import (
     SingularityError,
 )
 from .geometry import Geometry, Position
-from .regsum import (
-    PowerSeriesSpec,
-    RegKind,
-    RegScheme,
-    TrigFlavor,
-    TrigSeriesSpec,
-)
-from .scalar1d import Couplings, EnergySplit, Mode, Route
+from .regsum import PowerSeriesSpec, RegKind, RegScheme
+from .scalar1d import Couplings, EnergySplit, Route
 from .em3d import CorrelatorPair, EhCouplings
 
 __version__ = "0.1.0"
@@ -43,9 +37,6 @@ __all__ = [
     "RegKind",
     "RegScheme",
     "PowerSeriesSpec",
-    "TrigFlavor",
-    "TrigSeriesSpec",
-    "Mode",
     "Couplings",
     "EnergySplit",
     "Route",

@@ -13,12 +13,12 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from . import em3d, scalar1d
 from .errors import ConfigError, PlatevacError
 from .geometry import Clustering, FieldModel as Model, Geometry, GridSpec, Position
+from .record import Record
 from .regsum import RegKind, RegScheme
 from .scalar1d import Couplings, Route
 
@@ -49,16 +49,17 @@ _FIELDS = {
 }
 
 
-@dataclass
-class RunConfig:
-    model: Model
-    geometry: Geometry
-    couplings: Couplings  # alpha = 0 unless a coupling was given
-    interacting: bool  # a coupling was given: report the correction
-    scheme: RegScheme
-    grid: GridSpec
-    out_format: str
-    out_path: str | None
+class RunConfig(Record):
+    """One command's validated common fields.
+
+    ``couplings`` has alpha = 0 unless a coupling was given; ``interacting``
+    says one was, and the correction is reported.  Unlike the value types,
+    a RunConfig is mutable, and so unhashable.
+    """
+
+    __slots__ = ("model", "geometry", "couplings", "interacting", "scheme", "grid",
+                 "out_format", "out_path")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
 
     @property
     def alpha(self) -> float | None:
@@ -119,19 +120,19 @@ def _checked(field: str, build, *args, **kwargs):
 def _build_config(args: argparse.Namespace) -> RunConfig:
     # The domain types check their own ranges; each is built in the order
     # the fields are reported.  Couplings and GridSpec take two fields, so
-    # the second is set by replace() to name it on its own.
+    # each is built again with the second to name it on its own.
     raw = _resolve(args)
     model = _checked("model", Model, raw["model"])
     geometry = _checked("length", Geometry, raw["length"])
     alpha = raw["alpha"]
     couplings = _checked("alpha", Couplings, 0.0 if alpha is None else alpha, 1.0)
-    couplings = _checked("mass", replace, couplings, m=raw["mass"])
+    couplings = _checked("mass", Couplings, couplings.alpha, raw["mass"])
     kind = _checked("scheme", RegKind, raw["scheme"])
     scheme = _checked("epsilon", RegScheme, kind, raw["epsilon"])
     if model is Model.EM:
         _checked("scheme", em3d._require_zeta, scheme)
     grid = _checked("grid", GridSpec, raw["grid"])
-    grid = replace(grid, clustering=_checked("cluster", Clustering, raw["cluster"]))
+    grid = GridSpec(grid.count, _checked("cluster", Clustering, raw["cluster"]))
     if raw["format"] not in ("csv", "json"):
         raise ConfigError("format", f"must be 'csv' or 'json', got {raw['format']!r}")
     return RunConfig(
@@ -269,7 +270,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     payload = {
         "command": "verify",
         "suite": suite,
-        "checks": [asdict(r) for r in results],
+        "checks": [r.asdict() for r in results],
         "all_passed": all_passed,
     }
     _emit(_json(payload), args.out)

@@ -13,11 +13,11 @@ unit volume (densities), in natural units.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, PlatevacError, check_overflow
 from .geometry import Geometry, Position, check_position
+from .record import Record
 from .regsum import RegKind, RegScheme
 from .scalar1d import Couplings, EnergySplit
 from . import specfun
@@ -54,15 +54,17 @@ _EH_TOTAL_COEFF = Fraction(11, 225) / _EH_DENOMINATOR
 _EH_CONSTANT = float(Fraction(11, 225))
 
 
-@dataclass(frozen=True)
-class CorrelatorPair:
+class CorrelatorPair(Record):
     """Squared-field expectation values <E^2> and <B^2>, units 1/length^4."""
 
-    e2: float
-    b2: float
+    __slots__ = ("e2", "b2")
+
+    def __init__(self, e2: float, b2: float):
+        set_e2, set_b2 = self._setters
+        set_e2(self, e2)
+        set_b2(self, b2)
 
 
-@dataclass(frozen=True)
 class EhCouplings(Couplings):
     """:class:`scalar1d.Couplings` with the electromagnetic defaults.
 
@@ -72,8 +74,8 @@ class EhCouplings(Couplings):
     base class's; every function here accepts any :class:`Couplings`.
     """
 
-    alpha: float = FINE_STRUCTURE_ALPHA
-    m: float = 1.0
+    __slots__ = ()
+    _defaults = {"alpha": FINE_STRUCTURE_ALPHA, "m": 1.0}
 
 
 def profile_F(theta: float) -> float:

@@ -7,10 +7,10 @@ dimension of inverse length.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainError
+from .record import Record
 
 __all__ = ["FieldModel", "Clustering", "GridSpec", "Geometry", "Position", "check_position"]
 
@@ -25,33 +25,30 @@ class Clustering(Enum):
     ENDPOINTS = "endpoints"
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(Record):
     """How to lay out sample angles over (0, pi)."""
 
-    count: int
-    clustering: Clustering = Clustering.UNIFORM
+    __slots__ = ("count", "clustering")
+    _defaults = {"clustering": Clustering.UNIFORM}
 
-    def __post_init__(self):
+    def _validate(self):
         if isinstance(self.count, bool) or not isinstance(self.count, int) or self.count < 2:
             raise DomainError(f"grid count must be an integer >= 2, got {self.count!r}")
 
 
-@dataclass(frozen=True)
-class Geometry:
+class Geometry(Record):
     """Plate (or interval) separation L."""
 
-    length: float
+    __slots__ = ("length",)
 
-    def __post_init__(self):
-        length = float(self.length)
-        if not math.isfinite(length) or length <= 0.0:
-            raise DomainError(f"length must be finite and > 0, got {self.length!r}")
-        object.__setattr__(self, "length", length)
+    def __init__(self, length: float):
+        value = float(length)
+        if not math.isfinite(value) or value <= 0.0:
+            raise DomainError(f"length must be finite and > 0, got {length!r}")
+        self._setters[0](self, value)
 
 
-@dataclass(frozen=True)
-class Position:
+class Position(Record):
     """A point between the walls, as physical z and scaled theta = pi z / L.
 
     The two representations always satisfy theta * L = pi * z; build
@@ -59,8 +56,12 @@ class Position:
     coordinate is derived consistently.
     """
 
-    z: float
-    theta: float
+    __slots__ = ("z", "theta")
+
+    def __init__(self, z: float, theta: float):
+        set_z, set_theta = self._setters
+        set_z(self, z)
+        set_theta(self, theta)
 
     @classmethod
     def from_z(cls, z: float, g: Geometry) -> "Position":

@@ -15,13 +15,13 @@ import bisect
 import math
 import operator
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Callable
 
 from . import em3d, regsum, scalar1d, specfun
 from .errors import DomainError, FitError, check_overflow
 from .geometry import Clustering, FieldModel, Geometry, GridSpec, Position
+from .record import Record
 from .regsum import RegKind, RegScheme
 from .scalar1d import Couplings, EnergySplit, Route
 
@@ -190,8 +190,7 @@ class _SplitColumns(Sequence):
         return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
 
 
-@dataclass(frozen=True)
-class DensityProfile:
+class DensityProfile(Record):
     """A density sampled over a theta grid, with scheme provenance.
 
     The density is held as electric, magnetic and total columns.
@@ -201,12 +200,9 @@ class DensityProfile:
     :meth:`from_columns` takes the columns themselves.
     """
 
-    g: Geometry
-    scheme: RegScheme
-    grid: tuple[float, ...]
-    values: Sequence[EnergySplit]
+    __slots__ = ("g", "scheme", "grid", "values")
 
-    def __post_init__(self):
+    def _validate(self):
         if len(self.values) != len(self.grid):
             raise DomainError("grid and values must have equal length")
         if not all(map(operator.lt, self.grid, self.grid[1:])):
@@ -216,7 +212,8 @@ class DensityProfile:
         ):
             raise DomainError("zeta-scheme grids must stay strictly inside (0, pi)")
         if not isinstance(self.values, _SplitColumns):
-            object.__setattr__(self, "values", _SplitColumns.of(self.values))
+            _, _, _, set_values = self._setters
+            set_values(self, _SplitColumns.of(self.values))
 
     @classmethod
     def from_columns(
@@ -282,15 +279,10 @@ class Endpoint(Enum):
     RIGHT = "right"
 
 
-@dataclass(frozen=True)
-class DivergenceFit:
+class DivergenceFit(Record):
     """Power law density - constant ~ amplitude * sin(theta)^exponent."""
 
-    exponent: float
-    amplitude: float
-    r_squared: float
-    window: tuple[float, float]
-    n_points: int
+    __slots__ = ("exponent", "amplitude", "r_squared", "window", "n_points")
 
     @property
     def conclusive(self) -> bool:
@@ -380,14 +372,10 @@ def fit_divergence(
     )
 
 
-@dataclass(frozen=True)
-class ExpansionFit:
+class ExpansionFit(Record):
     """Scaling of the cutoff-series residual after the eps^2 term is removed."""
 
-    theta: float
-    slope: float
-    r_squared: float
-    breakdown: bool
+    __slots__ = ("theta", "slope", "r_squared", "breakdown")
 
 
 def epsilon_expansion_check(
@@ -439,45 +427,25 @@ class CommutationModel(Enum):
 
 
 # The rows' and the verdict's field names, in order, are their JSON keys.
-@dataclass(frozen=True)
-class WindowRow:
-    delta: float
-    partial_total: float
-    divergent_estimate: float
+class WindowRow(Record):
+    __slots__ = ("delta", "partial_total", "divergent_estimate")
 
 
-@dataclass(frozen=True)
-class CutoffRow:
-    epsilon: float
-    raw_total: float
-    bulk: float
-    subtracted: float
+class CutoffRow(Record):
+    __slots__ = ("epsilon", "raw_total", "bulk", "subtracted")
 
 
-@dataclass(frozen=True)
-class Verdict:
-    agrees: bool
-    sum_then_regularize: float
-    cutoff_limit: float
-    difference: float
-    tolerance: float
+class Verdict(Record):
+    __slots__ = ("agrees", "sum_then_regularize", "cutoff_limit", "difference", "tolerance")
 
 
-@dataclass(frozen=True)
-class CommutationReport:
-    model: str
-    length: float
-    alpha: float | None
-    mass: float | None
-    sum_then_regularize: float
-    window_rows: tuple[WindowRow, ...]
-    window_fit_exponent: float
-    window_fit_r_squared: float
-    cutoff_rows: tuple[CutoffRow, ...]
-    cutoff_spread: float
-    cutoff_limit: float
-    verdict: Verdict
-    notes: tuple[str, ...] = field(default=())
+class CommutationReport(Record):
+    __slots__ = (
+        "model", "length", "alpha", "mass", "sum_then_regularize", "window_rows",
+        "window_fit_exponent", "window_fit_r_squared", "cutoff_rows", "cutoff_spread",
+        "cutoff_limit", "verdict", "notes",
+    )
+    _defaults = {"notes": ()}
 
     def to_dict(self) -> dict:
         return {
@@ -486,15 +454,15 @@ class CommutationReport:
             "alpha": self.alpha,
             "mass": self.mass,
             "sum_then_regularize": self.sum_then_regularize,
-            "integrate_then_regularize": [asdict(r) for r in self.window_rows],
+            "integrate_then_regularize": [r.asdict() for r in self.window_rows],
             "window_fit": {
                 "exponent": self.window_fit_exponent,
                 "r_squared": self.window_fit_r_squared,
             },
-            "cutoff_full_interval": [asdict(r) for r in self.cutoff_rows],
+            "cutoff_full_interval": [r.asdict() for r in self.cutoff_rows],
             "cutoff_spread": self.cutoff_spread,
             "cutoff_limit": self.cutoff_limit,
-            "verdict": asdict(self.verdict),
+            "verdict": self.verdict.asdict(),
             "notes": list(self.notes),
         }
 

@@ -1,8 +1,8 @@
 """Regularized values for the divergent series behind confined-field sums.
 
 Two schemes are implemented.  Zeta continuation assigns declared series
-shapes their analytically continued values: sum n^p -> zeta(-p), plus the
-trigonometric shapes sum n^p sin/cos(2 n theta) for p in {0, 1} that the
+shapes their analytically continued values: sum n^p -> zeta(-p), and the
+position shape sum n cos(2 n theta) -> -1 / (4 sin^2 theta) that the
 energy-density formulas consume.  The exponential cutoff multiplies terms
 by e^(-eps n) and works with the resulting geometric closed forms, whose
 eps -> 0 limits reproduce the continued values in the interior.
@@ -17,21 +17,18 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
 from . import specfun
 from .errors import DomainError, PoleError
+from .record import Record
 
 __all__ = [
     "RegKind",
     "RegScheme",
     "PowerSeriesSpec",
-    "TrigFlavor",
-    "TrigSeriesSpec",
     "zeta_regularize_power",
-    "zeta_regularize_trig",
     "abel_sum_sin",
     "abel_sum_sin_dtheta",
     "abel_sum_sin_limit",
@@ -60,23 +57,24 @@ def _check_eps(eps: float) -> float:
     return eps
 
 
-@dataclass(frozen=True)
-class RegScheme:
+class RegScheme(Record):
     """Which regularization defines a divergent sum.
 
     ``epsilon`` is present (and positive) exactly when ``kind`` is CUTOFF.
     """
 
-    kind: RegKind
-    epsilon: float | None = None
+    __slots__ = ("kind", "epsilon")
 
-    def __post_init__(self):
-        if self.kind is RegKind.CUTOFF:
-            if self.epsilon is None:
+    def __init__(self, kind: RegKind, epsilon: float | None = None):
+        if kind is RegKind.CUTOFF:
+            if epsilon is None:
                 raise DomainError("the cutoff scheme requires epsilon > 0")
-            object.__setattr__(self, "epsilon", _check_eps(self.epsilon))
-        elif self.epsilon is not None:
+            epsilon = _check_eps(epsilon)
+        elif epsilon is not None:
             raise DomainError("epsilon is meaningful only for the cutoff scheme")
+        set_kind, set_epsilon = self._setters
+        set_kind(self, kind)
+        set_epsilon(self, epsilon)
 
     @classmethod
     def zeta(cls) -> "RegScheme":
@@ -87,47 +85,18 @@ class RegScheme:
         return cls(RegKind.CUTOFF, epsilon)
 
 
-@dataclass(frozen=True)
-class PowerSeriesSpec:
+class PowerSeriesSpec(Record):
     """The series scale * sum_{n>=1} n^exponent."""
 
-    exponent: float
-    scale: float = 1.0
+    __slots__ = ("exponent", "scale")
+    _defaults = {"scale": 1.0}
 
-    def __post_init__(self):
-        for name in ("exponent", "scale"):
+    def _validate(self):
+        for name, setter in zip(self._fields, self._setters):
             value = float(getattr(self, name))
             if not math.isfinite(value):
                 raise DomainError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
-
-
-class TrigFlavor(Enum):
-    SIN = "sin"
-    COS = "cos"
-
-
-@dataclass(frozen=True)
-class TrigSeriesSpec:
-    """The series sum_{n>=1} n^weight_power * sin(2 n theta) (or cos).
-
-    The harmonic multiplier is fixed at 2; weight powers 0 and 1 are the
-    shapes the density formulas need and the only ones supported.
-    """
-
-    theta: float
-    flavor: TrigFlavor
-    weight_power: int = 0
-
-    def __post_init__(self):
-        theta = float(self.theta)
-        if not math.isfinite(theta):
-            raise DomainError(f"theta must be finite, got {self.theta!r}")
-        object.__setattr__(self, "theta", theta)
-        if self.weight_power not in (0, 1):
-            raise DomainError(
-                f"weight_power must be 0 or 1, got {self.weight_power!r}"
-            )
+            setter(self, value)
 
 
 # --------------------------------------------------------------------------
@@ -143,31 +112,6 @@ def zeta_regularize_power(spec: PowerSeriesSpec) -> float:
             "continuation assigns no finite value"
         )
     return spec.scale * specfun.riemann_zeta(-spec.exponent)
-
-
-def zeta_regularize_trig(spec: TrigSeriesSpec) -> float:
-    """Continued value of a declared trigonometric series shape.
-
-    These are the Abel limits of the cutoff closed forms and coincide with
-    the zeta-scheme assignments:
-
-      sum sin(2 n theta)      ->  cot(theta) / 2
-      sum cos(2 n theta)      ->  -1/2
-      sum n sin(2 n theta)    ->  0
-      sum n cos(2 n theta)    ->  -1 / (4 sin^2 theta)
-
-    The theta-dependent shapes require theta strictly inside (0, pi).
-    """
-    theta, flavor, p = spec.theta, spec.flavor, spec.weight_power
-    if flavor is TrigFlavor.SIN and p == 0:
-        return 0.5 * specfun.cot(theta)
-    if flavor is TrigFlavor.COS and p == 0:
-        return -0.5
-    if flavor is TrigFlavor.SIN and p == 1:
-        specfun.require_interior_angle(theta)
-        return 0.0
-    # COS, p == 1
-    return _sum_n_cos_continued(math.sin(specfun.require_interior_angle(theta)))
 
 
 def _sum_n_cos_continued(sin_theta):

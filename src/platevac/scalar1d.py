@@ -1,9 +1,9 @@
 """Massless Dirichlet scalar field on an interval of length L.
 
-Mode data, electric/magnetic vacuum-energy densities under both
-regularization schemes, total energies both ways around the
-integration/regularization order, and the quartic-interaction correction
-in the effective low-energy theory.
+Electric/magnetic vacuum-energy densities under both regularization
+schemes, total energies both ways around the integration/regularization
+order, and the quartic-interaction correction in the effective
+low-energy theory.
 
 Conventions: modes phi_n(z) = sqrt(2/L) sin(omega_n z) with
 omega_n = pi n / L.  The electric density is (1/2)<(d_t phi)^2>, the
@@ -15,24 +15,21 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from . import regsum, specfun
 from .errors import DomainError, SingularityError, check_overflow
 from .geometry import Geometry, Position, check_position
+from .record import Record
 from .regsum import PowerSeriesSpec, RegKind, RegScheme
 
 __all__ = [
-    "Mode",
     "Couplings",
     "EnergySplit",
     "Route",
     "WindowIntegral",
     "ValidityWarning",
-    "mode",
-    "mode_function",
     "free_total_energy",
     "electric_density",
     "magnetic_density",
@@ -47,48 +44,36 @@ class ValidityWarning(UserWarning):
     """The effective-theory expansion parameter is not small."""
 
 
-@dataclass(frozen=True)
-class Mode:
-    """Eigenmode index and frequency omega_n = pi n / L."""
-
-    n: int
-    omega: float
-
-    def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
-            raise DomainError(f"mode index must be a positive integer, got {self.n!r}")
-
-
-@dataclass(frozen=True)
-class Couplings:
+class Couplings(Record):
     """Quartic coupling alpha and heavy mass m of the effective theory."""
 
-    alpha: float
-    m: float
+    __slots__ = ("alpha", "m")
 
-    def __post_init__(self):
+    def _validate(self):
         alpha = float(self.alpha)
         m = float(self.m)
         if not math.isfinite(alpha) or alpha < 0.0:
             raise DomainError(f"alpha must be finite and >= 0, got {self.alpha!r}")
         if not math.isfinite(m) or m <= 0.0:
             raise DomainError(f"m must be finite and > 0, got {self.m!r}")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "m", m)
+        set_alpha, set_m = self._setters
+        set_alpha(self, alpha)
+        set_m(self, m)
 
 
-@dataclass(frozen=True)
-class EnergySplit:
+class EnergySplit(Record):
     """Electric, magnetic and total energy density at one position."""
 
-    electric: float
-    magnetic: float
-    total: float
+    __slots__ = ("electric", "magnetic", "total")
 
-    def __post_init__(self):
-        scale = max(1.0, abs(self.electric), abs(self.magnetic))
-        if abs(self.total - (self.electric + self.magnetic)) > 1e-12 * scale:
+    def __init__(self, electric: float, magnetic: float, total: float):
+        scale = max(1.0, abs(electric), abs(magnetic))
+        if abs(total - (electric + magnetic)) > 1e-12 * scale:
             raise DomainError("total must equal electric + magnetic")
+        set_electric, set_magnetic, set_total = self._setters
+        set_electric(self, electric)
+        set_magnetic(self, magnetic)
+        set_total(self, total)
 
     @classmethod
     def from_parts(cls, electric: float, magnetic: float) -> "EnergySplit":
@@ -100,8 +85,7 @@ class Route(Enum):
     INTEGRATE_REGULARIZED_DENSITY = "integrate_regularized_density"
 
 
-@dataclass(frozen=True)
-class WindowIntegral:
+class WindowIntegral(Record):
     """Integral of the continued electric density over [delta, L - delta].
 
     ``value`` is the exact antiderivative cot(a)/(8 L) - (pi - 2a)/(48 L)
@@ -110,9 +94,7 @@ class WindowIntegral:
     is the order-of-limits clash in one number.
     """
 
-    value: float
-    delta: float
-    divergent_estimate: float
+    __slots__ = ("value", "delta", "divergent_estimate")
 
 
 def _warn_if_strong(c: Couplings, g: Geometry) -> None:
@@ -125,23 +107,6 @@ def _warn_if_strong(c: Couplings, g: Geometry) -> None:
             ValidityWarning,
             stacklevel=3,
         )
-
-
-def mode(n: int, g: Geometry) -> Mode:
-    """Mode n with frequency omega_n = pi n / L."""
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise DomainError(f"mode index must be a positive integer, got {n!r}")
-    return Mode(n=n, omega=math.pi * n / g.length)
-
-
-def mode_function(m: Mode, g: Geometry, pos: Position) -> float:
-    """Normalized mode amplitude sqrt(2/L) sin(omega_n z).
-
-    Exactly zero on the walls (Dirichlet condition); the sine argument is
-    reduced through sin_pi so large n costs no accuracy.
-    """
-    check_position(g, pos)
-    return math.sqrt(2.0 / g.length) * specfun.sin_pi(m.n * pos.z / g.length)
 
 
 # zeta(-1) = -1/12, the continued value of sum n, taken from the engine
@@ -272,7 +237,11 @@ def total_energy_by_route(
     # constant part -pi/(48 L^2) over the window length L - 2 delta.
     estimate = specfun.cot(a) / (8.0 * g.length)
     value = estimate - (math.pi - 2.0 * a) / (48.0 * g.length)
-    return WindowIntegral(value=value, delta=delta, divergent_estimate=estimate)
+    return WindowIntegral(
+        value=check_overflow(value, "the window integral", g.length),
+        delta=delta,
+        divergent_estimate=check_overflow(estimate, "the divergent estimate", g.length),
+    )
 
 
 # Constant part of the interaction correction: the coefficient 1/8 * 1/18

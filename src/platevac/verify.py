@@ -9,26 +9,22 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass
 from typing import Callable
 
 from . import em3d, regsum, scalar1d, specfun
 from .errors import ConfigError
 from .geometry import Clustering, FieldModel, Geometry, GridSpec, Position
+from .record import Record
 from .regsum import RegScheme
 from .scalar1d import Couplings
 
 __all__ = ["CheckResult", "run_suite", "SUITES"]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     """One check's outcome; the field names, in order, are its JSON keys."""
 
-    name: str
-    measured: float
-    tolerance: float
-    passed: bool
+    __slots__ = ("name", "measured", "tolerance", "passed")
 
 
 # Each check returns (measured deviation, tolerance).

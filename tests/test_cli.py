@@ -428,6 +428,19 @@ class TestOverflow:
         assert captured.err.startswith("numeric error: the ")
         assert "overflows a double" in captured.err
 
+    def test_window_integral_overflow_is_a_numeric_error(self, capsys):
+        # At L = 1e-310 both terms of the window integral overflow, and their
+        # difference is nan: never printed as nan,inf with exit 0.
+        from platevac import cli
+
+        argv = ["scan", "--vary", "delta", "--length", "1e-310", "--values", "1e-311"]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "numeric error: the window integral overflows a double at L = 1e-310\n"
+        )
+
 
 class TestConfigFile:
     def test_flags_take_precedence(self, tmp_path):
@@ -481,9 +494,9 @@ class TestRuntimeDependencies:
 class TestImports:
     """Each subcommand imports only the modules it runs."""
 
-    def test_only_limits_lab_imports_numpy(self):
-        # numpy is limits_lab's grid engine; every other module works on
-        # plain floats.
+    @staticmethod
+    def _importers(package: str) -> set[str]:
+        # The platevac modules whose source imports ``package`` anywhere.
         importers = set()
         for path in pathlib.Path(platevac.__file__).parent.glob("*.py"):
             for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -493,17 +506,27 @@ class TestImports:
                     names = [node.module]
                 else:
                     continue
-                if any(name.split(".")[0] == "numpy" for name in names):
+                if any(name.split(".")[0] == package for name in names):
                     importers.add(path.name)
-        assert importers == {"limits_lab.py"}
+        return importers
+
+    def test_only_limits_lab_imports_numpy(self):
+        # numpy is limits_lab's grid engine; every other module works on
+        # plain floats.
+        assert self._importers("numpy") == {"limits_lab.py"}
+
+    def test_no_module_imports_dataclasses(self):
+        # The value types are platevac.record.Record classes; importing
+        # dataclasses would cost every cold command inspect, ast and dis.
+        assert self._importers("dataclasses") == set()
 
     @pytest.mark.parametrize("argv,absent", [
-        (["total"], ["platevac.limits_lab", "platevac.verify"]),
+        (["total"], ["platevac.limits_lab", "platevac.verify", "dataclasses", "inspect"]),
         (["scan", "--vary", "length", "--values", "1,2"],
-         ["platevac.limits_lab", "platevac.verify"]),
+         ["platevac.limits_lab", "platevac.verify", "dataclasses", "inspect"]),
         (["density", "--grid", "5"], ["platevac.verify"]),
-        (["commute"], ["platevac.verify"]),
-        (["verify", "--suite", "quick"], ["platevac.limits_lab"]),
+        (["commute"], ["platevac.verify", "dataclasses", "inspect"]),
+        (["verify", "--suite", "quick"], ["platevac.limits_lab", "dataclasses", "inspect"]),
     ])
     def test_subcommand_leaves_modules_unloaded(self, argv, absent):
         code = "\n".join([

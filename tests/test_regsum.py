@@ -12,8 +12,6 @@ from platevac.regsum import (
     PowerSeriesSpec,
     RegKind,
     RegScheme,
-    TrigFlavor,
-    TrigSeriesSpec,
 )
 
 
@@ -66,41 +64,6 @@ class TestZetaRegularizePower:
     def test_non_finite_spec_rejected(self):
         with pytest.raises(DomainError):
             PowerSeriesSpec(exponent=float("inf"))
-
-
-class TestZetaRegularizeTrig:
-    def test_sine_shape(self):
-        spec = TrigSeriesSpec(theta=1.0, flavor=TrigFlavor.SIN)
-        assert regsum.zeta_regularize_trig(spec) == pytest.approx(
-            0.5 / math.tan(1.0), rel=1e-14
-        )
-
-    def test_cosine_shape_is_constant(self):
-        for theta in (0.3, 1.0, 2.9):
-            spec = TrigSeriesSpec(theta=theta, flavor=TrigFlavor.COS)
-            assert regsum.zeta_regularize_trig(spec) == -0.5
-
-    def test_weighted_sine_vanishes(self):
-        spec = TrigSeriesSpec(theta=0.7, flavor=TrigFlavor.SIN, weight_power=1)
-        assert regsum.zeta_regularize_trig(spec) == 0.0
-
-    def test_weighted_cosine_matches_cutoff_limit(self):
-        # sum n e^(-eps n) cos(2 n theta) is half the theta-derivative of the
-        # cutoff sine sum; its eps -> 0 extrapolation must land on the
-        # continued value -1/(4 sin^2).
-        for theta in (0.4, 1.3, 2.2):
-            spec = TrigSeriesSpec(theta=theta, flavor=TrigFlavor.COS, weight_power=1)
-            continued = regsum.zeta_regularize_trig(spec)
-            samples = [
-                (eps, 0.5 * regsum.abel_sum_sin_dtheta(eps, theta))
-                for eps in (0.04, 0.02, 0.01, 0.005)
-            ]
-            limit, _ = regsum.richardson_extrapolate(samples, order=2)
-            assert limit == pytest.approx(continued, abs=1e-9)
-
-    def test_unsupported_weight_power(self):
-        with pytest.raises(DomainError):
-            TrigSeriesSpec(theta=1.0, flavor=TrigFlavor.SIN, weight_power=2)
 
 
 class TestAbelSumSin:

@@ -39,50 +39,6 @@ class TestGeometryAndPosition:
             Position.from_z(z, G1)
 
 
-class TestMode:
-    def test_basic_frequencies(self):
-        assert scalar1d.mode(1, G1).omega == math.pi
-        assert scalar1d.mode(3, Geometry(2.0)).omega == pytest.approx(
-            3.0 * math.pi / 2.0, rel=1e-15
-        )
-
-    def test_large_index_no_precision_loss(self):
-        m = scalar1d.mode(10 ** 6, G1)
-        assert m.omega == math.pi * 10 ** 6 / 1.0
-
-    @pytest.mark.parametrize("n", [0, -1, 1.5, True])
-    def test_bad_index(self, n):
-        with pytest.raises(DomainError):
-            scalar1d.mode(n, G1)
-
-
-class TestModeFunction:
-    def test_midpoint_value(self):
-        m = scalar1d.mode(1, G1)
-        assert scalar1d.mode_function(m, G1, pos(math.pi / 2)) == pytest.approx(
-            math.sqrt(2.0), rel=1e-15
-        )
-
-    @pytest.mark.parametrize("n", [1, 7, 10 ** 6])
-    def test_dirichlet_zeros_exact(self, n):
-        m = scalar1d.mode(n, G1)
-        assert scalar1d.mode_function(m, G1, Position.from_z(0.0, G1)) == 0.0
-        assert scalar1d.mode_function(m, G1, Position.from_z(1.0, G1)) == 0.0
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_normalization_by_quadrature(self, n):
-        g = Geometry(1.7)
-        m = scalar1d.mode(n, g)
-        norm, _ = quad(
-            lambda z: scalar1d.mode_function(m, g, Position.from_z(z, g)) ** 2,
-            0.0,
-            g.length,
-            epsabs=1e-12,
-            limit=200,
-        )
-        assert abs(norm - 1.0) < 1e-10
-
-
 class TestFreeTotalEnergy:
     def test_value(self):
         assert scalar1d.free_total_energy(G1) == pytest.approx(
