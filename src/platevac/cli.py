@@ -10,6 +10,7 @@ usage/configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -389,6 +390,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                         help="flat key-value config file; flags take precedence")
 
 
+@functools.cache  # parse_args leaves the parser unchanged, and every default is immutable
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="platevac",

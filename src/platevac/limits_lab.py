@@ -493,8 +493,9 @@ def _ladder(name: str, values: Sequence[float], g: Geometry) -> list[float]:
     """``values`` as floats, strictly decreasing inside the range of ``name``.
 
     A delta lies in (0, L/2), an epsilon in (0, inf); nan and inf fail
-    the range test.  Epsilons are extrapolated to zero, so their ratios
-    must also be constant, as richardson_extrapolate requires.
+    the range test.  The window fit needs at least two deltas.  Epsilons
+    are extrapolated to zero, so their ratios must also be constant, as
+    richardson_extrapolate requires.
     """
     ladder = [float(v) for v in values]
     upper, bounds = (0.5 * g.length, "(0, L/2)") if name == "delta" else (math.inf, "(0, inf)")
@@ -502,6 +503,8 @@ def _ladder(name: str, values: Sequence[float], g: Geometry) -> list[float]:
         raise DomainError(f"{name}s must be a decreasing sequence")
     if any(not 0.0 < v < upper for v in ladder):
         raise DomainError(f"every {name} must lie in {bounds}")
+    if name == "delta" and len(ladder) < 2:
+        raise DomainError("the window fit needs at least two deltas")
     if name == "epsilon" and len(ladder) > 1:
         regsum._common_ratio(ladder, "epsilons")
     return ladder

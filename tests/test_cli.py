@@ -1,3 +1,4 @@
+import argparse
 import ast
 import json
 import math
@@ -62,6 +63,86 @@ class TestDeterminism:
         out = run_cli(DENSITY_ARGS, check=True).stdout
         assert b"\r" not in out
         assert out.endswith(b"\n")
+
+
+def run_in_process(argv, capsys):
+    """``cli.main(argv)`` in this process: the exit code and the bytes it wrote."""
+    from platevac import cli
+
+    capsys.readouterr()
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse usage errors and --help
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out.encode(), captured.err.encode()
+
+
+class TestInProcessCalls:
+    """``cli.main`` builds its parser once; repeated calls share it and no state."""
+
+    def test_repeated_calls_match_fresh_processes(self, tmp_path, monkeypatch, capsys):
+        # A fixed width, so a usage message wraps the same in both places.
+        monkeypatch.setenv("COLUMNS", "80")
+        config = tmp_path / "run.conf"
+        config.write_text("length = 2.0\nalpha = 0.05\n")
+        sequence = [
+            ["total", "--alpha", "0.1", "--mass", "2"],
+            ["total"],
+            ["density", "--scheme", "cutoff", "--epsilon", "0.01", "--grid", "3"],
+            ["density", "--grid", "3"],
+            ["total", "--config", str(config)],
+            ["total"],
+            ["total", "--length", "-2"],
+            ["total", "--model", "em"],
+            ["scan", "--vary", "epsilon", "--theta", "0.5", "--values", "0.1"],
+            ["scan", "--vary", "epsilon", "--values", "0.1"],
+            ["--units-note"],
+            ["commute", "--deltas", "0.1,0.05"],
+            ["commute"],
+            ["total", "--bogus"],
+            ["total"],
+        ]
+        codes = []
+        for argv in sequence:
+            code, out, err = run_in_process(argv, capsys)
+            fresh = run_cli(argv)
+            assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+            codes.append(code)
+        assert codes == [0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 2, 0]
+
+    def test_parser_is_built_once(self):
+        from platevac import cli
+
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_parser_holds_no_mutable_state(self):
+        # A list default, or an action that appends, extends or counts into
+        # one, would carry values from one call into the next.
+        from platevac import cli
+
+        accumulating = (argparse._AppendAction, argparse._AppendConstAction,
+                        argparse._CountAction)
+        parsers = [cli._build_parser()]
+        for parser in parsers:
+            for value in parser._defaults.values():
+                assert callable(value) or isinstance(value, (type(None), bool, int, float, str))
+            for action in parser._actions:
+                assert isinstance(action.default, (type(None), bool, int, float, str)), action
+                assert not isinstance(action, accumulating), action
+                if isinstance(action, argparse._SubParsersAction):
+                    parsers.extend(action.choices.values())
+        assert len(parsers) == 6  # the main parser and five subcommands
+
+    @pytest.mark.parametrize("argv", [["--help"], ["commute", "--help"]])
+    def test_help_follows_the_width_of_each_call(self, argv, monkeypatch, capsys):
+        # The help width is read when the help is written, not when the
+        # parser is built.
+        for columns in ("60", "100"):
+            monkeypatch.setenv("COLUMNS", columns)
+            fresh = run_cli(argv)
+            assert run_in_process(argv, capsys) == (0, fresh.stdout, b""), columns
+            assert fresh.returncode == 0 and fresh.stderr == b""
 
 
 class TestDensityCommand:
@@ -299,6 +380,7 @@ class TestCommuteCommand:
     @pytest.mark.parametrize("flag,values", [
         ("--deltas", "0.1,0.2"),
         ("--deltas", "0.6"),
+        ("--deltas", "0.1"),
         ("--deltas", "nan"),
         ("--epsilons", "0.1,-0.05"),
         ("--epsilons", "inf,1"),
