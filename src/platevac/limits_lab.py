@@ -63,8 +63,15 @@ def theta_array(spec: GridSpec) -> np.ndarray:
 
 
 def theta_grid(spec: GridSpec) -> tuple[float, ...]:
-    """The angles of :func:`theta_array` as a tuple of floats."""
-    return tuple(theta_array(spec).tolist())
+    """The angles of :func:`theta_array` as a tuple of floats, bit for bit.
+
+    Computed with ``math`` alone, so a caller that needs only the angles
+    does not load numpy.
+    """
+    n = spec.count
+    if spec.clustering is Clustering.UNIFORM:
+        return tuple(math.pi * k / (n + 1) for k in range(1, n + 1))
+    return tuple(0.5 * math.pi * (1.0 - math.cos(math.pi * (i + 0.5) / n)) for i in range(n))
 
 
 def density_columns(
@@ -330,8 +337,20 @@ def fit_divergence(
     """
     if n_points < 2:
         raise DomainError(f"n_points must be >= 2, got {n_points}")
-    values = profile.component(component)
-    grid = profile.grid  # strictly increasing
+    return _fit_walk(
+        profile.grid, profile.component(component), endpoint, constant_part, n_points, window
+    )
+
+
+def _fit_walk(
+    grid: Sequence[float],
+    values: Sequence[float] | np.ndarray,
+    endpoint: Endpoint,
+    constant_part: float | None,
+    n_points: int,
+    window: float | None,
+) -> DivergenceFit:
+    # fit_divergence over a strictly increasing grid and its density column.
     if constant_part is None:
         # The angle nearest pi/2, the lower index on a tie (as argmin): the
         # distance falls towards pi/2 and grows past it, so step left from

@@ -13,7 +13,7 @@ from typing import Callable
 
 from . import em3d, regsum, scalar1d, specfun
 from .errors import ConfigError
-from .geometry import Clustering, FieldModel, Geometry, GridSpec, Position
+from .geometry import Clustering, Geometry, GridSpec, Position
 from .record import Record
 from .regsum import RegScheme
 from .scalar1d import Couplings
@@ -32,7 +32,7 @@ Check = Callable[[], tuple[float, float]]
 
 
 def _linspace(start: float, stop: float, num: int) -> list[float]:
-    # numpy.linspace's points, bit for bit: i step + start, then stop.
+    # The array linspace's points, bit for bit: i step + start, then stop.
     step = (stop - start) / (num - 1)
     return [i * step + start for i in range(num - 1)] + [stop]
 
@@ -78,14 +78,23 @@ def _casimir_force():
     return abs(numeric - force) / force, 1e-8
 
 
+def _sine_sum_terms(eps: float) -> int:
+    # The least N whose dropped tail, sum over n > N of e^(-eps n), which is
+    # e^(-eps (N + 1)) / (1 - e^(-eps)), lies below e^(-40): far below one
+    # rounding of the sums the check compares.
+    return math.ceil((40.0 - math.log(-math.expm1(-eps))) / eps)
+
+
 def _cutoff_sine_closed_form():
-    # The first 2000 terms e^(-eps n) sin(2 theta n), from one table of
-    # decays per eps and one of sines per theta.
-    n_range = range(1, 2001)
+    # The terms e^(-eps n) sin(2 theta n), n = 1 .. N(eps), from one table
+    # of decays per eps and one of sines per theta.  Each fsum is the
+    # 2000-term sum bit for bit.
+    terms = {eps: _sine_sum_terms(eps) for eps in (0.05, 0.1, 0.5)}
+    n_range = range(1, max(terms.values()) + 1)
     sines = {theta: [math.sin(2.0 * theta * n) for n in n_range] for theta in (0.3, 1.0, 2.5)}
     worst = 0.0
-    for eps in (0.05, 0.1, 0.5):
-        decay = [math.exp(-eps * n) for n in n_range]
+    for eps, n_terms in terms.items():
+        decay = [math.exp(-eps * n) for n in range(1, n_terms + 1)]
         for theta, sine in sines.items():
             direct = math.fsum(map(operator.mul, decay, sine))
             value = regsum.abel_sum_sin(eps, theta)
@@ -165,14 +174,13 @@ _SCHEME_LADDER = (0.04, 0.02, 0.01, 0.005)
 
 def _scheme_agreement():
     g = Geometry(1.0)
+    zeta = RegScheme.zeta()
+    cutoffs = [(eps, RegScheme.cutoff(eps)) for eps in _SCHEME_LADDER]
     worst = 0.0
     for theta in _linspace(0.2, math.pi - 0.2, 20):
         pos = Position.from_theta(theta, g)
-        continued = scalar1d.electric_density(g, pos, RegScheme.zeta())
-        samples = [
-            (eps, scalar1d.electric_density(g, pos, RegScheme.cutoff(eps)))
-            for eps in _SCHEME_LADDER
-        ]
+        continued = scalar1d.electric_density(g, pos, zeta)
+        samples = [(eps, scalar1d.electric_density(g, pos, s)) for eps, s in cutoffs]
         limit, _ = regsum.richardson_extrapolate(samples, order=2)
         worst = max(worst, abs(limit - continued))
     return worst, 1e-7 * math.pi / 16.0
@@ -190,30 +198,30 @@ def _expansion_slope():
 def _near_plate_exponent(kind: str):
     from . import limits_lab
 
-    # Per wall law: the density, as a function of the grid's columns, its
-    # constant part at L = 1, the exponent of sin(theta) and the tolerance
-    # on that exponent.  2 electric is <E^2> and correction is
+    # Per wall law: the density as a function of sin(theta), its constant
+    # part at L = 1, the exponent of sin(theta) and the tolerance on that
+    # exponent.  The densities are the electric scalar density, <E^2> and
     # eh_correction_density, bit for bit.
     g = Geometry(1.0)
     c = em3d.EhCouplings()
-    model, density, constant, exponent, tolerance = {
-        "scalar": (FieldModel.SCALAR, lambda cols: cols["electric"],
+    zeta = RegScheme.zeta()
+    eh_constant = em3d.eh_correction_constant(g, c)
+    density, constant, exponent, tolerance = {
+        "scalar": (lambda s: scalar1d._split(g.length, zeta, s)[0],
                    -math.pi / 48.0, -2.0, 0.02),
-        "em": (FieldModel.EM, lambda cols: 2.0 * cols["electric"],
+        "em": (lambda s: em3d._correlators(g, em3d._profile(s))[0],
                -math.pi ** 2 / (16.0 * 45.0), -4.0, 0.02),
-        "eh": (FieldModel.EM, lambda cols: cols["correction"],
-               em3d.eh_correction_constant(g, c), -8.0, 0.1),
+        "eh": (lambda s: eh_constant + em3d._eh_position(g, c, em3d._profile(s)),
+               eh_constant, -8.0, 0.1),
     }[kind]
-    scheme = RegScheme.zeta()
-    thetas = limits_lab.theta_array(GridSpec(count=200, clustering=Clustering.ENDPOINTS))
-    columns = limits_lab.density_columns(
-        g, model, scheme, thetas, couplings=c if kind == "eh" else None
-    )
-    profile = limits_lab.DensityProfile.from_columns(
-        g, scheme, thetas.tolist(), density(columns)
-    )
-    fit = limits_lab.fit_divergence(
-        profile, limits_lab.Endpoint.LEFT, component="electric", constant_part=constant
+    # The walk from the left wall takes the first n_points nonzero
+    # residuals of the 200-point endpoint-clustered grid; next to a wall
+    # every residual is large, so it reads the first n_points angles only.
+    n_points = 4
+    grid = limits_lab.theta_grid(GridSpec(200, Clustering.ENDPOINTS))[:n_points]
+    fit = limits_lab._fit_walk(
+        grid, [density(math.sin(theta)) for theta in grid], limits_lab.Endpoint.LEFT,
+        constant_part=constant, n_points=n_points, window=None,
     )
     return abs(fit.exponent - exponent), tolerance
 
@@ -237,19 +245,24 @@ def _route_equivalence(model: str):
     return rel, 1e-7
 
 
+def _position_term_integral(eps: float, m: int) -> float:
+    # |integral of the cutoff position term over [0, L]| at L = 1, by the
+    # trapezoidal rule on m angles.
+    value = 1.0 / m * math.fsum(
+        regsum.abel_sum_sin_dtheta(eps, math.pi * k / m) for k in range(m)
+    )
+    return abs(math.pi / 8.0 * value)
+
+
 def _cutoff_integral_nullity():
     # The position term is pi-periodic in theta and analytic for eps > 0,
     # so the trapezoidal rule over one period converges exponentially.
-    # 800 angles resolve eps = 0.05 to ~2e-13, while 400 miss the tolerance
-    # (~6e-7), so the check still measures the rule it runs.
-    g = Geometry(1.0)
-    m = 800
+    # 100 angles measure 1.5e-16 at eps = 0.5 and 800 measure 1.4e-14 at
+    # eps = 0.05, while 50 and 400 miss the tolerance (5.5e-10 and 6.5e-7),
+    # so the check still measures the rule it runs.
     worst = 0.0
-    for eps in (0.5, 0.05):
-        value = g.length / m * math.fsum(
-            regsum.abel_sum_sin_dtheta(eps, math.pi * k / m) for k in range(m)
-        )
-        worst = max(worst, abs(-(math.pi / 8.0) * value))
+    for eps, m in ((0.5, 100), (0.05, 800)):
+        worst = max(worst, _position_term_integral(eps, m))
     return worst, 1e-10
 
 

@@ -607,8 +607,9 @@ class TestImports:
         (["scan", "--vary", "length", "--values", "1,2"],
          ["platevac.limits_lab", "platevac.verify", "dataclasses", "inspect"]),
         (["density", "--grid", "5"], ["platevac.verify"]),
-        (["commute"], ["platevac.verify", "dataclasses", "inspect"]),
+        (["commute"], ["platevac.verify", "numpy", "dataclasses", "inspect"]),
         (["verify", "--suite", "quick"], ["platevac.limits_lab", "dataclasses", "inspect"]),
+        (["verify", "--suite", "full"], ["numpy", "dataclasses", "inspect"]),
     ])
     def test_subcommand_leaves_modules_unloaded(self, argv, absent):
         code = "\n".join([

@@ -62,6 +62,18 @@ def per_point_near_plate_exponent(kind):
     return abs(fit.exponent - exponent), tolerance
 
 
+def uniform_800_cutoff_integral_nullity():
+    g = Geometry(1.0)
+    m = 800
+    worst = 0.0
+    for eps in (0.5, 0.05):
+        value = g.length / m * math.fsum(
+            regsum.abel_sum_sin_dtheta(eps, math.pi * k / m) for k in range(m)
+        )
+        worst = max(worst, abs(-(math.pi / 8.0) * value))
+    return worst, 1e-10
+
+
 def linspace_scheme_agreement():
     g = Geometry(1.0)
     worst = 0.0
@@ -106,6 +118,7 @@ class TestRewrittenChecks:
     ] + [
         (verify._scheme_agreement, linspace_scheme_agreement),
         (verify._profile_dual_definitions, linspace_profile_dual_definitions),
+        (verify._cutoff_integral_nullity, uniform_800_cutoff_integral_nullity),
     ])
     def test_equals_the_reference_bit_for_bit(self, check, reference):
         assert bits(check()) == bits(reference())
@@ -159,6 +172,20 @@ class TestRewrittenChecks:
         assert measured == pytest.approx(math.pi / 8.0 * 1e-9, rel=1e-3)
         assert measured > tolerance
         assert not suite_result("cutoff position term integrates to zero").passed
+
+
+class TestCheckSizes:
+    @pytest.mark.parametrize("eps", [0.05, 0.1, 0.5])
+    def test_dropped_sine_tail_is_negligible(self, eps):
+        # sum over n > N of e^(-eps n), a bound on the dropped sine terms.
+        n = verify._sine_sum_terms(eps)
+        assert math.exp(-eps * (n + 1)) / -math.expm1(-eps) < 1e-17
+
+    def test_fifty_nodes_miss_the_nullity_tolerance_at_eps_one_half(self):
+        # The check's 100 nodes at eps = 0.5 are needed: 50 fail it.
+        _, tolerance = verify._cutoff_integral_nullity()
+        assert verify._position_term_integral(0.5, 50) > tolerance
+        assert verify._position_term_integral(0.5, 100) < tolerance
 
 
 class TestLinspace:
