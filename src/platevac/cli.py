@@ -201,11 +201,12 @@ def _cmd_density(args: argparse.Namespace) -> int:
         config.geometry,
         config.model,
         config.scheme,
-        limits_lab.theta_array(config.grid),
+        limits_lab.grid_angles(config.grid),
         config.couplings if config.interacting else None,
     )
     header = list(columns)
-    rows = list(zip(*(column.tolist() for column in columns.values())))
+    rows = list(zip(*(column if isinstance(column, list) else column.tolist()
+                      for column in columns.values())))
     if config.out_format == "csv":
         text = _csv(header, rows)
     else:

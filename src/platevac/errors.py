@@ -24,11 +24,14 @@ class RangeError(PlatevacError):
 
 
 def check_overflow(value, what: str, length: float):
-    """``value`` itself if it is finite, everywhere for a numpy array.
+    """``value`` itself if it is finite, everywhere for a list or a numpy array.
 
     Otherwise RangeError: "<what> overflows a double at L = <length>".
     """
-    finite = abs(value) < math.inf  # False at nan; elementwise for an array
+    if isinstance(value, list):
+        finite = all(map(math.isfinite, value))
+    else:
+        finite = abs(value) < math.inf  # False at nan; elementwise for an array
     if not (finite if isinstance(finite, bool) else finite.all()):
         raise RangeError(f"{what} overflows a double at L = {length!r}")
     return value

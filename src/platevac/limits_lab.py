@@ -43,6 +43,7 @@ __all__ = [
     "CommutationReport",
     "theta_array",
     "theta_grid",
+    "grid_angles",
     "density_columns",
     "sample_profile",
     "fit_divergence",
@@ -74,67 +75,122 @@ def theta_grid(spec: GridSpec) -> tuple[float, ...]:
     return tuple(0.5 * math.pi * (1.0 - math.cos(math.pi * (i + 0.5) / n)) for i in range(n))
 
 
+# The largest grid that grid_angles hands out as floats.  At 1000
+# points the float pass costs 1.6-3.4 ms in-process, a few percent of the
+# ~150 ms numpy import it spares a cold process; at 10,001 points it would
+# cost 20-37 ms against under 1 ms for the array pass.
+_FLOAT_GRID_MAX = 1000
+
+
+def grid_angles(spec: GridSpec) -> tuple[float, ...] | np.ndarray:
+    """The angles of ``spec``, in the type that picks :func:`density_columns`' engine.
+
+    Up to ``_FLOAT_GRID_MAX`` (1000) points, the tuple of
+    :func:`theta_grid`, which density_columns evaluates on plain floats
+    without loading numpy; above, the array of :func:`theta_array`,
+    evaluated in one numpy pass.
+    """
+    return theta_grid(spec) if spec.count <= _FLOAT_GRID_MAX else theta_array(spec)
+
+
 def density_columns(
     g: Geometry,
     model: FieldModel,
     scheme: RegScheme,
     thetas: Sequence[float] | np.ndarray,
     couplings: Couplings | None = None,
-) -> dict[str, np.ndarray]:
-    """The energy density at every angle of ``thetas``, in one array pass.
+) -> dict[str, list[float]] | dict[str, np.ndarray]:
+    """The energy density at every angle of ``thetas``, column by column.
 
     Returns the columns theta, z, electric, magnetic and total, plus
     correction (the interaction correction to the density) when
     ``couplings`` is given; both models take a :class:`Couplings`, of
-    which :class:`em3d.EhCouplings` is the one with the EM defaults.  The
-    arrays run the formulas of the point functions (``density_split``,
+    which :class:`em3d.EhCouplings` is the one with the EM defaults.  A
+    sequence of angles gives lists, evaluated point by point with
+    ``math``; an array gives arrays, evaluated in one numpy pass.  Both
+    run the formulas of the point functions (``density_split``,
     ``interacting_density`` minus the free constant,
     ``eh_correction_density``), so every entry equals their value bit for
-    bit.  Validation happens once per array with the point functions'
+    bit.  Validation happens once per grid with the point functions'
     errors: DomainError for angles outside [0, pi] or an EM cutoff scheme,
     SingularityError for wall angles where the density diverges, and at
     most one ValidityWarning for a strong scalar coupling.  A column that
     is not finite everywhere raises RangeError.
     """
-    import numpy as np
+    arrays = not isinstance(thetas, Sequence)
+    if arrays:
+        import numpy as np
 
-    theta = np.asarray(thetas, dtype=float)
-    rim = theta[~((theta > 0.0) & (theta < math.pi))]  # walls, outside, nan
-    for value in rim.tolist():
+        theta = np.asarray(thetas, dtype=float)
+        rim = theta[~((theta > 0.0) & (theta < math.pi))].tolist()  # walls, outside, nan
+    else:
+        theta = [float(t) for t in thetas]
+        rim = [t for t in theta if not 0.0 < t < math.pi]
+    for value in rim:
         Position.from_theta(value, g)  # DomainError unless on a wall
     em = model is FieldModel.EM
     if em:
         em3d._require_zeta(scheme)
-    if rim.size and (em or scheme.kind is RegKind.ZETA or couplings is not None):
-        specfun.require_interior_angle(float(rim[0]))  # SingularityError on the wall
-    sin_theta = np.sin(theta)
-    # Python raises ZeroDivisionError where the point path divides by zero;
-    # numpy raises FloatingPointError, another ArithmeticError.  Overflow
-    # is checked on the finished columns.
-    with np.errstate(divide="raise", over="ignore", invalid="ignore"):
-        z = g.length * theta / math.pi
+    if rim and (em or scheme.kind is RegKind.ZETA or couplings is not None):
+        specfun.require_interior_angle(rim[0])  # SingularityError on the wall
+    length = g.length
+    if arrays:
+        sin_theta = np.sin(theta)
+        # Python raises ZeroDivisionError where the point path divides by
+        # zero; numpy raises FloatingPointError, another ArithmeticError.
+        # Overflow is checked on the finished columns.
+        with np.errstate(divide="raise", over="ignore", invalid="ignore"):
+            z = length * theta / math.pi
+            if em:
+                f_value = em3d._profile(sin_theta)
+                e2, b2 = em3d._correlators(g, f_value, any_=np.any)
+                electric, magnetic = 0.5 * e2, 0.5 * b2
+                total = electric + magnetic
+                if couplings is not None:
+                    correction = em3d.eh_correction_constant(g, couplings) + em3d._eh_position(
+                        g, couplings, f_value
+                    )
+            else:
+                electric, magnetic, total = scalar1d._split(length, scheme, sin_theta)
+                if couplings is not None:
+                    scalar1d._warn_if_strong(couplings, g)
+                    correction = scalar1d._interacting(
+                        length, couplings, sin_theta
+                    ) - scalar1d._free_constant(length)
+    else:
+        # The same kernels one float at a time, each over the whole grid
+        # before the next, so errors and the warning come in the array
+        # pass's order.
+        sin_theta = list(map(math.sin, theta))
+        z = [length * t / math.pi for t in theta]
         if em:
-            f_value = em3d._profile(sin_theta)
-            e2, b2 = em3d._correlators(g, f_value, any_=np.any)
-            electric, magnetic = 0.5 * e2, 0.5 * b2
-            total = electric + magnetic
+            f_value = list(map(em3d._profile, sin_theta))
+            e2, b2 = _transposed([em3d._correlators(g, f) for f in f_value], 2)
+            electric, magnetic = [0.5 * e for e in e2], [0.5 * b for b in b2]
+            total = list(map(operator.add, electric, magnetic))
             if couplings is not None:
-                correction = em3d.eh_correction_constant(g, couplings) + em3d._eh_position(
-                    g, couplings, f_value
-                )
+                constant = em3d.eh_correction_constant(g, couplings)
+                correction = [constant + em3d._eh_position(g, couplings, f) for f in f_value]
         else:
-            electric, magnetic, total = scalar1d._split(g.length, scheme, sin_theta)
+            electric, magnetic, total = _transposed(
+                [scalar1d._split(length, scheme, s) for s in sin_theta], 3
+            )
             if couplings is not None:
                 scalar1d._warn_if_strong(couplings, g)
-                correction = scalar1d._interacting(
-                    g.length, couplings, sin_theta
-                ) - scalar1d._free_constant(g.length)
+                free = scalar1d._free_constant(length)
+                correction = [scalar1d._interacting(length, couplings, s) - free
+                              for s in sin_theta]
     columns = {"theta": theta, "z": z, "electric": electric, "magnetic": magnetic, "total": total}
     if couplings is not None:
         columns["correction"] = correction
     for name, column in columns.items():
-        check_overflow(column, f"the {name} column", g.length)
+        check_overflow(column, f"the {name} column", length)
     return columns
+
+
+def _transposed(rows: list[tuple], width: int) -> list[list]:
+    # The ``width`` columns of ``rows``, as lists, also for no rows.
+    return [list(column) for column in zip(*rows)] or [[] for _ in range(width)]
 
 
 _COMPONENTS = ("electric", "magnetic", "total")

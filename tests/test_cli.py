@@ -606,7 +606,9 @@ class TestImports:
         (["total"], ["platevac.limits_lab", "platevac.verify", "dataclasses", "inspect"]),
         (["scan", "--vary", "length", "--values", "1,2"],
          ["platevac.limits_lab", "platevac.verify", "dataclasses", "inspect"]),
-        (["density", "--grid", "5"], ["platevac.verify"]),
+        (["density", "--grid", "5"], ["platevac.verify", "numpy", "dataclasses", "inspect"]),
+        (["density", "--model", "em", "--alpha", "0.01", "--format", "json"],
+         ["platevac.verify", "numpy", "dataclasses", "inspect"]),
         (["commute"], ["platevac.verify", "numpy", "dataclasses", "inspect"]),
         (["verify", "--suite", "quick"], ["platevac.limits_lab", "dataclasses", "inspect"]),
         (["verify", "--suite", "full"], ["numpy", "dataclasses", "inspect"]),

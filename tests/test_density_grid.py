@@ -1,14 +1,17 @@
-"""The array density path against the per-point functions, bit for bit.
+"""The grid density paths against the per-point functions, bit for bit.
 
 ``limits_lab.density_columns`` and ``platevac density`` evaluate a whole
-grid at once; the references here are built point by point from the
+grid at once, on floats for a sequence of angles and in one numpy pass
+for an array; the references here are built point by point from the
 public point functions, the way the CLI used to build its tables.
 """
 
 import contextlib
+import inspect
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -74,17 +77,42 @@ def point_columns(g, model, scheme, thetas, couplings):
 
 
 def grid_rows(columns):
-    return [list(row) for row in zip(*(c.tolist() for c in columns.values()))]
+    return [list(row) for row in zip(*(c if isinstance(c, list) else c.tolist()
+                                       for c in columns.values()))]
+
+
+class Engine:
+    """One grid engine of density_columns, chosen by the type of the angles."""
+
+    def __init__(self, angles, column_type):
+        self.angles = angles
+        self.column_type = column_type
+
+    def columns(self, g, model, scheme, thetas, couplings=None):
+        columns = limits_lab.density_columns(g, model, scheme, self.angles(thetas), couplings)
+        assert {type(c) for c in columns.values()} == {self.column_type}
+        return columns
+
+
+ENGINES = {
+    "floats": Engine(lambda thetas: tuple(np.asarray(thetas, dtype=float).tolist()), list),
+    "numpy": Engine(lambda thetas: np.asarray(thetas, dtype=float), np.ndarray),
+}
+
+
+@pytest.fixture(params=list(ENGINES))
+def engine(request):
+    return ENGINES[request.param]
 
 
 class TestGoldenGrid:
     @pytest.mark.filterwarnings("ignore::platevac.scalar1d.ValidityWarning")
     @pytest.mark.parametrize("length", [1e-2, 1.0, 73.2])
     @pytest.mark.parametrize("name,scheme,couplings", SCALAR_CASES)
-    def test_scalar_grid_equals_point_path(self, name, scheme, couplings, length):
+    def test_scalar_grid_equals_point_path(self, engine, name, scheme, couplings, length):
         g = Geometry(length)
         thetas = golden_thetas()
-        columns = limits_lab.density_columns(g, FieldModel.SCALAR, scheme, thetas, couplings)
+        columns = engine.columns(g, FieldModel.SCALAR, scheme, thetas, couplings)
         expected = ["theta", "z", "electric", "magnetic", "total"]
         if couplings is not None:
             expected.append("correction")
@@ -95,29 +123,29 @@ class TestGoldenGrid:
 
     @pytest.mark.parametrize("length", [1e-2, 1.0, 73.2])
     @pytest.mark.parametrize("name,couplings", EM_CASES)
-    def test_em_grid_equals_point_path(self, name, couplings, length):
+    def test_em_grid_equals_point_path(self, engine, name, couplings, length):
         g = Geometry(length)
         thetas = golden_thetas()
         scheme = RegScheme.zeta()
-        columns = limits_lab.density_columns(g, FieldModel.EM, scheme, thetas, couplings)
+        columns = engine.columns(g, FieldModel.EM, scheme, thetas, couplings)
         assert grid_rows(columns) == point_columns(g, FieldModel.EM, scheme, thetas, couplings)
 
-    def test_cutoff_grid_includes_the_walls(self):
+    def test_cutoff_grid_includes_the_walls(self, engine):
         g = Geometry(2.0)
         scheme = RegScheme.cutoff(0.05)
         thetas = np.array([0.0, 1e-12, 1.0, math.pi - 1e-12, math.pi])
-        columns = limits_lab.density_columns(g, FieldModel.SCALAR, scheme, thetas)
+        columns = engine.columns(g, FieldModel.SCALAR, scheme, thetas)
         assert grid_rows(columns) == point_columns(g, FieldModel.SCALAR, scheme, thetas, None)
 
     @pytest.mark.parametrize("eps", [1e-12, 1e-7])
-    def test_tiny_cutoff_grid_equals_point_path(self, eps):
+    def test_tiny_cutoff_grid_equals_point_path(self, engine, eps):
         # Where eps and theta are both tiny the position term is ~1/theta^4
         # of either sign; the array and the point path still agree bit for bit.
         g = Geometry(1.0)
         scheme = RegScheme.cutoff(eps)
         thetas = np.concatenate([[0.0], NEAR_WALL, [1e-11, 5e-13, 2e-12, math.pi]])
         thetas.sort()
-        columns = limits_lab.density_columns(g, FieldModel.SCALAR, scheme, thetas)
+        columns = engine.columns(g, FieldModel.SCALAR, scheme, thetas)
         assert grid_rows(columns) == point_columns(g, FieldModel.SCALAR, scheme, thetas, None)
 
     def test_theta_grid_is_the_array_grid(self):
@@ -131,38 +159,59 @@ class TestGoldenGrid:
             assert limits_lab.theta_grid(spec) == tuple(loop)
             assert limits_lab.theta_array(spec).tolist() == loop
 
+    def test_grid_angles_switch_engines_above_a_thousand_points(self):
+        for clustering in Clustering:
+            small, large = GridSpec(1000, clustering), GridSpec(1001, clustering)
+            assert limits_lab.grid_angles(small) == limits_lab.theta_grid(small)
+            assert isinstance(limits_lab.grid_angles(large), np.ndarray)
+            assert limits_lab.grid_angles(large).tolist() == list(limits_lab.theta_grid(large))
+
+    def test_empty_grid(self, engine):
+        columns = engine.columns(Geometry(1.0), FieldModel.SCALAR, RegScheme.zeta(), [])
+        assert grid_rows(columns) == [] and len(columns) == 5
+
 
 class TestGridValidation:
     G = Geometry(1.0)
 
-    def columns(self, model, scheme, thetas, couplings=None):
-        return limits_lab.density_columns(self.G, model, scheme, thetas, couplings)
-
     @pytest.mark.parametrize("bad", [-1e-9, math.pi + 1e-9, float("nan"), float("inf")])
-    def test_outside_the_interval(self, bad):
+    def test_outside_the_interval(self, engine, bad):
         for model in FieldModel:
-            with pytest.raises(DomainError):
-                self.columns(model, RegScheme.zeta(), [0.5, bad, 1.0])
+            with pytest.raises(DomainError, match="lies outside"):
+                engine.columns(self.G, model, RegScheme.zeta(), [0.5, bad, 1.0])
 
-    def test_outside_after_a_cutoff_wall(self):
-        with pytest.raises(DomainError):
-            self.columns(FieldModel.SCALAR, RegScheme.cutoff(0.1), [0.0, 1.0, 4.0])
+    def test_outside_after_a_cutoff_wall(self, engine):
+        with pytest.raises(DomainError, match="theta = 4.0 lies outside"):
+            engine.columns(self.G, FieldModel.SCALAR, RegScheme.cutoff(0.1), [0.0, 1.0, 4.0])
 
     @pytest.mark.parametrize("wall", [0.0, math.pi])
-    def test_walls_where_the_density_diverges(self, wall):
+    def test_walls_where_the_density_diverges(self, engine, wall):
         thetas = [1.0, wall]
-        with pytest.raises(SingularityError):
-            self.columns(FieldModel.SCALAR, RegScheme.zeta(), thetas)
-        with pytest.raises(SingularityError):
-            self.columns(FieldModel.EM, RegScheme.zeta(), thetas)
-        with pytest.raises(SingularityError):
-            self.columns(
-                FieldModel.SCALAR, RegScheme.cutoff(0.1), thetas, Couplings(0.01, 1.0)
+        message = f"theta = {wall!r} is not strictly inside"
+        with pytest.raises(SingularityError, match=message):
+            engine.columns(self.G, FieldModel.SCALAR, RegScheme.zeta(), thetas)
+        with pytest.raises(SingularityError, match=message):
+            engine.columns(self.G, FieldModel.EM, RegScheme.zeta(), thetas)
+        with pytest.raises(SingularityError, match=message):
+            engine.columns(
+                self.G, FieldModel.SCALAR, RegScheme.cutoff(0.1), thetas, Couplings(0.01, 1.0)
             )
 
-    def test_em_rejects_the_cutoff_scheme(self):
-        with pytest.raises(DomainError):
-            self.columns(FieldModel.EM, RegScheme.cutoff(0.1), [1.0])
+    def test_em_rejects_the_cutoff_scheme(self, engine):
+        with pytest.raises(DomainError, match="zeta"):
+            engine.columns(self.G, FieldModel.EM, RegScheme.cutoff(0.1), [1.0])
+
+    def test_validity_warning_names_the_caller(self, engine):
+        # Once per grid, at the line that asked for the columns.
+        thetas = engine.angles([0.5, 1.0, 1.5])
+        strong = Couplings(alpha=0.5, m=1.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            line = sys._getframe().f_lineno + 1
+            limits_lab.density_columns(self.G, FieldModel.SCALAR, RegScheme.zeta(), thetas, strong)
+        assert [(w.category, w.filename, w.lineno) for w in caught] == [
+            (ValidityWarning, __file__, line)
+        ]
 
     @pytest.mark.parametrize("model,length,scheme,couplings,name", [
         (FieldModel.SCALAR, 1e-160, RegScheme.zeta(), None, "electric"),
@@ -171,24 +220,25 @@ class TestGridValidation:
         (FieldModel.EM, 1e-70, RegScheme.zeta(), None, "electric"),
         (FieldModel.EM, 1e-30, RegScheme.zeta(), em3d.EhCouplings(alpha=1.0), "correction"),
     ])
-    def test_column_that_overflows(self, model, length, scheme, couplings, name):
+    def test_column_that_overflows(self, engine, model, length, scheme, couplings, name):
         # A column holding inf or nan is never returned, and numpy warns of nothing.
         g = Geometry(length)
         thetas = [1e-10, 1.0, 2.0]
+        message = re.escape(f"the {name} column overflows a double at L = {length!r}") + "$"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(RangeError, match=f"the {name} column overflows a double"):
-                limits_lab.density_columns(g, model, scheme, thetas, couplings)
+            with pytest.raises(RangeError, match=message):
+                engine.columns(g, model, scheme, thetas, couplings)
 
-    def test_em_cancellation_guard(self, monkeypatch):
+    def test_em_cancellation_guard(self, engine, monkeypatch):
         # A free density off by 1e-6 must trip the vectorised guard just
         # as it trips the point path.
         exact = em3d.free_casimir_density
         monkeypatch.setattr(em3d, "free_casimir_density", lambda g: exact(g) * (1.0 + 1e-6))
         with pytest.raises(PlatevacError, match="cancellation"):
             em3d.correlators(self.G, Position.from_theta(1.0, self.G))
-        with pytest.raises(PlatevacError, match="cancellation"):
-            self.columns(FieldModel.EM, RegScheme.zeta(), [0.5, 1.0, 1.5])
+        with pytest.raises(PlatevacError, match="^correlator cancellation invariant violated$"):
+            engine.columns(self.G, FieldModel.EM, RegScheme.zeta(), [0.5, 1.0, 1.5])
 
 
 def run_main(argv):
@@ -242,11 +292,13 @@ CLI_CASES = [
 
 
 class TestDensityCommandBytes:
+    # 1000 points run on floats, 1001 in one numpy pass.
+    @pytest.mark.parametrize("count", [1000, 1001])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("cluster", ["uniform", "endpoints"])
     @pytest.mark.parametrize("model,epsilon,alpha", CLI_CASES)
-    def test_bytes_equal_the_point_loop(self, model, epsilon, alpha, cluster, fmt):
-        length, mass, count = 0.37, 1.9, 1001
+    def test_bytes_equal_the_point_loop(self, model, epsilon, alpha, cluster, fmt, count):
+        length, mass = 0.37, 1.9
         argv = ["density", "--model", model, "--length", repr(length),
                 "--grid", str(count), "--cluster", cluster, "--format", fmt]
         scheme = RegScheme.zeta()
@@ -270,6 +322,19 @@ class TestDensityCommandBytes:
             warnings.simplefilter("always")
             run_main(argv)
         assert [w.category for w in caught] == [ValidityWarning]
+
+    @pytest.mark.parametrize("count", [3, 1000, 1001])
+    def test_validity_warning_names_the_cli_line(self, count):
+        # The warning's stderr line is the one in cli.py that asks for the columns.
+        argv = ["density", "--alpha", "0.5", "--mass", "1", "--grid", str(count)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_main(argv)
+        source, first = inspect.getsourcelines(cli._cmd_density)
+        line = first + next(i for i, text in enumerate(source) if "density_columns(" in text)
+        assert [(w.category, w.filename, w.lineno) for w in caught] == [
+            (ValidityWarning, cli.__file__, line)
+        ]
 
 
 # The header fields of a density table, with null and set
@@ -349,8 +414,13 @@ class TestNumpyFreeImport:
 
 
 # Commands that need no array work: with numpy blocked they must run, and
-# print the bytes they print with numpy available.
+# print the bytes they print with numpy available.  density grids of up to
+# 1000 points run on floats.
 SCALAR_COMMANDS = [
+    ["density"],
+    ["density", "--model", "em", "--alpha", "0.01", "--format", "json"],
+    ["density", "--grid", "1000", "--cluster", "endpoints", "--scheme", "cutoff",
+     "--epsilon", "0.01", "--alpha", "0.01"],
     ["total"],
     ["total", "--model", "em", "--alpha", "0.01", "--format", "json"],
     ["commute"],
