@@ -8,6 +8,15 @@ mapping L -> 1/(2T).
 
 All outputs for 3-d quantities are per unit plate area (totals) or per
 unit volume (densities), in natural units.
+
+Each quantity is one law (see :func:`geometry.law`): the halves of the
+correlators pi^2/(16 L^4) times a shape in the profile F, the free
+density, total and force -pi^2/(720 L^4), -pi^2/(720 L^3) and
+pi^2/(240 L^4), and the correction -alpha^2 pi^4/(2^7 3^3 5 m^4 L^k) times
+11/225 + 9 F^2 (k = 8) or 11/225 (k = 7, the total).  The powers of L,
+m and alpha are applied once, to the finished value; a result outside
+the normal doubles raises RangeError.  The density total is the free
+constant, to which the profile cancels.
 """
 
 from __future__ import annotations
@@ -15,8 +24,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import DomainError, PlatevacError, check_overflow
-from .geometry import Geometry, Position, check_position
+from .errors import DomainError, PlatevacError
+from .geometry import Geometry, Position, check_position, check_sine, law, scaled, summed
 from .record import Record
 from .regsum import RegKind, RegScheme
 from .scalar1d import Couplings, EnergySplit
@@ -84,13 +93,37 @@ def profile_F(theta: float) -> float:
     Interior only; at least 1 everywhere, with the minimum exactly 1 at
     theta = pi/2.
     """
-    return _profile(math.sin(specfun.require_interior_angle(theta)))
+    theta = specfun.require_interior_angle(theta)
+    return _profile(check_sine(math.sin(theta), theta))
 
 
 def _profile(sin_theta):
     # profile_F as plain arithmetic on sin(theta): a float or a numpy array.
     c2 = 1.0 / (sin_theta * sin_theta)
     return (3.0 * c2 - 2.0) * c2
+
+
+def _profile_at(g: Geometry, pos: Position):
+    # profile_F at a validated position, from its own sin(theta).
+    check_position(g, pos)
+    return _profile(check_sine(pos.sin_theta, specfun.require_interior_angle(pos.theta)))
+
+
+def _halves(scale: float, f_value):
+    # (<E^2>/2, <B^2>/2) at the scale of _halves_law, as plain
+    # arithmetic on the profile F: a float or a numpy array.
+    return 0.5 * (-scale * (1.0 / 45.0 - f_value)), 0.5 * (-scale * (1.0 / 45.0 + f_value))
+
+
+def _halves_law(g: Geometry) -> tuple[float, int]:
+    # pi^2/(16 L^4), the scale of both correlators, as law (prefactor, exponent).
+    return law(math.pi ** 2, 16.0, g.length, 4)
+
+
+def _free(g: Geometry, k: int) -> tuple[float, int]:
+    # -pi^2/(720 L^k) as law (prefactor, exponent): the free density takes
+    # k = 4, the total per unit area k = 3.
+    return law(-math.pi ** 2, 720.0, g.length, k)
 
 
 def profile_F_via_cot_derivative(theta: float) -> float:
@@ -112,24 +145,22 @@ def correlators(g: Geometry, pos: Position) -> CorrelatorPair:
     +F.  The profile cancels in (e2 + b2)/2, which is checked against the
     constant free density before returning.
     """
-    check_position(g, pos)
-    e2, b2 = _correlators(g, profile_F(pos.theta))
+    f_value = _profile_at(g, pos)
+    scale, exponent = _halves_law(g)
+    e2, b2 = (scaled(2.0 * half, exponent, name, g.length)
+              for half, name in zip(_halves(scale, f_value), ("<E^2>", "<B^2>")))
+    _check_cancellation(0.5 * e2, 0.5 * b2, free_casimir_density(g))
     return CorrelatorPair(e2=e2, b2=b2)
 
 
-def _correlators(g: Geometry, f_value, any_=bool):
-    # (<E^2>, <B^2>) as plain arithmetic on the profile F: a float, or a
-    # numpy array with any_ = numpy.any reducing the guard.
-    scale = math.pi ** 2 / (16.0 * g.length ** 4)
-    e2 = -scale * (1.0 / 45.0 - f_value)
-    b2 = -scale * (1.0 / 45.0 + f_value)
-    # Cancellation guard, scaled by the pair magnitude: near the walls the
-    # two terms are huge and their rounding dominates the tiny constant.
-    # miss > 1e-12 * max(|e2|, |b2|, 1e-300), spelled out term by term.
-    miss = abs(0.5 * (e2 + b2) - free_casimir_density(g))
-    if any_((miss > 1e-12 * abs(e2)) & (miss > 1e-12 * abs(b2)) & (miss > 1e-12 * 1e-300)):
+def _check_cancellation(electric, magnetic, free: float, any_=bool) -> None:
+    # Safety code on the finished densities (floats, or arrays with any_ =
+    # numpy.any): electric + magnetic must be the free density.  Near the walls
+    # the rounding of the huge terms dominates the constant, so the miss is
+    # scaled by the pair: miss > 2e-12 max(|electric|, |magnetic|, 5e-301).
+    miss = abs(electric + magnetic - free)
+    if any_((miss > 2e-12 * abs(electric)) & (miss > 2e-12 * abs(magnetic)) & (miss > 1e-312)):
         raise PlatevacError("correlator cancellation invariant violated")
-    return e2, b2
 
 
 def near_plate_asymptotics(g: Geometry, z: float) -> CorrelatorPair:
@@ -147,9 +178,7 @@ def near_plate_asymptotics(g: Geometry, z: float) -> CorrelatorPair:
 
 def free_casimir_density(g: Geometry) -> float:
     """Free Casimir energy per unit volume: -pi^2/(720 L^4)."""
-    # Division by a tiny L^4 overflows to inf silently, where L^4 itself
-    # would raise OverflowError.
-    return check_overflow(-math.pi ** 2 / (720.0 * g.length ** 4), "the free density", g.length)
+    return scaled(*_free(g, 4), "the free density", g.length)
 
 
 def casimir_force_per_area(g: Geometry) -> float:
@@ -159,27 +188,37 @@ def casimir_force_per_area(g: Geometry) -> float:
     ``verify`` suite cross-checks it against a central difference of that
     energy.
     """
-    return check_overflow(math.pi ** 2 / (240.0 * g.length ** 4), "the Casimir force", g.length)
+    return scaled(*law(math.pi ** 2, 240.0, g.length, 4), "the Casimir force", g.length)
 
 
-def _eh_scale(g: Geometry, c: Couplings) -> float:
-    return -(c.alpha ** 2 * math.pi ** 4) / (_EH_DENOMINATOR * c.m ** 4 * g.length ** 8)
+def _eh(g: Geometry, c: Couplings, k: int) -> tuple[float, int]:
+    # -alpha^2 pi^4 / (2^7 3^3 5 m^4 L^k) as law (prefactor, exponent): the
+    # correction density takes k = 8, the total k = 7.
+    return law(-math.pi ** 4, _EH_DENOMINATOR, g.length, k, c, 2)
 
 
 def eh_correction_constant(g: Geometry, c: Couplings) -> float:
     """Position-independent part of the correction density (the 11/225 term)."""
-    return _eh_scale(g, c) * _EH_CONSTANT
+    scale, exponent = _eh(g, c, 8)
+    return scaled(scale * _EH_CONSTANT, exponent, "the correction constant", g.length)
 
 
 def eh_correction_position(g: Geometry, pos: Position, c: Couplings) -> float:
     """Position-dependent part of the correction density (the 9 F^2 term)."""
-    check_position(g, pos)
-    return _eh_position(g, c, profile_F(pos.theta))
+    f_value = _profile_at(g, pos)
+    scale, exponent = _eh(g, c, 8)
+    return scaled(_eh_position(scale, f_value), exponent, "the correction position", g.length)
 
 
-def _eh_position(g: Geometry, c: Couplings, f_value):
-    # The 9 F^2 term as plain arithmetic on F: a float or a numpy array.
-    return _eh_scale(g, c) * 9.0 * f_value * f_value
+def _eh_position(scale: float, f_value):
+    # The 9 F^2 term at the scale of _eh, as plain arithmetic on F: a
+    # float or a numpy array.
+    return scale * 9.0 * f_value * f_value
+
+
+def _eh_density(scale: float, f_value):
+    # The correction density at the scale of _eh, on F as _eh_position.
+    return scale * _EH_CONSTANT + _eh_position(scale, f_value)
 
 
 def eh_correction_density(g: Geometry, pos: Position, c: Couplings) -> float:
@@ -188,50 +227,56 @@ def eh_correction_density(g: Geometry, pos: Position, c: Couplings) -> float:
     -(alpha^2 pi^4 / (2^7 3^3 5 m^4 L^8)) (11/225 + 9 F^2(theta)).
     Diverges like 1/sin^8 near the plates.
     """
-    return eh_correction_constant(g, c) + eh_correction_position(g, pos, c)
+    f_value = _profile_at(g, pos)
+    scale, exponent = _eh(g, c, 8)
+    return scaled(_eh_density(scale, f_value), exponent, "the correction density", g.length)
 
 
 def corrected_total_energy(g: Geometry, c: Couplings) -> float:
     """Total energy per unit plate area including the correction.
 
-    -pi^2/(720 L^3) - 11 alpha^2 pi^4 / (2^7 3^5 5^3 m^4 L^7).  The
-    correction term is L times the constant part of the correction
+    -pi^2/(720 L^3) - 11 alpha^2 pi^4 / (2^7 3^5 5^3 m^4 L^7): two laws,
+    the free constant and L times the constant part of the correction
     density; the integrated position-dependent part contributes nothing.
-    At alpha = 0 the correction is not formed, so its L^8 cannot overflow
-    where the free total is representable.
+    Either term may underflow where their sum is a normal double.
     """
-    free = g.length * free_casimir_density(g)
-    if c.alpha == 0.0:
-        return free
-    correction = g.length * eh_correction_constant(g, c)
-    return free + correction
+    scale, exponent = _eh(g, c, 7)
+    return summed("the total energy", g.length, _free(g, 3),
+                  (scale * _EH_CONSTANT, exponent))
 
 
 def thermal_free_energy_density(temperature: float, c: Couplings) -> float:
     """Free energy density of the interacting photon gas at temperature T.
 
     Obtained strictly by substituting L -> 1/(2T) in the constant energy
-    density E0/L; the free part becomes -pi^2 T^4 / 45 and the correction
-    scales as T^8.
+    density E0/L, the free and correction density laws; the free part
+    becomes -pi^2 T^4 / 45 and the correction scales as T^8.
     """
     temperature = float(temperature)
     if not math.isfinite(temperature) or temperature <= 0.0:
         raise DomainError(f"temperature must be finite and > 0, got {temperature!r}")
     g = Geometry(1.0 / (2.0 * temperature))
-    return corrected_total_energy(g, c) / g.length
+    scale, exponent = _eh(g, c, 8)
+    return summed("the free energy density", g.length, _free(g, 4),
+                  (scale * _EH_CONSTANT, exponent))
 
 
 def density_split(g: Geometry, pos: Position, scheme: RegScheme | None = None) -> EnergySplit:
     """Free EM density split into electric and magnetic halves.
 
-    Electric part <E^2>/2, magnetic part <B^2>/2.  Only the continued
-    scheme exists for the EM correlators; a cutoff scheme is rejected.
+    Electric part <E^2>/2, magnetic part <B^2>/2, and their sum the
+    constant free density, to which the profile cancels.  Only the
+    continued scheme exists for the EM correlators; a cutoff scheme is
+    rejected.
     """
     _require_zeta(scheme)
-    pair = correlators(g, pos)
-    electric = check_overflow(0.5 * pair.e2, "the electric density", g.length)
-    magnetic = check_overflow(0.5 * pair.b2, "the magnetic density", g.length)
-    return EnergySplit.from_parts(electric=electric, magnetic=magnetic)
+    f_value = _profile_at(g, pos)
+    scale, exponent = _halves_law(g)
+    electric, magnetic = (scaled(half, exponent, f"the {name} density", g.length)
+                          for half, name in zip(_halves(scale, f_value), ("electric", "magnetic")))
+    total = free_casimir_density(g)
+    _check_cancellation(electric, magnetic, total)
+    return EnergySplit(electric=electric, magnetic=magnetic, total=total)
 
 
 def _require_zeta(scheme: RegScheme | None) -> None:

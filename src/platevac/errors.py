@@ -1,7 +1,5 @@
 """Exception types shared across the package."""
 
-import math
-
 
 class PlatevacError(Exception):
     """Base class for every error raised by this package."""
@@ -20,21 +18,7 @@ class SingularityError(DomainError):
 
 
 class RangeError(PlatevacError):
-    """A result overflows the range of a finite double."""
-
-
-def check_overflow(value, what: str, length: float):
-    """``value`` itself if it is finite, everywhere for a list or a numpy array.
-
-    Otherwise RangeError: "<what> overflows a double at L = <length>".
-    """
-    if isinstance(value, list):
-        finite = all(map(math.isfinite, value))
-    else:
-        finite = abs(value) < math.inf  # False at nan; elementwise for an array
-    if not (finite if isinstance(finite, bool) else finite.all()):
-        raise RangeError(f"{what} overflows a double at L = {length!r}")
-    return value
+    """A result lies outside the range of normal doubles."""
 
 
 class FitError(PlatevacError):

@@ -1,7 +1,10 @@
 """Interval geometry, scaled positions and sample grids shared by the field modules.
 
 Natural units throughout: hbar = c = 1, so energies and masses carry the
-dimension of inverse length.
+dimension of inverse length.  Every density, total and force is a law,
+a coefficient times alpha^j / (m^2j L^k) times a shape in sin(theta);
+:func:`law` and :func:`scaled` apply its powers of L, m and alpha by
+exponent arithmetic, so none of them is ever formed as a float.
 """
 
 from __future__ import annotations
@@ -9,10 +12,17 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .errors import DomainError
+from . import specfun
+from .errors import DomainError, RangeError
 from .record import Record
 
-__all__ = ["FieldModel", "Clustering", "GridSpec", "Geometry", "Position", "check_position"]
+__all__ = [
+    "FieldModel", "Clustering", "GridSpec", "Geometry", "Position", "check_position",
+    "law", "scaled", "summed", "check_sine",
+]
+
+# The smallest normal double.
+_TINY = 2.2250738585072014e-308
 
 
 class FieldModel(Enum):
@@ -56,19 +66,23 @@ class Position(Record):
     coordinate is derived consistently.
     """
 
-    __slots__ = ("z", "theta")
+    # _sin: sin(theta) from the wall distance when built from z; not a field.
+    __slots__ = ("z", "theta", "_sin")
 
-    def __init__(self, z: float, theta: float):
+    def __init__(self, z: float, theta: float, *, _sin: float | None = None):
         set_z, set_theta = self._setters
         set_z(self, z)
         set_theta(self, theta)
+        _set_sin(self, _sin)
 
     @classmethod
     def from_z(cls, z: float, g: Geometry) -> "Position":
         z = float(z)
         if not math.isfinite(z) or z < 0.0 or z > g.length:
             raise DomainError(f"z = {z!r} lies outside the interval [0, {g.length}]")
-        return cls(z=z, theta=math.pi * z / g.length)
+        # L - z is exact for z >= L/2, so w is the distance to the nearer wall.
+        wall = min(z, g.length - z)
+        return cls(z=z, theta=math.pi * z / g.length, _sin=specfun.sin_pi(wall / g.length))
 
     @classmethod
     def from_theta(cls, theta: float, g: Geometry) -> "Position":
@@ -81,6 +95,21 @@ class Position(Record):
     def interior(self) -> bool:
         return 0.0 < self.theta < math.pi
 
+    @property
+    def sin_theta(self) -> float:
+        """sin(theta): from the wall distance when built from z, else math.sin(theta)."""
+        return math.sin(self.theta) if self._sin is None else self._sin
+
+    def __reduce__(self):
+        return _position, (self.z, self.theta, self._sin)
+
+
+_set_sin = Position._sin.__set__
+
+
+def _position(z: float, theta: float, sin_theta: float | None) -> Position:
+    return Position(z, theta, _sin=sin_theta)
+
 
 def check_position(g: Geometry, pos: Position) -> Position:
     """Validate that ``pos`` belongs to the interval described by ``g``."""
@@ -92,3 +121,69 @@ def check_position(g: Geometry, pos: Position) -> Position:
             f"pi * z / L for z = {pos.z!r}, L = {g.length!r}"
         )
     return pos
+
+
+def check_sine(sin_theta: float, theta: float) -> float:
+    """``sin_theta``, for a kernel that divides by its square; RangeError if that underflows."""
+    if sin_theta * sin_theta < _TINY:
+        raise RangeError(f"sin(theta)^2 underflows a double at theta = {theta!r}")
+    return sin_theta
+
+
+def law(numerator: float, denominator: float, length: float, k: int, couplings=None, j=0):
+    """numerator alpha^j / (denominator m^2j L^k) as (prefactor, exponent).
+
+    The quotient is prefactor * 2**exponent.  The prefactor takes the
+    mantissas of L, m and alpha in the quotient's own order, so it rounds
+    as the quotient would wherever that is a normal double.
+    """
+    l_mantissa, l_exponent = math.frexp(length)
+    exponent = -k * l_exponent
+    if j:
+        a_mantissa, a_exponent = math.frexp(couplings.alpha)
+        m_mantissa, m_exponent = math.frexp(couplings.m)
+        numerator = a_mantissa ** j * numerator
+        denominator = denominator * m_mantissa ** (2 * j)
+        exponent += j * (a_exponent - 2 * m_exponent)
+    return numerator / (denominator * l_mantissa ** k), exponent
+
+
+def scaled(value, exponent: int, what: str, length: float):
+    """``value * 2**exponent`` for a float or a numpy array, exact in the normal range.
+
+    RangeError "<what> overflows a double at L = <length>" past the largest
+    double, "<what> underflows ..." below the normal range where ``value``
+    is not 0.
+    """
+    if isinstance(value, float):
+        try:
+            result = math.ldexp(value, exponent)
+        except OverflowError:
+            result = math.inf
+        if _TINY <= abs(result) < math.inf or value == 0.0:
+            return result
+        finite, small = abs(result) < math.inf, True
+    else:  # a numpy array, by two powers of two; past 2046 no normal value stays in range
+        exponent = max(-2046, min(2046, exponent))
+        result = value * 2.0 ** (exponent // 2) * 2.0 ** (exponent - exponent // 2)
+        finite = (abs(result) < math.inf).all()
+        small = ((abs(result) < _TINY) & (value != 0.0)).any()
+    if not finite:
+        raise RangeError(f"{what} overflows a double at L = {length!r}")
+    if small:
+        raise RangeError(f"{what} underflows a double at L = {length!r}")
+    return result
+
+
+def summed(what: str, length: float, *terms: tuple[float, int]) -> float:
+    """The sum of value * 2**exponent over (value, exponent) terms, through :func:`scaled`.
+
+    The terms are added at the largest exponent of a nonzero value, so a
+    term may underflow where the sum is a normal double.
+    """
+    top = max([exponent for value, exponent in terms if value != 0.0], default=0)
+    total = 0.0
+    for value, exponent in terms:
+        if value != 0.0:  # an exact zero carries no scale; below top, ldexp cannot overflow
+            total += math.ldexp(value, exponent - top)
+    return scaled(total, top, what, length)

@@ -12,6 +12,8 @@ independent.
 from __future__ import annotations
 
 import bisect
+import contextlib
+import functools
 import math
 import operator
 from collections.abc import Sequence
@@ -19,8 +21,10 @@ from enum import Enum
 from typing import TYPE_CHECKING, Callable
 
 from . import em3d, regsum, scalar1d, specfun
-from .errors import DomainError, FitError, check_overflow
-from .geometry import Clustering, FieldModel, Geometry, GridSpec, Position
+from .errors import DomainError, FitError
+from .geometry import (
+    Clustering, FieldModel, Geometry, GridSpec, Position, check_sine, scaled, summed,
+)
 from .record import Record
 from .regsum import RegKind, RegScheme
 from .scalar1d import Couplings, EnergySplit, Route
@@ -108,14 +112,15 @@ def density_columns(
     which :class:`em3d.EhCouplings` is the one with the EM defaults.  A
     sequence of angles gives lists, evaluated point by point with
     ``math``; an array gives arrays, evaluated in one numpy pass.  Both
-    run the formulas of the point functions (``density_split``,
-    ``interacting_density`` minus the free constant,
-    ``eh_correction_density``), so every entry equals their value bit for
-    bit.  Validation happens once per grid with the point functions'
+    run the laws of the point functions (``density_split``,
+    ``correction_density``, ``eh_correction_density``), so every entry
+    equals their value bit for bit; the total is the constant free
+    density.  Validation happens once per grid with the point functions'
     errors: DomainError for angles outside [0, pi] or an EM cutoff scheme,
-    SingularityError for wall angles where the density diverges, and at
-    most one ValidityWarning for a strong scalar coupling.  A column that
-    is not finite everywhere raises RangeError.
+    SingularityError for wall angles where the density diverges,
+    RangeError where sin^2(theta) underflows, and at most one
+    ValidityWarning for a strong scalar coupling.  A column that leaves
+    the range of normal doubles raises RangeError.
     """
     arrays = not isinstance(thetas, Sequence)
     if arrays:
@@ -131,66 +136,62 @@ def density_columns(
     em = model is FieldModel.EM
     if em:
         em3d._require_zeta(scheme)
-    if rim and (em or scheme.kind is RegKind.ZETA or couplings is not None):
+    divides = em or scheme.kind is RegKind.ZETA or couplings is not None
+    if rim and divides:
         specfun.require_interior_angle(rim[0])  # SingularityError on the wall
     length = g.length
+    # The engines differ only in how a kernel meets the grid: one call on the
+    # arrays, or a map over the floats.  Each kernel runs over the whole grid
+    # before the next, so errors and the warning come in the same order.
     if arrays:
-        sin_theta = np.sin(theta)
-        # Python raises ZeroDivisionError where the point path divides by
-        # zero; numpy raises FloatingPointError, another ArithmeticError.
-        # Overflow is checked on the finished columns.
-        with np.errstate(divide="raise", over="ignore", invalid="ignore"):
-            z = length * theta / math.pi
-            if em:
-                f_value = em3d._profile(sin_theta)
-                e2, b2 = em3d._correlators(g, f_value, any_=np.any)
-                electric, magnetic = 0.5 * e2, 0.5 * b2
-                total = electric + magnetic
-                if couplings is not None:
-                    correction = em3d.eh_correction_constant(g, couplings) + em3d._eh_position(
-                        g, couplings, f_value
-                    )
-            else:
-                electric, magnetic, total = scalar1d._split(length, scheme, sin_theta)
-                if couplings is not None:
-                    scalar1d._warn_if_strong(couplings, g)
-                    correction = scalar1d._interacting(
-                        length, couplings, sin_theta
-                    ) - scalar1d._free_constant(length)
+        sin_theta, least, any_ = np.sin(theta), np.min, np.any
+
+        def apply(kernel, *columns, pair=False):
+            return kernel(*columns)
     else:
-        # The same kernels one float at a time, each over the whole grid
-        # before the next, so errors and the warning come in the array
-        # pass's order.
-        sin_theta = list(map(math.sin, theta))
-        z = [length * t / math.pi for t in theta]
+        sin_theta, least, any_ = list(map(math.sin, theta)), min, bool
+
+        def apply(kernel, *columns, pair=False):
+            values = list(map(kernel, *columns))
+            return [list(c) for c in zip(*values)] or [[], []] if pair else values
+
+    if divides and len(theta):
+        check_sine(float(least(sin_theta)), float(least(theta)))
+    if couplings is not None and not em:
+        scalar1d._warn_if_strong(couplings, g)
+    with np.errstate(over="ignore", invalid="ignore") if arrays else contextlib.nullcontext():
+        columns = {"theta": theta, "z": apply(
+            lambda t: scaled(length * t / math.pi, 0, "the z column", length), theta)}
+        # Each column is a law: a kernel at the law's scale, then its power of two.
         if em:
-            f_value = list(map(em3d._profile, sin_theta))
-            e2, b2 = _transposed([em3d._correlators(g, f) for f in f_value], 2)
-            electric, magnetic = [0.5 * e for e in e2], [0.5 * b for b in b2]
-            total = list(map(operator.add, electric, magnetic))
-            if couplings is not None:
-                constant = em3d.eh_correction_constant(g, couplings)
-                correction = [constant + em3d._eh_position(g, couplings, f) for f in f_value]
+            shape = apply(em3d._profile, sin_theta)
+            scale, exponent = em3d._halves_law(g)
+            halves = apply(lambda f: em3d._halves(scale, f), shape, pair=True)
+            constant = functools.partial(em3d.free_casimir_density, g)
         else:
-            electric, magnetic, total = _transposed(
-                [scalar1d._split(length, scheme, s) for s in sin_theta], 3
-            )
-            if couplings is not None:
-                scalar1d._warn_if_strong(couplings, g)
-                free = scalar1d._free_constant(length)
-                correction = [scalar1d._interacting(length, couplings, s) - free
-                              for s in sin_theta]
-    columns = {"theta": theta, "z": z, "electric": electric, "magnetic": magnetic, "total": total}
-    if couplings is not None:
-        columns["correction"] = correction
-    for name, column in columns.items():
-        check_overflow(column, f"the {name} column", length)
+            shape = sin_theta
+            scale, exponent = scalar1d._density_law(g)
+            halves = apply(lambda s: scalar1d._split(scale, scheme, s), shape, pair=True)
+            constant = functools.partial(scaled, 2.0 * scale * scalar1d._ZETA_MINUS_ONE,
+                                         exponent, "the total column", length)
+        for name, column in zip(("electric", "magnetic"), halves):
+            what = f"the {name} column"
+            columns[name] = apply(lambda value: scaled(value, exponent, what, length), column)
+        total = constant()
+        columns["total"] = apply(lambda s: total + 0.0 * s, sin_theta)
+        if em:
+            apply(lambda e, m: em3d._check_cancellation(e, m, total, any_),
+                  columns["electric"], columns["magnetic"])
+        if couplings is not None:
+            if em:
+                kernel, (prefactor, exponent) = em3d._eh_density, em3d._eh(g, couplings, 8)
+            else:
+                kernel, (prefactor, exponent) = scalar1d._correction, scalar1d._interaction(
+                    g, couplings, 4)
+                prefactor = -prefactor / 8.0
+            columns["correction"] = apply(lambda x: scaled(
+                kernel(prefactor, x), exponent, "the correction column", length), shape)
     return columns
-
-
-def _transposed(rows: list[tuple], width: int) -> list[list]:
-    # The ``width`` columns of ``rows``, as lists, also for no rows.
-    return [list(column) for column in zip(*rows)] or [[] for _ in range(width)]
 
 
 _COMPONENTS = ("electric", "magnetic", "total")
@@ -286,19 +287,21 @@ class DensityProfile(Record):
         grid: Sequence[float],
         electric: Sequence[float] | np.ndarray,
         magnetic: Sequence[float] | np.ndarray | None = None,
+        total: Sequence[float] | np.ndarray | None = None,
     ) -> "DensityProfile":
-        """A profile holding copies of the given columns; total is their sum.
+        """A profile holding copies of the given columns; total defaults to their sum.
 
         Without ``magnetic`` the density is stored as ``sample_profile``
         stores a bare density: in the electric column, magnetic zero.
+        The totals of :func:`density_columns` are the constant free
+        density, so a profile built from its columns passes ``total``.
         """
         import numpy as np
 
         electric = np.array(electric, dtype=float)
         magnetic = np.zeros_like(electric) if magnetic is None else np.array(magnetic, float)
-        values = _SplitColumns(
-            {"electric": electric, "magnetic": magnetic, "total": electric + magnetic}
-        )
+        total = electric + magnetic if total is None else np.array(total, float)
+        values = _SplitColumns({"electric": electric, "magnetic": magnetic, "total": total})
         return cls(g=g, scheme=scheme, grid=tuple(grid), values=values)
 
     def component(self, name: str) -> np.ndarray:
@@ -553,11 +556,16 @@ def _interacting_window_integral(
     cot(a) + cot(a)^3 / 3, a = pi delta / L.
     """
     scalar1d._warn_if_strong(c, g)
-    prefactor = scalar1d._interaction_prefactor(g.length, c)
+    # L times the density's laws: -alpha pi^2 / (8 m^2 L^3) times the
+    # shape, and the free and interacting totals for the constant part.
+    scale, exponent = scalar1d._interaction(g, c, 3)
+    prefactor = -scale / 8.0
     ct = specfun.cot(math.pi * delta / g.length)
-    estimate = prefactor * (2.0 * g.length / math.pi) * (ct + ct ** 3 / 3.0)
-    constant = scalar1d.free_total_energy(g) / g.length + prefactor / 18.0
-    return (g.length - 2.0 * delta) * constant + estimate, estimate
+    what = "the window integral"
+    estimate = scaled(prefactor * (2.0 / math.pi) * (ct + ct ** 3 / 3.0), exponent, what, g.length)
+    constant = summed(what, g.length, scalar1d._free_total(g), (prefactor / 18.0, exponent))
+    value = (1.0 - 2.0 * delta / g.length) * constant + estimate
+    return scaled(value, 0, what, g.length), estimate
 
 
 # The verdict's agreement test: |limit - total| <= rtol * max(1, |total|).
@@ -636,21 +644,26 @@ def commutation_report(
 
     # (c) cutoff scheme on the full interval; position terms integrate to
     # zero at any eps, the rest carries the bulk divergence.
-    lin_scale = math.pi / (2.0 * g.length)
+    # The free total law, plus the interaction law's terms when interacting.
+    lin_scale, lin_exponent = scalar1d._total_law(g)
+    quad_exponent = 0
+    if interacting:
+        quad_scale, quad_exponent = scalar1d._interaction(g, couplings, 3)
+        const_correction = -quad_scale * float(scalar1d._INTERACTION_CONSTANT)
     rows = []
     for eps in epsilons:
-        raw = lin_scale * regsum.abel_sum_linear(eps)
-        bulk = lin_scale / (eps * eps)
-        subtracted = lin_scale * regsum.abel_sum_linear_minus_bulk(eps)
+        free = (lin_scale * regsum.abel_sum_linear(eps), lin_scale / (eps * eps),
+                lin_scale * regsum.abel_sum_linear_minus_bulk(eps))
+        quad = (0.0, 0.0, 0.0)
         if interacting:
-            quad_scale = couplings.alpha * math.pi ** 2 / (couplings.m ** 2 * g.length ** 3)
-            const_correction = -quad_scale * float(scalar1d._INTERACTION_CONSTANT)
-            raw += const_correction - quad_scale * regsum.abel_sum_quadratic(2.0 * eps)
-            bulk += -quad_scale * 2.0 / (2.0 * eps) ** 3
-            subtracted += const_correction - quad_scale * regsum.abel_sum_quadratic_minus_bulk(
-                2.0 * eps
+            quad = (
+                const_correction - quad_scale * regsum.abel_sum_quadratic(2.0 * eps),
+                -quad_scale * 2.0 / (2.0 * eps) ** 3,
+                const_correction - quad_scale * regsum.abel_sum_quadratic_minus_bulk(2.0 * eps),
             )
-        rows.append(CutoffRow(epsilon=eps, raw_total=raw, bulk=bulk, subtracted=subtracted))
+        rows.append(CutoffRow(eps, *(
+            summed("the cutoff total", g.length, (f, lin_exponent), (q, quad_exponent))
+            for f, q in zip(free, quad))))
     subtracted_values = [r.subtracted for r in rows]
     spread = max(subtracted_values) - min(subtracted_values)
     # The free remainder is even in eps; the interacting construction also

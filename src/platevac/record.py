@@ -1,7 +1,8 @@
 """The shared base of the package's immutable value types.
 
 A subclass names its fields, in constructor order, in ``__slots__`` and
-its trailing defaults in ``_defaults``.  The generic ``__init__`` binds
+its trailing defaults in ``_defaults``; a slot whose name starts with an
+underscore is private state, not a field.  The generic ``__init__`` binds
 arguments as a signature would and then calls ``_validate``.  Hot types
 write their own ``__init__`` and set each field through its slot setter
 from ``_setters``, about a fifth cheaper than ``object.__setattr__``.
@@ -18,13 +19,13 @@ class Record:
     """
 
     __slots__ = ()
-    _fields: tuple[str, ...] = ()  # every __slots__ entry down the class chain
+    _fields: tuple[str, ...] = ()  # every public __slots__ entry down the class chain
     _setters: tuple = ()  # each field's slot descriptor __set__, in field order
     _defaults: dict = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._fields += cls.__dict__.get("__slots__", ())
+        cls._fields += tuple(s for s in cls.__dict__.get("__slots__", ()) if s[0] != "_")
         cls._setters = tuple(getattr(cls, field).__set__ for field in cls._fields)
 
     def __init__(self, *args, **kwargs):

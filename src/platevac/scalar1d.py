@@ -8,7 +8,15 @@ low-energy theory.
 Conventions: modes phi_n(z) = sqrt(2/L) sin(omega_n z) with
 omega_n = pi n / L.  The electric density is (1/2)<(d_t phi)^2>, the
 magnetic density (1/2)<(d_z phi)^2>; their position-dependent parts are
-exact negatives, so the sum is the constant -pi/(24 L^2).
+exact negatives, so the sum is the constant -pi/(24 L^2), which is what
+the total density returns.
+
+Each quantity is one law (see :func:`geometry.law`): the densities are
+pi/(4 L^2) times a shape in sin(theta), the totals pi/(2 L) times a
+continued or cutoff mode sum, and the interaction's terms
+alpha pi^2/(m^2 L^k) times a shape (k = 4 for the density, 3 for the
+total).  The powers of L, m and alpha are applied once, to the finished
+value; a result outside the normal doubles raises RangeError.
 """
 
 from __future__ import annotations
@@ -19,8 +27,8 @@ from enum import Enum
 from fractions import Fraction
 
 from . import regsum, specfun
-from .errors import DomainError, SingularityError, check_overflow
-from .geometry import Geometry, Position, check_position
+from .errors import DomainError, SingularityError
+from .geometry import Geometry, Position, check_position, check_sine, law, scaled, summed
 from .record import Record
 from .regsum import PowerSeriesSpec, RegKind, RegScheme
 
@@ -35,6 +43,7 @@ __all__ = [
     "magnetic_density",
     "density_split",
     "total_energy_by_route",
+    "correction_density",
     "interacting_density",
     "interacting_total_energy",
 ]
@@ -99,7 +108,8 @@ class WindowIntegral(Record):
 
 def _warn_if_strong(c: Couplings, g: Geometry) -> None:
     # Validity regime of the effective theory; warn, don't reject.
-    ratio = c.alpha / (c.m * g.length) ** 2
+    prefactor, exponent = law(1.0, 1.0, g.length, 2, c, 1)  # alpha / (m L)^2
+    ratio = math.ldexp(prefactor, exponent) if exponent < 1020 else math.inf
     if ratio > 0.1:
         warnings.warn(
             f"alpha/(m L)^2 = {ratio:.3g} exceeds 0.1; the lowest-order "
@@ -120,44 +130,58 @@ def free_total_energy(g: Geometry) -> float:
     The mode sum sum omega_n / 2 = (pi / 2L) sum n is routed through the
     continuation engine, which assigns sum n its value zeta(-1) = -1/12.
     """
-    series = PowerSeriesSpec(exponent=1.0, scale=math.pi / (2.0 * g.length))
-    return regsum.zeta_regularize_power(series)
+    return scaled(*_free_total(g), "the free total", g.length)
 
 
-def _split(length: float, scheme: RegScheme, sin_theta):
-    # (electric, magnetic, total) as plain arithmetic on sin(theta): a float
-    # or a numpy array works unchanged.  Both densities are (pi/(4 L^2))
-    # [sum n -/+ sum n cos(2 n theta)], electric taking the minus.
-    # The caller validates the positions (zeta: strictly inside the walls).
-    ll = length * length
-    constant = (math.pi / (4.0 * ll)) * _ZETA_MINUS_ONE
+def _total_law(g: Geometry) -> tuple[float, int]:
+    # pi/(2 L), the scale of the mode sum of every scalar total, as law
+    # (prefactor, exponent).
+    return law(math.pi, 2.0, g.length, 1)
+
+
+def _free_total(g: Geometry) -> tuple[float, int]:
+    # (value, exponent): the engine continues the series at the law's scale.
+    scale, exponent = _total_law(g)
+    return regsum.zeta_regularize_power(PowerSeriesSpec(exponent=1.0, scale=scale)), exponent
+
+
+def _density_law(g: Geometry) -> tuple[float, int]:
+    # pi/(4 L^2), the scale of both densities, as law (prefactor, exponent).
+    return law(math.pi, 4.0, g.length, 2)
+
+
+def _split(scale: float, scheme: RegScheme, sin_theta):
+    # (electric, magnetic) at the scale of _density_law, as plain
+    # arithmetic on sin(theta): a float or a numpy array works unchanged.
+    # Both densities are (pi/(4 L^2)) [sum n -/+ sum n cos(2 n theta)],
+    # electric taking the minus.  The caller validates the positions.
+    constant = scale * _ZETA_MINUS_ONE
     if scheme.kind is RegKind.ZETA:
-        position_part = (math.pi / (4.0 * ll)) * regsum._sum_n_cos_continued(sin_theta)
+        position_part = scale * regsum._sum_n_cos_continued(sin_theta)
     else:
         # sum n e^(-eps n) cos(2 n theta) is half the theta-derivative of
         # the cutoff sine sum, taken analytically on the closed form.
-        dtheta = regsum._abel_sin_dtheta(scheme.epsilon, sin_theta)
-        position_part = (math.pi / (8.0 * ll)) * dtheta
-    electric, magnetic = constant - position_part, constant + position_part
-    if scheme.kind is RegKind.ZETA:
-        return electric, magnetic, electric + magnetic
-    # The position terms cancel in the cutoff total, which near the walls
-    # would otherwise be the rounding of two terms of order 1/(eps^2 L^2).
-    # 0 * position_part only gives the constant the shape of the input.
-    return electric, magnetic, 2.0 * constant + 0.0 * position_part
+        position_part = scale * 0.5 * regsum._abel_sin_dtheta(scheme.epsilon, sin_theta)
+    return constant - position_part, constant + position_part
+
+
+_DENSITIES = ("the electric density", "the magnetic density", "the total density")
 
 
 def _split_at(g: Geometry, pos: Position, scheme: RegScheme) -> tuple[float, float, float]:
     check_position(g, pos)
-    if scheme.kind is RegKind.ZETA and not pos.interior:
-        raise SingularityError(
-            "the continued density diverges on the walls; evaluate the "
-            "cutoff scheme there instead"
-        )
-    parts = _split(g.length, scheme, math.sin(pos.theta))
-    for name, value in zip(("electric", "magnetic", "total"), parts):
-        check_overflow(value, f"the {name} density", g.length)
-    return parts
+    sin_theta = pos.sin_theta
+    if scheme.kind is RegKind.ZETA:
+        if not pos.interior:
+            raise SingularityError(
+                "the continued density diverges on the walls; evaluate the "
+                "cutoff scheme there instead"
+            )
+        check_sine(sin_theta, pos.theta)
+    scale, exponent = _density_law(g)
+    # The total is the law's constant: the position terms cancel analytically.
+    parts = (*_split(scale, scheme, sin_theta), 2.0 * scale * _ZETA_MINUS_ONE)
+    return tuple(scaled(value, exponent, what, g.length) for value, what in zip(parts, _DENSITIES))
 
 
 def electric_density(g: Geometry, pos: Position, scheme: RegScheme) -> float:
@@ -182,8 +206,8 @@ def magnetic_density(g: Geometry, pos: Position, scheme: RegScheme) -> float:
 def density_split(g: Geometry, pos: Position, scheme: RegScheme) -> EnergySplit:
     """Electric and magnetic densities bundled with their sum.
 
-    The cutoff total is the constant -pi/(24 L^2), not the sum of the
-    parts: their position terms cancel analytically.
+    The total is the constant -pi/(24 L^2), not the sum of the parts:
+    their position terms cancel analytically.
     """
     return EnergySplit(*_split_at(g, pos, scheme))
 
@@ -212,9 +236,9 @@ def total_energy_by_route(
     if route is Route.SUM_THEN_REGULARIZE:
         if scheme.kind is RegKind.ZETA:
             return free_total_energy(g)
-        return (math.pi / (2.0 * g.length)) * regsum.abel_sum_linear_minus_bulk(
-            scheme.epsilon
-        )
+        scale, exponent = _total_law(g)
+        value = scale * regsum.abel_sum_linear_minus_bulk(scheme.epsilon)
+        return scaled(value, exponent, "the cutoff total", g.length)
     if route is not Route.INTEGRATE_REGULARIZED_DENSITY:
         raise DomainError(f"unknown route {route!r}")
     if scheme.kind is not RegKind.ZETA:
@@ -235,12 +259,12 @@ def total_energy_by_route(
     a = math.pi * delta / g.length
     # The 1/sin^2 part of the density integrates to cot(a)/(8 L), its
     # constant part -pi/(48 L^2) over the window length L - 2 delta.
-    estimate = specfun.cot(a) / (8.0 * g.length)
-    value = estimate - (math.pi - 2.0 * a) / (48.0 * g.length)
+    estimate, exponent = law(specfun.cot(a), 8.0, g.length, 1)
+    value = estimate - law(math.pi - 2.0 * a, 48.0, g.length, 1)[0]
     return WindowIntegral(
-        value=check_overflow(value, "the window integral", g.length),
+        value=scaled(value, exponent, "the window integral", g.length),
         delta=delta,
-        divergent_estimate=check_overflow(estimate, "the divergent estimate", g.length),
+        divergent_estimate=scaled(estimate, exponent, "the divergent estimate", g.length),
     )
 
 
@@ -250,34 +274,53 @@ def total_energy_by_route(
 _INTERACTION_CONSTANT = Fraction(1, 8) * Fraction(1, 18)
 
 
-def interacting_density(g: Geometry, pos: Position, c: Couplings) -> float:
-    """Vacuum energy density with the quartic interaction, continued scheme.
+def _interaction(g: Geometry, c: Couplings, k: int) -> tuple[float, int]:
+    # alpha pi^2 / (m^2 L^k) as law (prefactor, exponent): the correction
+    # density is -1/8 of it at k = 4 times its shape, the totals carry it
+    # at k = 3.
+    return law(math.pi ** 2, 1.0, g.length, k, c, 1)
 
-    -pi/(24 L^2) - (alpha pi^2 / (8 m^2 L^4)) (1/18 + 1/sin^4 theta).
-    Diverges like 1/sin^4 near the walls.
+
+def _correction(prefactor: float, sin_theta):
+    # The correction density at the scale -1/8 of _interaction at k = 4, as
+    # plain arithmetic on sin(theta): a float or a numpy array.
+    csc2 = 1.0 / (sin_theta * sin_theta)
+    return prefactor * (1.0 / 18.0 + csc2 * csc2)
+
+
+def _interacting_at(g: Geometry, pos: Position, c: Couplings) -> list[tuple[float, int]]:
+    # (value, exponent) of the free constant and the correction at a validated pos.
+    if not pos.interior:
+        raise SingularityError("the interaction correction diverges on the walls")
+    sin_theta = check_sine(pos.sin_theta, pos.theta)
+    scale, exponent = _density_law(g)
+    interaction, correction_exponent = _interaction(g, c, 4)
+    return [(2.0 * scale * _ZETA_MINUS_ONE, exponent),
+            (_correction(-interaction / 8.0, sin_theta), correction_exponent)]
+
+
+def correction_density(g: Geometry, pos: Position, c: Couplings) -> float:
+    """The quartic interaction's correction to the density, continued scheme.
+
+    -(alpha pi^2 / (8 m^2 L^4)) (1/18 + 1/sin^4 theta), one law rather
+    than a difference of two densities.  Diverges like 1/sin^4 near the
+    walls.
     """
     check_position(g, pos)
     _warn_if_strong(c, g)
-    if not pos.interior:
-        raise SingularityError("the interaction correction diverges on the walls")
-    return _interacting(g.length, c, math.sin(pos.theta))
+    return scaled(*_interacting_at(g, pos, c)[1], "the correction density", g.length)
 
 
-def _interaction_prefactor(length: float, c: Couplings) -> float:
-    return -c.alpha * math.pi ** 2 / (8.0 * c.m ** 2 * length ** 4)
+def interacting_density(g: Geometry, pos: Position, c: Couplings) -> float:
+    """Vacuum energy density with the quartic interaction, continued scheme.
 
-
-def _free_constant(length: float) -> float:
-    # free_total_energy / L from the hoisted zeta(-1), bit for bit.
-    return (math.pi / (2.0 * length)) * _ZETA_MINUS_ONE / length
-
-
-def _interacting(length: float, c: Couplings, sin_theta):
-    # interacting_density as plain arithmetic on sin(theta); the caller
-    # validates the positions (strictly inside the walls) and warns.
-    csc2 = 1.0 / (sin_theta * sin_theta)
-    prefactor = _interaction_prefactor(length, c)
-    return _free_constant(length) + prefactor * (1.0 / 18.0 + csc2 * csc2)
+    -pi/(24 L^2) - (alpha pi^2 / (8 m^2 L^4)) (1/18 + 1/sin^4 theta): the
+    free constant plus :func:`correction_density`.  Diverges like
+    1/sin^4 near the walls.
+    """
+    check_position(g, pos)
+    _warn_if_strong(c, g)
+    return summed("the interacting density", g.length, *_interacting_at(g, pos, c))
 
 
 def interacting_total_energy(g: Geometry, c: Couplings) -> float:
@@ -286,13 +329,12 @@ def interacting_total_energy(g: Geometry, c: Couplings) -> float:
     -pi/(24 L) - alpha pi^2 / (144 m^2 L^3).  The correction equals L
     times the constant part of the interacting density (1/8 * 1/18 =
     1/144 exactly), while the integrated position-dependent part is the
-    series sum n^2, which the engine assigns zeta(-2) = 0.
+    series sum n^2, which the engine assigns zeta(-2) = 0.  Either law
+    may underflow where the total is a normal double.
     """
     _warn_if_strong(c, g)
-    free = free_total_energy(g)
-    scale = c.alpha * math.pi ** 2 / (c.m ** 2 * g.length ** 3)
+    scale, exponent = _interaction(g, c, 3)
     correction = -scale * float(_INTERACTION_CONSTANT)
-    divergent_part = regsum.zeta_regularize_power(
-        PowerSeriesSpec(exponent=2.0, scale=-scale)
-    )
-    return free + correction + divergent_part
+    divergent_part = regsum.zeta_regularize_power(PowerSeriesSpec(exponent=2.0, scale=-scale))
+    return summed("the interacting total", g.length, _free_total(g),
+                  (correction, exponent), (divergent_part, exponent))

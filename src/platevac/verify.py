@@ -198,21 +198,20 @@ def _expansion_slope():
 def _near_plate_exponent(kind: str):
     from . import limits_lab
 
-    # Per wall law: the density as a function of sin(theta), its constant
-    # part at L = 1, the exponent of sin(theta) and the tolerance on that
-    # exponent.  The densities are the electric scalar density, <E^2> and
-    # eh_correction_density, bit for bit.
+    # Per wall law: the density at a position, its constant part at L = 1,
+    # the exponent of sin(theta) and the tolerance on that exponent.  The
+    # densities are the electric scalar density, <E^2> and
+    # eh_correction_density.
     g = Geometry(1.0)
     c = em3d.EhCouplings()
     zeta = RegScheme.zeta()
-    eh_constant = em3d.eh_correction_constant(g, c)
     density, constant, exponent, tolerance = {
-        "scalar": (lambda s: scalar1d._split(g.length, zeta, s)[0],
+        "scalar": (lambda pos: scalar1d.electric_density(g, pos, zeta),
                    -math.pi / 48.0, -2.0, 0.02),
-        "em": (lambda s: em3d._correlators(g, em3d._profile(s))[0],
+        "em": (lambda pos: em3d.correlators(g, pos).e2,
                -math.pi ** 2 / (16.0 * 45.0), -4.0, 0.02),
-        "eh": (lambda s: eh_constant + em3d._eh_position(g, c, em3d._profile(s)),
-               eh_constant, -8.0, 0.1),
+        "eh": (lambda pos: em3d.eh_correction_density(g, pos, c),
+               em3d.eh_correction_constant(g, c), -8.0, 0.1),
     }[kind]
     # The walk from the left wall takes the first n_points nonzero
     # residuals of the 200-point endpoint-clustered grid; next to a wall
@@ -220,8 +219,8 @@ def _near_plate_exponent(kind: str):
     n_points = 4
     grid = limits_lab.theta_grid(GridSpec(200, Clustering.ENDPOINTS))[:n_points]
     fit = limits_lab._fit_walk(
-        grid, [density(math.sin(theta)) for theta in grid], limits_lab.Endpoint.LEFT,
-        constant_part=constant, n_points=n_points, window=None,
+        grid, [density(Position.from_theta(theta, g)) for theta in grid],
+        limits_lab.Endpoint.LEFT, constant_part=constant, n_points=n_points, window=None,
     )
     return abs(fit.exponent - exponent), tolerance
 

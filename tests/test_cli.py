@@ -202,9 +202,7 @@ class TestDensityCommand:
         pos = Position.from_theta(math.pi / 2, g)
         from platevac.scalar1d import Couplings
 
-        expected = scalar1d.interacting_density(
-            g, pos, Couplings(0.01, 10.0)
-        ) - scalar1d.free_total_energy(g) / g.length
+        expected = scalar1d.correction_density(g, pos, Couplings(0.01, 10.0))
         assert payload["rows"][1][-1] == expected
 
     def test_cutoff_scheme(self):

@@ -63,10 +63,7 @@ def point_columns(g, model, scheme, thetas, couplings):
             split = scalar1d.density_split(g, pos, scheme)
             row = [pos.theta, pos.z, split.electric, split.magnetic, split.total]
             if couplings is not None:
-                row.append(
-                    scalar1d.interacting_density(g, pos, couplings)
-                    - scalar1d.free_total_energy(g) / g.length
-                )
+                row.append(scalar1d.correction_density(g, pos, couplings))
         else:
             split = em3d.density_split(g, pos, scheme)
             row = [pos.theta, pos.z, split.electric, split.magnetic, split.total]
@@ -230,6 +227,32 @@ class TestGridValidation:
             with pytest.raises(RangeError, match=message):
                 engine.columns(g, model, scheme, thetas, couplings)
 
+    def test_sine_squared_underflow_is_one_named_error(self, engine):
+        # At theta = 1e-200, 1/sin^2 theta overflows: both engines and the
+        # point functions raise the same RangeError, not an ArithmeticError.
+        message = "^sin\\(theta\\)\\^2 underflows a double at theta = 1e-200$"
+        thetas = [1e-200, 1.0]
+        cases = [(FieldModel.SCALAR, RegScheme.zeta(), None), (FieldModel.EM, RegScheme.zeta(), None),
+                 (FieldModel.SCALAR, RegScheme.cutoff(0.1), Couplings(0.01, 1.0)),
+                 (FieldModel.EM, RegScheme.zeta(), em3d.EhCouplings())]
+        for model, scheme, couplings in cases:
+            with pytest.raises(RangeError, match=message):
+                engine.columns(self.G, model, scheme, thetas, couplings)
+        pos = Position.from_theta(1e-200, self.G)
+        c = Couplings(0.01, 1.0)
+        for call in (lambda: scalar1d.density_split(self.G, pos, RegScheme.zeta()),
+                     lambda: scalar1d.interacting_density(self.G, pos, c),
+                     lambda: scalar1d.correction_density(self.G, pos, c),
+                     lambda: em3d.correlators(self.G, pos),
+                     lambda: em3d.density_split(self.G, pos),
+                     lambda: em3d.eh_correction_density(self.G, pos, em3d.EhCouplings()),
+                     lambda: em3d.profile_F(1e-200)):
+            with pytest.raises(RangeError, match=message):
+                call()
+        # The cutoff densities do not divide by sin^2 theta and stay defined.
+        columns = engine.columns(self.G, FieldModel.SCALAR, RegScheme.cutoff(0.1), thetas)
+        assert all(math.isfinite(v) for v in list(columns["electric"]))
+
     def test_em_cancellation_guard(self, engine, monkeypatch):
         # A free density off by 1e-6 must trip the vectorised guard just
         # as it trips the point path.
@@ -352,6 +375,22 @@ SPECIAL_DOUBLES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.797693134
 
 def table(values, width):
     return [values[i:i + width] for i in range(0, len(values) - width + 1, width)]
+
+
+class TestCorrectionAgainstMpmath:
+    @pytest.mark.parametrize("alpha", [1e-20, 1e-10])
+    def test_weak_coupling_correction_column(self, alpha):
+        # The correction is its own law, not the interacting density minus
+        # the free constant, which cancels to 0 or to a few digits here.
+        import mpmath
+
+        mpmath.mp.dps = 50
+        payload = json.loads(run_main(
+            ["density", "--grid", "3", "--alpha", repr(alpha), "--format", "json"]))
+        for theta, *_, correction in payload["rows"]:
+            s = mpmath.sin(mpmath.mpf(theta))
+            exact = -(mpmath.mpf(alpha) * mpmath.pi ** 2 / 8) * (mpmath.mpf(1) / 18 + 1 / s ** 4)
+            assert abs(mpmath.mpf(correction) - exact) <= 1e-12 * abs(exact)
 
 
 class TestJsonRows:

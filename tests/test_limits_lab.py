@@ -447,7 +447,7 @@ class TestColumnsProfile:
         )
         built = DensityProfile.from_columns(
             G1, RegScheme.zeta(), limits_lab.theta_grid(spec),
-            columns["electric"], columns["magnetic"],
+            columns["electric"], columns["magnetic"], columns["total"],
         )
         assert built == sampled and repr(built) == repr(sampled)
 

@@ -38,6 +38,28 @@ class TestGeometryAndPosition:
         with pytest.raises(DomainError):
             Position.from_z(z, G1)
 
+    @pytest.mark.parametrize("d", [1e-4, 1e-7, 1e-10])
+    def test_mirror_positions_from_z(self, d):
+        # z = L - d and its mirror L - z (exact) lie at the same distance
+        # from a wall, so their densities agree; theta = pi z / L would
+        # lose that distance in the rounding of pi z.
+        z = G1.length - d
+        near_right, near_left = Position.from_z(z, G1), Position.from_z(G1.length - z, G1)
+        for scheme in (RegScheme.zeta(), RegScheme.cutoff(1e-3)):
+            right = scalar1d.density_split(G1, near_right, scheme)
+            left = scalar1d.density_split(G1, near_left, scheme)
+            assert right.electric == pytest.approx(left.electric, rel=1e-12)
+            assert right.magnetic == pytest.approx(left.magnetic, rel=1e-12)
+
+    def test_z_positions_keep_their_sine_through_copies(self):
+        import copy
+        import pickle
+
+        p = Position.from_z(1.0 - 1e-10, G1)
+        for twin in (copy.copy(p), pickle.loads(pickle.dumps(p))):
+            assert twin == p and twin.sin_theta == p.sin_theta
+        assert p.sin_theta != math.sin(p.theta)
+
 
 class TestFreeTotalEnergy:
     def test_value(self):
