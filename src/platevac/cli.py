@@ -163,9 +163,8 @@ def _csv(header: list[str], rows: list[list]) -> str:
     # One row template per table, from the cell types of the first row (all
     # rows share them): '%.17g' gives the bytes of format(x, ".17g").
     lines = [",".join(header)]
-    if rows:
-        template = ",".join("%s" if isinstance(cell, str) else "%.17g" for cell in rows[0])
-        lines.extend(template % tuple(row) for row in rows)
+    template = ",".join("%s" if isinstance(cell, str) else "%.17g" for cell in rows[0])
+    lines.extend(template % tuple(row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -173,19 +172,27 @@ def _json(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _json_rows(header: dict, rows: list) -> str:
-    """``_json({**header, "rows": rows})`` for one or more rows of floats.
+def _table(header: dict, columns: list, out_format: str) -> str:
+    """A density table of one or more rows, given column by column.
 
-    ``indent`` makes json.dumps run its pure-Python encoder.  The C
-    encoder writes the rows with the indented item separator; a float's
-    text holds no ']', so one replacement turns the breaks between rows
-    into the indented ones, and the bytes equal ``_json``'s in about half
-    the time.
+    The bytes of ``_csv(header["columns"], rows)`` or ``_json({**header,
+    "rows": rows})``.  Each row fills one template, into which a column of
+    one nonzero value is written once (0.0 == -0.0 prints two ways).  '%r'
+    gives json.dumps' text of a finite float; only nan and inf hold an 'n'.
     """
-    cells = json.dumps(rows, separators=(",\n      ", ":"))[2:-2]  # without [[ and ]]
-    body = cells.replace("],\n      [", "\n    ],\n    [\n      ")
-    head = json.dumps(header, indent=2)[:-2]  # without the closing \n}
-    return head + ',\n  "rows": [\n    [\n      ' + body + "\n    ]\n  ]\n}\n"
+    cell, start, between, end, newline = (
+        ("%.17g", "", ",", "", "\n") if out_format == "csv"
+        else ("%r", "    [\n      ", ",\n      ", "\n    ]", ",\n"))
+    fixed = [column[0] and column.count(column[0]) == len(column) for column in columns]
+    live = [column for column, one in zip(columns, fixed) if not one]
+    template = start + between.join(
+        cell % column[0] if one else cell for column, one in zip(columns, fixed)) + end
+    rows = newline.join([template % row for row in zip(*live)] if live
+                        else [template] * len(columns[0]))
+    if out_format == "csv":
+        return ",".join(header["columns"]) + "\n" + rows + "\n"
+    rows = rows.replace("nan", "NaN").replace("inf", "Infinity")
+    return json.dumps(header, indent=2)[:-2] + ',\n  "rows": [\n' + rows + "\n  ]\n}\n"
 
 
 # --------------------------------------------------------------------------
@@ -204,26 +211,19 @@ def _cmd_density(args: argparse.Namespace) -> int:
         limits_lab.grid_angles(config.grid),
         config.couplings if config.interacting else None,
     )
-    header = list(columns)
-    rows = list(zip(*(column if isinstance(column, list) else column.tolist()
-                      for column in columns.values())))
-    if config.out_format == "csv":
-        text = _csv(header, rows)
-    else:
-        text = _json_rows(
-            {
-                "command": "density",
-                "model": config.model.value,
-                "length": config.geometry.length,
-                "scheme": config.scheme.kind.value,
-                "epsilon": config.scheme.epsilon,
-                "alpha": config.alpha,
-                "mass": config.mass,
-                "columns": header,
-            },
-            rows,
-        )
-    _emit(text, config.out_path)
+    header = {
+        "command": "density",
+        "model": config.model.value,
+        "length": config.geometry.length,
+        "scheme": config.scheme.kind.value,
+        "epsilon": config.scheme.epsilon,
+        "alpha": config.alpha,
+        "mass": config.mass,
+        "columns": list(columns),
+    }
+    cells = [column if isinstance(column, list) else column.tolist()
+             for column in columns.values()]
+    _emit(_table(header, cells, config.out_format), config.out_path)
     return 0
 
 

@@ -25,7 +25,7 @@ import math
 from fractions import Fraction
 
 from .errors import DomainError, PlatevacError
-from .geometry import Geometry, Position, check_position, check_sine, law, scaled, summed
+from .geometry import Geometry, Position, check_position, law, scaled, summed
 from .record import Record
 from .regsum import RegKind, RegScheme
 from .scalar1d import Couplings, EnergySplit
@@ -94,7 +94,7 @@ def profile_F(theta: float) -> float:
     theta = pi/2.
     """
     theta = specfun.require_interior_angle(theta)
-    return _profile(check_sine(math.sin(theta), theta))
+    return _profile(specfun.check_sine(math.sin(theta), theta))
 
 
 def _profile(sin_theta):
@@ -106,7 +106,7 @@ def _profile(sin_theta):
 def _profile_at(g: Geometry, pos: Position):
     # profile_F at a validated position, from its own sin(theta).
     check_position(g, pos)
-    return _profile(check_sine(pos.sin_theta, specfun.require_interior_angle(pos.theta)))
+    return _profile(specfun.check_sine(pos.sin_theta, specfun.require_interior_angle(pos.theta)))
 
 
 def _halves(scale: float, f_value):
@@ -167,12 +167,13 @@ def near_plate_asymptotics(g: Geometry, z: float) -> CorrelatorPair:
     """Leading behaviour near a wall: <E^2> = 3/(16 pi^2 z^4) = -<B^2>.
 
     Valid for 0 < z << L; the full correlators approach these forms with
-    a relative error of order (pi z / L)^4.
+    a relative error of order (pi z / L)^4.  A value outside the normal
+    doubles raises RangeError naming z.
     """
     z = float(z)
     if not math.isfinite(z) or z <= 0.0:
         raise DomainError(f"z must be finite and > 0, got {z!r}")
-    e2 = 3.0 / (16.0 * math.pi ** 2 * z ** 4)
+    e2 = scaled(*law(3.0, 16.0 * math.pi ** 2, z, 4), "the near-plate <E^2>", z, "z")
     return CorrelatorPair(e2=e2, b2=-e2)
 
 

@@ -15,14 +15,12 @@ from enum import Enum
 from . import specfun
 from .errors import DomainError, RangeError
 from .record import Record
+from .specfun import _TINY
 
 __all__ = [
     "FieldModel", "Clustering", "GridSpec", "Geometry", "Position", "check_position",
-    "law", "scaled", "summed", "check_sine",
+    "law", "scaled", "summed",
 ]
-
-# The smallest normal double.
-_TINY = 2.2250738585072014e-308
 
 
 class FieldModel(Enum):
@@ -123,13 +121,6 @@ def check_position(g: Geometry, pos: Position) -> Position:
     return pos
 
 
-def check_sine(sin_theta: float, theta: float) -> float:
-    """``sin_theta``, for a kernel that divides by its square; RangeError if that underflows."""
-    if sin_theta * sin_theta < _TINY:
-        raise RangeError(f"sin(theta)^2 underflows a double at theta = {theta!r}")
-    return sin_theta
-
-
 def law(numerator: float, denominator: float, length: float, k: int, couplings=None, j=0):
     """numerator alpha^j / (denominator m^2j L^k) as (prefactor, exponent).
 
@@ -148,12 +139,12 @@ def law(numerator: float, denominator: float, length: float, k: int, couplings=N
     return numerator / (denominator * l_mantissa ** k), exponent
 
 
-def scaled(value, exponent: int, what: str, length: float):
-    """``value * 2**exponent`` for a float or a numpy array, exact in the normal range.
+def scaled(value, exponent: int, what: str, length: float, name: str = "L"):
+    """``value * 2**exponent`` for a float, a list or a numpy array, exact in the normal range.
 
-    RangeError "<what> overflows a double at L = <length>" past the largest
-    double, "<what> underflows ..." below the normal range where ``value``
-    is not 0.
+    RangeError "<what> overflows a double at <name> = <length>" past the
+    largest double, "<what> underflows ..." below the normal range where
+    ``value`` is not 0.  A list or an array is checked for overflow first.
     """
     if isinstance(value, float):
         try:
@@ -163,15 +154,25 @@ def scaled(value, exponent: int, what: str, length: float):
         if _TINY <= abs(result) < math.inf or value == 0.0:
             return result
         finite, small = abs(result) < math.inf, True
-    else:  # a numpy array, by two powers of two; past 2046 no normal value stays in range
-        exponent = max(-2046, min(2046, exponent))
-        result = value * 2.0 ** (exponent // 2) * 2.0 ** (exponent - exponent // 2)
+    elif isinstance(value, list):
+        try:
+            result = [math.ldexp(v, exponent) for v in value]
+        except OverflowError:
+            result = [math.inf]
+        finite = all(map(math.isfinite, result))
+        small = min(map(abs, result), default=1.0) < _TINY and any(
+            abs(r) < _TINY for r, v in zip(result, value) if v != 0.0)
+    else:  # a numpy array, by three powers of two; past -2047 and 2098 no value stays in range
+        exponent = max(-2047, min(2098, exponent))
+        result = value
+        for part in (exponent // 3, (exponent + 1) // 3, (exponent + 2) // 3):  # they sum to it
+            result = result * 2.0 ** part
         finite = (abs(result) < math.inf).all()
         small = ((abs(result) < _TINY) & (value != 0.0)).any()
     if not finite:
-        raise RangeError(f"{what} overflows a double at L = {length!r}")
+        raise RangeError(f"{what} overflows a double at {name} = {length!r}")
     if small:
-        raise RangeError(f"{what} underflows a double at L = {length!r}")
+        raise RangeError(f"{what} underflows a double at {name} = {length!r}")
     return result
 
 

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Callable
 from . import em3d, regsum, scalar1d, specfun
 from .errors import DomainError, FitError
 from .geometry import (
-    Clustering, FieldModel, Geometry, GridSpec, Position, check_sine, scaled, summed,
+    Clustering, FieldModel, Geometry, GridSpec, Position, scaled, summed,
 )
 from .record import Record
 from .regsum import RegKind, RegScheme
@@ -80,9 +80,9 @@ def theta_grid(spec: GridSpec) -> tuple[float, ...]:
 
 
 # The largest grid that grid_angles hands out as floats.  At 1000
-# points the float pass costs 1.6-3.4 ms in-process, a few percent of the
+# points the float pass costs 1.1-2.0 ms in-process, a few percent of the
 # ~150 ms numpy import it spares a cold process; at 10,001 points it would
-# cost 20-37 ms against under 1 ms for the array pass.
+# cost 19-27 ms against under 1 ms for the array pass.
 _FLOAT_GRID_MAX = 1000
 
 
@@ -156,12 +156,12 @@ def density_columns(
             return [list(c) for c in zip(*values)] or [[], []] if pair else values
 
     if divides and len(theta):
-        check_sine(float(least(sin_theta)), float(least(theta)))
+        specfun.check_sine(float(least(sin_theta)), float(least(theta)))
     if couplings is not None and not em:
         scalar1d._warn_if_strong(couplings, g)
     with np.errstate(over="ignore", invalid="ignore") if arrays else contextlib.nullcontext():
-        columns = {"theta": theta, "z": apply(
-            lambda t: scaled(length * t / math.pi, 0, "the z column", length), theta)}
+        columns = {"theta": theta, "z": scaled(
+            apply(lambda t: length * t / math.pi, theta), 0, "the z column", length)}
         # Each column is a law: a kernel at the law's scale, then its power of two.
         if em:
             shape = apply(em3d._profile, sin_theta)
@@ -175,8 +175,7 @@ def density_columns(
             constant = functools.partial(scaled, 2.0 * scale * scalar1d._ZETA_MINUS_ONE,
                                          exponent, "the total column", length)
         for name, column in zip(("electric", "magnetic"), halves):
-            what = f"the {name} column"
-            columns[name] = apply(lambda value: scaled(value, exponent, what, length), column)
+            columns[name] = scaled(column, exponent, f"the {name} column", length)
         total = constant()
         columns["total"] = apply(lambda s: total + 0.0 * s, sin_theta)
         if em:
@@ -189,8 +188,8 @@ def density_columns(
                 kernel, (prefactor, exponent) = scalar1d._correction, scalar1d._interaction(
                     g, couplings, 4)
                 prefactor = -prefactor / 8.0
-            columns["correction"] = apply(lambda x: scaled(
-                kernel(prefactor, x), exponent, "the correction column", length), shape)
+            columns["correction"] = scaled(apply(functools.partial(kernel, prefactor), shape),
+                                           exponent, "the correction column", length)
     return columns
 
 

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from . import regsum, specfun
 from .errors import DomainError, SingularityError
-from .geometry import Geometry, Position, check_position, check_sine, law, scaled, summed
+from .geometry import Geometry, Position, check_position, law, scaled, summed
 from .record import Record
 from .regsum import PowerSeriesSpec, RegKind, RegScheme
 
@@ -177,7 +177,7 @@ def _split_at(g: Geometry, pos: Position, scheme: RegScheme) -> tuple[float, flo
                 "the continued density diverges on the walls; evaluate the "
                 "cutoff scheme there instead"
             )
-        check_sine(sin_theta, pos.theta)
+        specfun.check_sine(sin_theta, pos.theta)
     scale, exponent = _density_law(g)
     # The total is the law's constant: the position terms cancel analytically.
     parts = (*_split(scale, scheme, sin_theta), 2.0 * scale * _ZETA_MINUS_ONE)
@@ -292,7 +292,7 @@ def _interacting_at(g: Geometry, pos: Position, c: Couplings) -> list[tuple[floa
     # (value, exponent) of the free constant and the correction at a validated pos.
     if not pos.interior:
         raise SingularityError("the interaction correction diverges on the walls")
-    sin_theta = check_sine(pos.sin_theta, pos.theta)
+    sin_theta = specfun.check_sine(pos.sin_theta, pos.theta)
     scale, exponent = _density_law(g)
     interaction, correction_exponent = _interaction(g, c, 4)
     return [(2.0 * scale * _ZETA_MINUS_ONE, exponent),

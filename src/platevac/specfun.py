@@ -13,7 +13,7 @@ import functools
 import math
 from fractions import Fraction
 
-from .errors import DomainError, PoleError, SingularityError
+from .errors import DomainError, PoleError, RangeError, SingularityError
 
 __all__ = [
     "bernoulli",
@@ -23,10 +23,14 @@ __all__ = [
     "cot",
     "csc2",
     "require_interior_angle",
+    "check_sine",
     "MAX_BERNOULLI_INDEX",
 ]
 
 MAX_BERNOULLI_INDEX = 64
+
+# The smallest normal double.
+_TINY = 2.2250738585072014e-308
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -218,8 +222,15 @@ def cot(theta: float) -> float:
     return math.cos(theta) / math.sin(theta)
 
 
+def check_sine(sin_theta: float, theta: float) -> float:
+    """``sin_theta``, for a kernel that divides by its square; RangeError if that underflows."""
+    if sin_theta * sin_theta < _TINY:
+        raise RangeError(f"sin(theta)^2 underflows a double at theta = {theta!r}")
+    return sin_theta
+
+
 def csc2(theta: float) -> float:
     """1/sin^2(theta) on the open interval (0, pi)."""
     theta = require_interior_angle(theta)
-    s = math.sin(theta)
+    s = check_sine(math.sin(theta), theta)
     return 1.0 / (s * s)

@@ -394,7 +394,7 @@ class TestCorrectionAgainstMpmath:
 
 
 class TestJsonRows:
-    """cli._json_rows writes the bytes of json.dumps(payload, indent=2)."""
+    """cli._table writes the bytes of json.dumps(payload, indent=2)."""
 
     @pytest.mark.parametrize("width,seed", [(5, 1), (6, 2)])
     def test_random_bit_patterns(self, width, seed):
@@ -405,14 +405,15 @@ class TestJsonRows:
         values = SPECIAL_DOUBLES + drawn.view(np.float64).tolist()
         rows = table(values, width)
         header = JSON_HEADERS[width]
-        assert cli._json_rows(header, rows) == json.dumps({**header, "rows": rows}, indent=2) + "\n"
+        assert (cli._table(header, list(zip(*rows)), "json")
+                == json.dumps({**header, "rows": rows}, indent=2) + "\n")
 
     @pytest.mark.parametrize("width", [5, 6])
     @pytest.mark.parametrize("count", [1, 2, 3])
     def test_short_tables(self, width, count):
         rows = table((SPECIAL_DOUBLES * 3)[:width * count], width)
         header = JSON_HEADERS[width]
-        assert cli._json_rows(header, rows) == cli._json({**header, "rows": rows})
+        assert cli._table(header, list(zip(*rows)), "json") == cli._json({**header, "rows": rows})
 
     @pytest.mark.parametrize("model,epsilon,alpha", CLI_CASES)
     def test_two_point_grid_command(self, model, epsilon, alpha):
@@ -428,6 +429,58 @@ class TestJsonRows:
         assert (payload["mass"] is None) == (alpha is None)
         assert (payload["epsilon"] is None) == (epsilon is None)
         assert text == json.dumps(payload, indent=2) + "\n"
+
+
+def reference_table(header, columns, fmt):
+    """A density table cell by cell: format(x, ".17g") rows, or json.dumps."""
+    rows = [list(row) for row in zip(*columns)]
+    if fmt == "csv":
+        lines = [",".join(format(x, ".17g") for x in row) for row in rows]
+        return "\n".join([",".join(header["columns"]), *lines]) + "\n"
+    return json.dumps({**header, "rows": rows}, indent=2) + "\n"
+
+
+# Cells beside random bit patterns: NaN, +-inf, signed zeros, subnormals.
+CELLS = SPECIAL_DOUBLES + [-5e-324, -1e-310, 2.2250738585072014e-308 / 3, 0.1, -2.5, 1e300]
+
+
+def random_column(rng, kind, count):
+    # The cells of one column, each its own float object as tolist() gives them.
+    if kind == "constant":
+        value = CELLS[rng.integers(len(CELLS))] if rng.random() < 0.5 else random_cells(rng, 1)[0]
+        return np.full(count, value).tolist()
+    if kind == "zeros":  # both signs once there are two rows
+        signs = np.array([0.0, -0.0] + [rng.choice([0.0, -0.0]) for _ in range(count - 2)])
+        return signs[rng.permutation(len(signs))][:count].tolist()
+    return [CELLS[rng.integers(len(CELLS))] if rng.random() < 0.3 else cell
+            for cell in random_cells(rng, count)]
+
+
+def random_cells(rng, count):
+    return rng.integers(0, 2 ** 64, size=count, dtype=np.uint64).view(np.float64).tolist()
+
+
+class TestTable:
+    """cli._table, both formats, against the table written cell by cell."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("count", [1, 2, 3, 40])
+    @pytest.mark.parametrize("constant", [0, 2, 5])  # the first, a middle and the last column
+    def test_random_tables(self, fmt, count, constant):
+        rng = np.random.default_rng([count, constant, fmt == "json"])
+        header = JSON_HEADERS[6]
+        for _ in range(50):
+            kinds = [("random", "constant", "zeros")[rng.integers(3)] for _ in range(6)]
+            kinds[constant] = "constant"
+            columns = [random_column(rng, kind, count) for kind in kinds]
+            assert cli._table(header, columns, fmt) == reference_table(header, columns, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_every_column_constant(self, fmt, count):
+        header = JSON_HEADERS[5]
+        columns = [[value] * count for value in (0.5, math.nan, -math.inf, 5e-324, -2.5)]
+        assert cli._table(header, columns, fmt) == reference_table(header, columns, fmt)
 
 
 class TestNumpyFreeImport:

@@ -60,6 +60,11 @@ class TestProfileF:
         with pytest.raises(SingularityError):
             em3d.profile_F(theta)
 
+    def test_cot_route_names_the_underflow(self):
+        with pytest.raises(RangeError) as caught:
+            em3d.profile_F_via_cot_derivative(1e-200)
+        assert str(caught.value) == "sin(theta)^2 underflows a double at theta = 1e-200"
+
 
 class TestCorrelators:
     def test_midpoint_values(self):
@@ -116,6 +121,17 @@ class TestNearPlate:
     def test_bad_distance(self, z):
         with pytest.raises(DomainError):
             em3d.near_plate_asymptotics(G1, z)
+
+    @pytest.mark.parametrize("z,state", [
+        (1e77, "underflows"),  # a subnormal 1.90e-310
+        (1e90, "underflows"),
+        (3e-78, "overflows"),
+        (1e-200, "overflows"),
+    ])
+    def test_out_of_range_names_z(self, z, state):
+        with pytest.raises(RangeError) as caught:
+            em3d.near_plate_asymptotics(Geometry(1e100), z)
+        assert str(caught.value) == f"the near-plate <E^2> {state} a double at z = {z!r}"
 
 
 class TestFreeDensityAndForce:

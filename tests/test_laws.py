@@ -16,13 +16,13 @@ import sys
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import platevac
 from platevac import em3d, limits_lab, scalar1d
 from platevac.errors import RangeError
-from platevac.geometry import Geometry, Position
+from platevac.geometry import Geometry, Position, scaled
 from platevac.limits_lab import FieldModel
 from platevac.regsum import RegScheme
 from platevac.scalar1d import Couplings, Route
@@ -156,6 +156,13 @@ class TestDensityLaws:
         expect(lambda: parts(em3d.density_split(g, pos)), exact, scale)
         expect(lambda: em3d.eh_correction_density(g, pos, c), [eh(length, c, f)])
 
+    @settings(max_examples=300, deadline=None)
+    @given(log_uniform(1e-120, 1e120))
+    def test_em_near_plate_asymptote(self, z):
+        # 3/(16 pi^2 z^4) leaves the normal doubles beyond z of about 1e-77 and 1e77.
+        expect(lambda: em3d.near_plate_asymptotics(Geometry(1e100), z).e2,
+               [3 / (16 * PI ** 2 * mp.mpf(z) ** 4)])
+
     @settings(max_examples=200, deadline=None)
     @given(LENGTHS, RATIOS, ALPHAS, MASSES, st.sampled_from(["zeta", "cutoff", "em"]),
            st.sampled_from(["floats", "numpy"]))
@@ -188,6 +195,37 @@ class TestDensityLaws:
             return [float(columns[name][0])
                     for name in ("electric", "magnetic", "total", "correction")]
         expect(row, exact, scale)
+
+
+def _outcome(call):
+    # call()'s value, or the text of its RangeError.
+    try:
+        return call()
+    except RangeError as exc:
+        return str(exc)
+
+
+class TestScaledColumns:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False) | st.sampled_from([0.0, -0.0, 5e-324]), max_size=8),
+           st.integers(-2200, 2200))
+    @example([5e-324], 2047)  # 2**973, a normal double
+    @example([5e-324], 2098)  # 2**1024 overflows
+    @example([1.7976931348623157e308], -2047)  # below the smallest normal double
+    def test_a_column_scales_as_its_values(self, values, exponent):
+        # A list or an array gives the bits of scaled() on each value; where
+        # a value leaves the normal doubles, overflow is named before underflow.
+        outcomes = [_outcome(lambda: scaled(value, exponent, "the column", 1.0))
+                    for value in values]
+        errors = [outcome for outcome in outcomes if isinstance(outcome, str)]
+        for column in (values, np.array(values, dtype=float)):
+            with np.errstate(over="ignore"):  # as density_columns runs the array pass
+                got = _outcome(lambda: scaled(column, exponent, "the column", 1.0))
+            if errors:
+                assert got == min(errors)  # "overflows" sorts first
+            else:
+                assert np.array(got, dtype=float).view(np.int64).tolist() == np.array(
+                    outcomes, dtype=float).view(np.int64).tolist()
 
 
 class TestTotalLaws:

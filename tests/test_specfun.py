@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from platevac import specfun
-from platevac.errors import DomainError, PoleError, SingularityError
+from platevac.errors import DomainError, PoleError, RangeError, SingularityError
 
 
 def zeta2_partial_sum_oracle(n_terms: int) -> float:
@@ -184,6 +184,11 @@ class TestTrigHelpers:
     def test_csc2(self):
         assert specfun.csc2(math.pi / 2) == pytest.approx(1.0, rel=1e-14)
         assert specfun.csc2(math.pi / 6) == pytest.approx(4.0, rel=1e-12)
+
+    def test_csc2_names_the_underflow(self):
+        with pytest.raises(RangeError) as caught:
+            specfun.csc2(1e-200)
+        assert str(caught.value) == "sin(theta)^2 underflows a double at theta = 1e-200"
 
     @pytest.mark.parametrize("theta", [0.0, math.pi, -0.1, 4.0])
     def test_guards(self, theta):
