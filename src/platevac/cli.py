@@ -173,7 +173,7 @@ def _json(payload: dict) -> str:
 
 
 def _table(header: dict, columns: list, out_format: str) -> str:
-    """A density table of one or more rows, given column by column.
+    """A density or scan table of one or more float rows, given column by column.
 
     The bytes of ``_csv(header["columns"], rows)`` or ``_json({**header,
     "rows": rows})``.  Each row fills one template, into which a column of
@@ -362,19 +362,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             rows.append([delta, result.value, result.divergent_estimate])
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError("vary", f"unknown sweep {vary!r}")
-    if config.out_format == "csv":
-        text = _csv(header, rows)
-    else:
-        text = _json(
-            {
-                "command": "scan",
-                "vary": vary,
-                "model": config.model.value,
-                "columns": header,
-                "rows": rows,
-            }
-        )
-    _emit(text, config.out_path)
+    table = {"command": "scan", "vary": vary, "model": config.model.value, "columns": header}
+    _emit(_table(table, list(zip(*rows)), config.out_format), config.out_path)
     return 0
 
 

@@ -43,7 +43,6 @@ __all__ = [
     "casimir_force_per_area",
     "eh_correction_density",
     "eh_correction_constant",
-    "eh_correction_position",
     "corrected_total_energy",
     "thermal_free_energy_density",
     "density_split",
@@ -94,7 +93,8 @@ def profile_F(theta: float) -> float:
     theta = pi/2.
     """
     theta = specfun.require_interior_angle(theta)
-    return _profile(specfun.check_sine(math.sin(theta), theta))
+    return scaled(_profile(specfun.check_sine(math.sin(theta), theta)), 0, "the profile F", theta,
+                  "theta")
 
 
 def _profile(sin_theta):
@@ -135,7 +135,7 @@ def profile_F_via_cot_derivative(theta: float) -> float:
     """
     ct = specfun.cot(theta)
     c2 = specfun.csc2(theta)
-    return 2.0 * ct * ct * c2 + c2 * c2
+    return scaled(2.0 * ct * ct * c2 + c2 * c2, 0, "the profile F", theta, "theta")
 
 
 def correlators(g: Geometry, pos: Position) -> CorrelatorPair:
@@ -204,22 +204,10 @@ def eh_correction_constant(g: Geometry, c: Couplings) -> float:
     return scaled(scale * _EH_CONSTANT, exponent, "the correction constant", g.length)
 
 
-def eh_correction_position(g: Geometry, pos: Position, c: Couplings) -> float:
-    """Position-dependent part of the correction density (the 9 F^2 term)."""
-    f_value = _profile_at(g, pos)
-    scale, exponent = _eh(g, c, 8)
-    return scaled(_eh_position(scale, f_value), exponent, "the correction position", g.length)
-
-
-def _eh_position(scale: float, f_value):
-    # The 9 F^2 term at the scale of _eh, as plain arithmetic on F: a
-    # float or a numpy array.
-    return scale * 9.0 * f_value * f_value
-
-
 def _eh_density(scale: float, f_value):
-    # The correction density at the scale of _eh, on F as _eh_position.
-    return scale * _EH_CONSTANT + _eh_position(scale, f_value)
+    # The correction density at the scale of _eh, 11/225 + 9 F^2, as plain
+    # arithmetic on F: a float or a numpy array.
+    return scale * _EH_CONSTANT + scale * 9.0 * f_value * f_value
 
 
 def eh_correction_density(g: Geometry, pos: Position, c: Couplings) -> float:

@@ -259,8 +259,7 @@ class DensityProfile(Record):
     The density is held as electric, magnetic and total columns.
     ``values`` reads them as a sequence of EnergySplit, one per grid
     angle, built on indexing; :meth:`component` returns one column as a
-    read-only array.  EnergySplit values passed in are stored as columns;
-    :meth:`from_columns` takes the columns themselves.
+    read-only array.  EnergySplit values passed in are stored as columns.
     """
 
     __slots__ = ("g", "scheme", "grid", "values")
@@ -277,31 +276,6 @@ class DensityProfile(Record):
         if not isinstance(self.values, _SplitColumns):
             _, _, _, set_values = self._setters
             set_values(self, _SplitColumns.of(self.values))
-
-    @classmethod
-    def from_columns(
-        cls,
-        g: Geometry,
-        scheme: RegScheme,
-        grid: Sequence[float],
-        electric: Sequence[float] | np.ndarray,
-        magnetic: Sequence[float] | np.ndarray | None = None,
-        total: Sequence[float] | np.ndarray | None = None,
-    ) -> "DensityProfile":
-        """A profile holding copies of the given columns; total defaults to their sum.
-
-        Without ``magnetic`` the density is stored as ``sample_profile``
-        stores a bare density: in the electric column, magnetic zero.
-        The totals of :func:`density_columns` are the constant free
-        density, so a profile built from its columns passes ``total``.
-        """
-        import numpy as np
-
-        electric = np.array(electric, dtype=float)
-        magnetic = np.zeros_like(electric) if magnetic is None else np.array(magnetic, float)
-        total = electric + magnetic if total is None else np.array(total, float)
-        values = _SplitColumns({"electric": electric, "magnetic": magnetic, "total": total})
-        return cls(g=g, scheme=scheme, grid=tuple(grid), values=values)
 
     def component(self, name: str) -> np.ndarray:
         """The electric, magnetic or total column, read-only."""

@@ -225,23 +225,25 @@ def _near_plate_exponent(kind: str):
     return abs(fit.exponent - exponent), tolerance
 
 
+def _free_report():
+    # The free-scalar commutation report, read by its route-equivalence and
+    # window-exponent checks.
+    from . import limits_lab
+
+    return limits_lab.commutation_report(
+        Geometry(1.0), limits_lab.CommutationModel.FREE_SCALAR,
+        deltas=[0.02, 0.01, 0.005, 0.0025], epsilons=[1e-3, 5e-4, 2.5e-4],
+    )
+
+
 def _route_equivalence(model: str):
     from . import limits_lab
 
-    g = Geometry(1.0)
-    model = limits_lab.CommutationModel(model)
-    if model is limits_lab.CommutationModel.FREE_SCALAR:
-        report = limits_lab.commutation_report(
-            g, model, deltas=[0.02, 0.01, 0.005, 0.0025],
-            epsilons=[1e-3, 5e-4, 2.5e-4],
-        )
-    else:
-        report = limits_lab.commutation_report(
-            g, model, deltas=[0.02, 0.01, 0.005, 0.0025],
-            epsilons=[0.04, 0.02, 0.01, 0.005], couplings=Couplings(alpha=0.01, m=10.0),
-        )
-    rel = report.verdict.difference / abs(report.sum_then_regularize)
-    return rel, 1e-7
+    report = _free_report() if model == "free_scalar" else limits_lab.commutation_report(
+        Geometry(1.0), limits_lab.CommutationModel(model), deltas=[0.02, 0.01, 0.005, 0.0025],
+        epsilons=[0.04, 0.02, 0.01, 0.005], couplings=Couplings(alpha=0.01, m=10.0),
+    )
+    return report.verdict.difference / abs(report.sum_then_regularize), 1e-7
 
 
 def _position_term_integral(eps: float, m: int) -> float:
@@ -286,14 +288,7 @@ def _profile_dual_definitions():
 
 
 def _window_divergence_exponent():
-    from . import limits_lab
-
-    g = Geometry(1.0)
-    report = limits_lab.commutation_report(
-        g, limits_lab.CommutationModel.FREE_SCALAR,
-        deltas=[0.02, 0.01, 0.005, 0.0025], epsilons=[1e-3, 5e-4, 2.5e-4],
-    )
-    return abs(report.window_fit_exponent + 1.0), 0.02
+    return abs(_free_report().window_fit_exponent + 1.0), 0.02
 
 
 def _richardson_polynomial():

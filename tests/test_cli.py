@@ -630,3 +630,67 @@ class TestImports:
         commands = next(a for a in parser._actions if a.dest == "command")
         suite = next(a for a in commands.choices["verify"]._actions if a.dest == "suite")
         assert suite.choices == sorted(verify.SUITES)
+
+
+class TestPublicNames:
+    """Every name in a module's ``__all__`` is read somewhere in ``src/``."""
+
+    # Names kept public with no reader in src/: the package version, the
+    # paper's own quantities, and the API of the benchmark's profile workload.
+    UNREAD = {
+        "__version__",
+        "em3d.thermal_free_energy_density",
+        "scalar1d.magnetic_density",
+        "scalar1d.correction_density",
+        "scalar1d.interacting_density",
+        "limits_lab.sample_profile",
+        "limits_lab.fit_divergence",
+    }
+
+    @staticmethod
+    def _origin(trees, module, name):
+        # (module, name) of the definition a re-exported name is bound to.
+        for node in ast.walk(trees[module]):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                for alias in node.names:
+                    if (alias.asname or alias.name) == name:
+                        return TestPublicNames._origin(trees, node.module, alias.name)
+        return module, name
+
+    @staticmethod
+    def _defined(statement):
+        # The names a top-level statement defines; its own body reads none of them.
+        if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+            return {statement.name}
+        return {target.id for node in ast.walk(statement) if isinstance(node, ast.Assign)
+                for target in node.targets if isinstance(target, ast.Name)}
+
+    def test_every_public_name_has_a_reader(self):
+        src = pathlib.Path(platevac.__file__).parent
+        trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in src.glob("*.py")}
+        read = set()
+        for module, tree in trees.items():
+            # The module aliases bound by "from . import m", anywhere in the module.
+            aliases = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+                       if isinstance(node, ast.ImportFrom) and node.level == 1 and not node.module
+                       for alias in node.names}
+            for statement in tree.body:
+                defined = self._defined(statement)
+                for node in ast.walk(statement):
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                        key = self._origin(trees, module, node.id)
+                    elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                          and node.value.id in aliases):
+                        key = self._origin(trees, aliases[node.value.id], node.attr)
+                    else:
+                        continue
+                    if not (key[0] == module and key[1] in defined):
+                        read.add(key)
+        unread = set()
+        for module, tree in trees.items():
+            exported = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                        and any(getattr(t, "id", None) == "__all__" for t in node.targets)]
+            for name in (ast.literal_eval(exported[0]) if exported else []):
+                if self._origin(trees, module, name) not in read:
+                    unread.add(name if module == "__init__" else f"{module}.{name}")
+        assert unread == self.UNREAD

@@ -314,6 +314,36 @@ CLI_CASES = [
 ]
 
 
+def scan_route_rows(g, deltas):
+    results = [scalar1d.total_energy_by_route(g, scalar1d.Route.INTEGRATE_REGULARIZED_DENSITY,
+                                              RegScheme.zeta(), delta=delta) for delta in deltas]
+    return [[delta, r.value, r.divergent_estimate] for delta, r in zip(deltas, results)]
+
+
+def scan_split_rows(g, theta, epsilons):
+    splits = [scalar1d.density_split(g, Position.from_theta(theta, g), RegScheme.cutoff(eps))
+              for eps in epsilons]
+    return [[eps, s.electric, s.magnetic, s.total] for eps, s in zip(epsilons, splits)]
+
+
+# scan commands, each with its model, columns and the rows of its per-value
+# loop; the epsilon scan's total column holds one value.
+SCAN_CASES = [
+    (["--vary", "length", "--values", "0.37"], "scalar", ["length", "total_energy"],
+     lambda: [[0.37, scalar1d.free_total_energy(Geometry(0.37))]]),
+    (["--vary", "epsilon", "--values", "0.04,0.02,0.01", "--length", "0.37", "--theta", "0.7"],
+     "scalar", ["epsilon", "electric", "magnetic", "total"],
+     lambda: scan_split_rows(Geometry(0.37), 0.7, [0.04, 0.02, 0.01])),
+    (["--vary", "length", "--values", "0.1,1,10", "--model", "em", "--alpha", "0.01"], "em",
+     ["length", "total_energy", "force_per_area"],
+     lambda: [[length, em3d.corrected_total_energy(Geometry(length), Couplings(0.01, 1.0)),
+               em3d.casimir_force_per_area(Geometry(length))] for length in (0.1, 1.0, 10.0)]),
+    (["--vary", "delta", "--values", "0.02,0.01,1e-8"], "scalar",
+     ["delta", "window_integral", "divergent_estimate"],
+     lambda: scan_route_rows(Geometry(1.0), [0.02, 0.01, 1e-8])),
+]
+
+
 class TestDensityCommandBytes:
     # 1000 points run on floats, 1001 in one numpy pass.
     @pytest.mark.parametrize("count", [1000, 1001])
@@ -337,6 +367,16 @@ class TestDensityCommandBytes:
                 GridSpec(count, Clustering(cluster)), fmt,
             )
             assert run_main(argv) == expected
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv,model,columns,rows", SCAN_CASES,
+                             ids=["one-row", "epsilon", "length-em-alpha", "delta"])
+    def test_scan_bytes_equal_the_point_loop(self, argv, model, columns, rows, fmt):
+        # scan writes through the density table writer; the reference is the
+        # per-value loop scan used to run, written cell by cell.
+        header = {"command": "scan", "vary": argv[1], "model": model, "columns": columns}
+        expected = reference_table(header, list(zip(*rows())), fmt)
+        assert run_main(["scan", *argv, "--format", fmt]) == expected
 
     def test_one_validity_warning_per_grid(self):
         # alpha / (m L)^2 = 0.5 > 0.1

@@ -65,6 +65,18 @@ class TestProfileF:
             em3d.profile_F_via_cot_derivative(1e-200)
         assert str(caught.value) == "sin(theta)^2 underflows a double at theta = 1e-200"
 
+    @pytest.mark.parametrize("theta", [1e-100, 1e-80, 1e-77])
+    @pytest.mark.parametrize("profile", [em3d.profile_F, em3d.profile_F_via_cot_derivative])
+    def test_overflow_is_named(self, profile, theta):
+        # 3/sin^4(theta) passes the largest double although sin^2(theta) is normal.
+        with pytest.raises(RangeError) as caught:
+            profile(theta)
+        assert str(caught.value) == f"the profile F overflows a double at theta = {theta!r}"
+
+    @pytest.mark.parametrize("profile", [em3d.profile_F, em3d.profile_F_via_cot_derivative])
+    def test_largest_value_next_to_the_wall(self, profile):
+        assert profile(1e-76) == 3.000000000000001e+304
+
 
 class TestCorrelators:
     def test_midpoint_values(self):
@@ -190,13 +202,6 @@ class TestEhCorrection:
     def test_decoupling(self):
         c = em3d.EhCouplings(alpha=0.0, m=1.0)
         assert em3d.eh_correction_density(G1, pos(1.0), c) == 0.0
-
-    def test_parts_sum_to_density(self):
-        c = em3d.EhCouplings(alpha=ALPHA, m=2.0)
-        p = pos(0.8)
-        total = em3d.eh_correction_density(G1, p, c)
-        parts = em3d.eh_correction_constant(G1, c) + em3d.eh_correction_position(G1, p, c)
-        assert total == parts
 
     def test_near_plate_exponent(self):
         # |correction| ~ F^2 ~ 9/sin^8: slope -8 +/- 0.1

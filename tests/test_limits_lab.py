@@ -278,7 +278,8 @@ class TestFitDivergenceBits:
         grid = limits_lab.theta_grid(GridSpec(200, Clustering.ENDPOINTS))
         electric = [1.0 / math.sin(t) ** 2 for t in grid]
         electric[0] = math.nan
-        profile = DensityProfile.from_columns(G1, RegScheme.zeta(), grid, electric)
+        profile = DensityProfile(g=G1, scheme=RegScheme.zeta(), grid=grid,
+                                 values=tuple(EnergySplit.from_parts(e, 0.0) for e in electric))
         fit = limits_lab.fit_divergence(profile, Endpoint.LEFT, component="electric",
                                         constant_part=0.0)
         assert fit.window[0] == grid[1] and fit.n_points == 4
@@ -288,7 +289,10 @@ class TestFitDivergenceBits:
 
     def test_nan_profile_reads_back(self):
         # A stored non-finite sample is read, compared and hashed without error.
-        profile = DensityProfile.from_columns(G1, RegScheme.zeta(), [0.1, 0.2], [math.nan, 1.0])
+        profile = DensityProfile(
+            g=G1, scheme=RegScheme.zeta(), grid=(0.1, 0.2),
+            values=tuple(EnergySplit.from_parts(e, 0.0) for e in [math.nan, 1.0]),
+        )
         values = list(profile.values)
         assert math.isnan(values[0].electric) and math.isnan(profile.values[0].total)
         assert values[1] == EnergySplit.from_parts(1.0, 0.0)
@@ -298,8 +302,9 @@ class TestFitDivergenceBits:
     def test_tie_nearest_pi_over_2_goes_to_the_lower_index(self):
         # theta - pi/2 rounds to -pi/2 for all three angles: the default
         # constant is the first sample's, so its residual is the zero one.
-        profile = DensityProfile.from_columns(
-            G1, RegScheme.cutoff(0.1), (1e-20, 2e-20, 3e-20), [1.0, 2.0, 4.0]
+        profile = DensityProfile(
+            g=G1, scheme=RegScheme.cutoff(0.1), grid=(1e-20, 2e-20, 3e-20),
+            values=tuple(EnergySplit.from_parts(e, 0.0) for e in [1.0, 2.0, 4.0]),
         )
         fit = limits_lab.fit_divergence(profile, Endpoint.LEFT, component="electric",
                                         n_points=2)
@@ -428,28 +433,6 @@ class TestColumnsProfile:
             spec = GridSpec(count, Clustering.ENDPOINTS)
             profile = limits_lab.sample_profile(source, G1, RegScheme.zeta(), spec)
         assert repr(profile.values) == repr(tuple(profile.values))
-
-    def test_from_columns(self):
-        electric = np.array([1.0, -2.0, 0.5])
-        profile = DensityProfile.from_columns(G1, RegScheme.zeta(), [0.1, 0.2, 0.3], electric)
-        assert profile.grid == (0.1, 0.2, 0.3)
-        assert profile.component("magnetic").tolist() == [0.0, 0.0, 0.0]
-        assert profile.component("total").tolist() == electric.tolist()
-        assert electric.flags.writeable  # the caller's array is copied, not frozen
-        both = DensityProfile.from_columns(G1, RegScheme.zeta(), (0.1, 0.2), [1.0, 2.0], [0.5, -1.0])
-        assert both.values == (EnergySplit.from_parts(1.0, 0.5), EnergySplit.from_parts(2.0, -1.0))
-
-    def test_from_columns_equals_sample_profile(self):
-        spec = GridSpec(201, Clustering.ENDPOINTS)
-        sampled = limits_lab.sample_profile(em3d.density_split, G1, RegScheme.zeta(), spec)
-        columns = limits_lab.density_columns(
-            G1, limits_lab.FieldModel.EM, RegScheme.zeta(), limits_lab.theta_array(spec)
-        )
-        built = DensityProfile.from_columns(
-            G1, RegScheme.zeta(), limits_lab.theta_grid(spec),
-            columns["electric"], columns["magnetic"], columns["total"],
-        )
-        assert built == sampled and repr(built) == repr(sampled)
 
     def test_constructed_profile_stores_its_splits(self):
         splits = (EnergySplit.from_parts(1.0, -0.5), EnergySplit.from_parts(-2.0, 0.25))
