@@ -159,25 +159,17 @@ def _emit(text: str, out_path: str | None) -> None:
         raise ConfigError("out", f"cannot write {out_path!r}: {exc}") from None
 
 
-def _csv(header: list[str], rows: list[list]) -> str:
-    # One row template per table, from the cell types of the first row (all
-    # rows share them): '%.17g' gives the bytes of format(x, ".17g").
-    lines = [",".join(header)]
-    template = ",".join("%s" if isinstance(cell, str) else "%.17g" for cell in rows[0])
-    lines.extend(template % tuple(row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
 def _json(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
 def _table(header: dict, columns: list, out_format: str) -> str:
-    """A density or scan table of one or more float rows, given column by column.
+    """A density, scan or commute table of one or more float rows, given column by column.
 
-    The bytes of ``_csv(header["columns"], rows)`` or ``_json({**header,
-    "rows": rows})``.  Each row fills one template, into which a column of
-    one nonzero value is written once (0.0 == -0.0 prints two ways).  '%r'
+    CSV: the header["columns"] line, then one line per row of its cells
+    as format(x, ".17g"); JSON: the bytes of ``_json({**header, "rows":
+    rows})``.  Each row fills one template, into which a column of one
+    nonzero value is written once (0.0 == -0.0 prints two ways).  '%r'
     gives json.dumps' text of a finite float; only nan and inf hold an 'n'.
     """
     cell, start, between, end, newline = (
@@ -244,10 +236,9 @@ def _cmd_total(args: argparse.Namespace) -> int:
     g = config.geometry
     totals = _totals(config, g)
     if config.out_format == "csv":
-        header = ["model", "length", "alpha", "mass", *totals]
-        row = [config.model.value, g.length, config.couplings.alpha, config.couplings.m,
-               *totals.values()]
-        text = _csv(header, [row])
+        values = [g.length, config.couplings.alpha, config.couplings.m, *totals.values()]
+        text = ",".join(["model", "length", "alpha", "mass", *totals]) + "\n"
+        text += ",".join([config.model.value, *("%.17g" % value for value in values)]) + "\n"
     else:
         text = _json(
             {
@@ -323,7 +314,7 @@ def _cmd_commute(args: argparse.Namespace) -> int:
         for i, r in enumerate(report.cutoff_rows):
             rows.append([1.0, float(i), r.epsilon, r.subtracted, r.raw_total])
         rows.append([2.0, 0.0, 0.0, report.sum_then_regularize, report.cutoff_limit])
-        text = _csv(header, rows)
+        text = _table({"columns": header}, list(zip(*rows)), "csv")
     _emit(text, config.out_path)
     return 0
 

@@ -50,7 +50,9 @@ __all__ = [
 
 FINE_STRUCTURE_ALPHA = 1.0 / 137.035999
 
-# 2^7 * 3^3 * 5, the denominator of the correction-density prefactor.
+# -pi^4 and 2^7 * 3^3 * 5, the numerator and denominator of the
+# correction-density prefactor.
+_EH_NUMERATOR = -math.pi ** 4
 _EH_DENOMINATOR = 17280
 
 # The correction to the total energy carries 11 / (2^7 3^5 5^3); it must be
@@ -103,21 +105,28 @@ def _profile(sin_theta):
     return (3.0 * c2 - 2.0) * c2
 
 
-def _profile_at(g: Geometry, pos: Position):
-    # profile_F at a validated position, from its own sin(theta).
+def _sine_at(g: Geometry, pos: Position) -> float:
+    # sin(theta) at a validated interior position, for _laws.
     check_position(g, pos)
-    return _profile(specfun.check_sine(pos.sin_theta, specfun.require_interior_angle(pos.theta)))
+    return specfun.check_sine(pos.sin_theta, specfun.require_interior_angle(pos.theta))
 
 
-def _halves(scale: float, f_value):
-    # (<E^2>/2, <B^2>/2) at the scale of _halves_law, as plain
-    # arithmetic on the profile F: a float or a numpy array.
-    return 0.5 * (-scale * (1.0 / 45.0 - f_value)), 0.5 * (-scale * (1.0 / 45.0 + f_value))
-
-
-def _halves_law(g: Geometry) -> tuple[float, int]:
-    # pi^2/(16 L^4), the scale of both correlators, as law (prefactor, exponent).
-    return law(math.pi ** 2, 16.0, g.length, 4)
+def _laws(g: Geometry, c: Couplings | None, sin_theta, halves: bool = True) -> tuple:
+    # The density laws at L as (value, exponent) pairs, worth value * 2**exponent,
+    # in plain arithmetic on a validated sin(theta) (a float, or an array of
+    # them) through the profile F: if ``halves``, <E^2>/2 and <B^2>/2 of
+    # -(pi^2/(16 L^4)) (1/45 -/+ F); with couplings, the correction
+    # -(alpha^2 pi^4 / (2^7 3^3 5 m^4 L^8)) (11/225 + 9 F^2).
+    f_value = _profile(sin_theta)
+    laws = ()
+    if halves:
+        scale, exponent = law(math.pi ** 2, 16.0, g.length, 4)
+        laws = ((0.5 * (-scale * (1.0 / 45.0 - f_value)), exponent),
+                (0.5 * (-scale * (1.0 / 45.0 + f_value)), exponent))
+    if c is not None:
+        scale, exponent = _eh(g, c, 8)
+        laws += (scale * _EH_CONSTANT + scale * 9.0 * f_value * f_value, exponent),
+    return laws
 
 
 def _free(g: Geometry, k: int) -> tuple[float, int]:
@@ -145,17 +154,16 @@ def correlators(g: Geometry, pos: Position) -> CorrelatorPair:
     +F.  The profile cancels in (e2 + b2)/2, which is checked against the
     constant free density before returning.
     """
-    f_value = _profile_at(g, pos)
-    scale, exponent = _halves_law(g)
-    e2, b2 = (scaled(2.0 * half, exponent, name, g.length)
-              for half, name in zip(_halves(scale, f_value), ("<E^2>", "<B^2>")))
+    (electric, exponent), (magnetic, _) = _laws(g, None, _sine_at(g, pos))
+    e2 = scaled(2.0 * electric, exponent, "<E^2>", g.length)
+    b2 = scaled(2.0 * magnetic, exponent, "<B^2>", g.length)
     _check_cancellation(0.5 * e2, 0.5 * b2, free_casimir_density(g))
     return CorrelatorPair(e2=e2, b2=b2)
 
 
 def _check_cancellation(electric, magnetic, free: float, any_=bool) -> None:
-    # Safety code on the finished densities (floats, or arrays with any_ =
-    # numpy.any): electric + magnetic must be the free density.  Near the walls
+    # Safety code on the finished densities (floats, or columns with any_ =
+    # numpy.any or any): electric + magnetic must be the free density.  Near the walls
     # the rounding of the huge terms dominates the constant, so the miss is
     # scaled by the pair: miss > 2e-12 max(|electric|, |magnetic|, 5e-301).
     miss = abs(electric + magnetic - free)
@@ -194,8 +202,8 @@ def casimir_force_per_area(g: Geometry) -> float:
 
 def _eh(g: Geometry, c: Couplings, k: int) -> tuple[float, int]:
     # -alpha^2 pi^4 / (2^7 3^3 5 m^4 L^k) as law (prefactor, exponent): the
-    # correction density takes k = 8, the total k = 7.
-    return law(-math.pi ** 4, _EH_DENOMINATOR, g.length, k, c, 2)
+    # correction density (see _laws) takes k = 8, the total k = 7.
+    return law(_EH_NUMERATOR, _EH_DENOMINATOR, g.length, k, c, 2)
 
 
 def eh_correction_constant(g: Geometry, c: Couplings) -> float:
@@ -204,21 +212,14 @@ def eh_correction_constant(g: Geometry, c: Couplings) -> float:
     return scaled(scale * _EH_CONSTANT, exponent, "the correction constant", g.length)
 
 
-def _eh_density(scale: float, f_value):
-    # The correction density at the scale of _eh, 11/225 + 9 F^2, as plain
-    # arithmetic on F: a float or a numpy array.
-    return scale * _EH_CONSTANT + scale * 9.0 * f_value * f_value
-
-
 def eh_correction_density(g: Geometry, pos: Position, c: Couplings) -> float:
     """Lowest-order four-photon correction to the energy density.
 
     -(alpha^2 pi^4 / (2^7 3^3 5 m^4 L^8)) (11/225 + 9 F^2(theta)).
     Diverges like 1/sin^8 near the plates.
     """
-    f_value = _profile_at(g, pos)
-    scale, exponent = _eh(g, c, 8)
-    return scaled(_eh_density(scale, f_value), exponent, "the correction density", g.length)
+    ((value, exponent),) = _laws(g, c, _sine_at(g, pos), False)
+    return scaled(value, exponent, "the correction density", g.length)
 
 
 def corrected_total_energy(g: Geometry, c: Couplings) -> float:
@@ -259,10 +260,9 @@ def density_split(g: Geometry, pos: Position, scheme: RegScheme | None = None) -
     rejected.
     """
     _require_zeta(scheme)
-    f_value = _profile_at(g, pos)
-    scale, exponent = _halves_law(g)
-    electric, magnetic = (scaled(half, exponent, f"the {name} density", g.length)
-                          for half, name in zip(_halves(scale, f_value), ("electric", "magnetic")))
+    (electric, exponent), (magnetic, _) = _laws(g, None, _sine_at(g, pos))
+    electric = scaled(electric, exponent, "the electric density", g.length)
+    magnetic = scaled(magnetic, exponent, "the magnetic density", g.length)
     total = free_casimir_density(g)
     _check_cancellation(electric, magnetic, total)
     return EnergySplit(electric=electric, magnetic=magnetic, total=total)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import bisect
 import contextlib
-import functools
+import itertools
 import math
 import operator
 from collections.abc import Sequence
@@ -80,9 +80,9 @@ def theta_grid(spec: GridSpec) -> tuple[float, ...]:
 
 
 # The largest grid that grid_angles hands out as floats.  At 1000
-# points the float pass costs 1.1-2.0 ms in-process, a few percent of the
+# points the float pass costs 0.8-1.7 ms in-process, a few percent of the
 # ~150 ms numpy import it spares a cold process; at 10,001 points it would
-# cost 19-27 ms against under 1 ms for the array pass.
+# cost 8-20 ms against under 1 ms for the array pass (2-core VM).
 _FLOAT_GRID_MAX = 1000
 
 
@@ -95,6 +95,31 @@ def grid_angles(spec: GridSpec) -> tuple[float, ...] | np.ndarray:
     evaluated in one numpy pass.
     """
     return theta_grid(spec) if spec.count <= _FLOAT_GRID_MAX else theta_array(spec)
+
+
+def _itemwise(op, reflected=False):
+    # A _Floats operator: op item by item, against a list or one float.
+    def method(self, other):
+        others = other if isinstance(other, list) else itertools.repeat(other)
+        return _Floats(map(op, others, self) if reflected else map(op, self, others))
+    return method
+
+
+class _Floats(list):
+    """Floats with a numpy array's item-by-item arithmetic: the float engine.
+
+    The model laws are plain arithmetic, so they run on it unchanged, each
+    item through the float operations of the point functions.
+    """
+
+    __add__ = __radd__ = _itemwise(operator.add)  # IEEE sums and products commute
+    __mul__ = __rmul__ = _itemwise(operator.mul)
+    __sub__, __rsub__ = _itemwise(operator.sub), _itemwise(operator.sub, True)
+    __truediv__, __rtruediv__ = _itemwise(operator.truediv), _itemwise(operator.truediv, True)
+    __gt__, __and__ = _itemwise(operator.gt), _itemwise(operator.and_)
+
+    def __abs__(self):
+        return _Floats(map(abs, self))
 
 
 def density_columns(
@@ -110,15 +135,15 @@ def density_columns(
     correction (the interaction correction to the density) when
     ``couplings`` is given; both models take a :class:`Couplings`, of
     which :class:`em3d.EhCouplings` is the one with the EM defaults.  A
-    sequence of angles gives lists, evaluated point by point with
-    ``math``; an array gives arrays, evaluated in one numpy pass.  Both
-    run the laws of the point functions (``density_split``,
-    ``correction_density``, ``eh_correction_density``), so every entry
-    equals their value bit for bit; the total is the constant free
-    density.  Validation happens once per grid with the point functions'
-    errors: DomainError for angles outside [0, pi] or an EM cutoff scheme,
-    SingularityError for wall angles where the density diverges,
-    RangeError where sin^2(theta) underflows, and at most one
+    sequence of angles gives lists, evaluated float by float; an array
+    gives arrays, evaluated in one numpy pass.  Both run the model's law
+    evaluator once over the grid, as the point functions (``density_split``,
+    ``correction_density``, ``eh_correction_density``) run it on one
+    angle, so every entry equals their value bit for bit; the total is the
+    constant free density.  Validation happens once per grid with the
+    point functions' errors: DomainError for angles outside [0, pi] or an
+    EM cutoff scheme, SingularityError for wall angles where the density
+    diverges, RangeError where sin^2(theta) underflows, and at most one
     ValidityWarning for a strong scalar coupling.  A column that leaves
     the range of normal doubles raises RangeError.
     """
@@ -140,56 +165,33 @@ def density_columns(
     if rim and divides:
         specfun.require_interior_angle(rim[0])  # SingularityError on the wall
     length = g.length
-    # The engines differ only in how a kernel meets the grid: one call on the
-    # arrays, or a map over the floats.  Each kernel runs over the whole grid
-    # before the next, so errors and the warning come in the same order.
+    # The engines differ only in the type the laws run on: numpy arrays, or
+    # _Floats, which apply each operation float by float.
     if arrays:
-        sin_theta, least, any_ = np.sin(theta), np.min, np.any
-
-        def apply(kernel, *columns, pair=False):
-            return kernel(*columns)
+        floats, sin_theta, least, any_ = np.asarray, np.sin(theta), np.min, np.any
     else:
-        sin_theta, least, any_ = list(map(math.sin, theta)), min, bool
-
-        def apply(kernel, *columns, pair=False):
-            values = list(map(kernel, *columns))
-            return [list(c) for c in zip(*values)] or [[], []] if pair else values
-
+        floats, sin_theta, least, any_ = _Floats, _Floats(map(math.sin, theta)), min, any
     if divides and len(theta):
         specfun.check_sine(float(least(sin_theta)), float(least(theta)))
     if couplings is not None and not em:
         scalar1d._warn_if_strong(couplings, g)
     with np.errstate(over="ignore", invalid="ignore") if arrays else contextlib.nullcontext():
-        columns = {"theta": theta, "z": scaled(
-            apply(lambda t: length * t / math.pi, theta), 0, "the z column", length)}
-        # Each column is a law: a kernel at the law's scale, then its power of two.
+        columns = {"theta": theta,
+                   "z": scaled(length * floats(theta) / math.pi, 0, "the z column", length)}
+        laws = (em3d._laws(g, couplings, sin_theta) if em
+                else scalar1d._laws(g, scheme, couplings, sin_theta))
+        # Each column is its law's value times its power of two; the total is
+        # the law's constant, scaled once.
+        for name, (value, exponent) in zip(("electric", "magnetic"), laws):
+            columns[name] = scaled(value, exponent, f"the {name} column", length)
+        total = (em3d.free_casimir_density(g) if em
+                 else scaled(*laws[2], "the total column", length))
+        columns["total"] = np.full_like(theta, total) if arrays else [total] * len(theta)
         if em:
-            shape = apply(em3d._profile, sin_theta)
-            scale, exponent = em3d._halves_law(g)
-            halves = apply(lambda f: em3d._halves(scale, f), shape, pair=True)
-            constant = functools.partial(em3d.free_casimir_density, g)
-        else:
-            shape = sin_theta
-            scale, exponent = scalar1d._density_law(g)
-            halves = apply(lambda s: scalar1d._split(scale, scheme, s), shape, pair=True)
-            constant = functools.partial(scaled, 2.0 * scale * scalar1d._ZETA_MINUS_ONE,
-                                         exponent, "the total column", length)
-        for name, column in zip(("electric", "magnetic"), halves):
-            columns[name] = scaled(column, exponent, f"the {name} column", length)
-        total = constant()
-        columns["total"] = apply(lambda s: total + 0.0 * s, sin_theta)
-        if em:
-            apply(lambda e, m: em3d._check_cancellation(e, m, total, any_),
-                  columns["electric"], columns["magnetic"])
+            em3d._check_cancellation(floats(columns["electric"]), floats(columns["magnetic"]),
+                                     total, any_)
         if couplings is not None:
-            if em:
-                kernel, (prefactor, exponent) = em3d._eh_density, em3d._eh(g, couplings, 8)
-            else:
-                kernel, (prefactor, exponent) = scalar1d._correction, scalar1d._interaction(
-                    g, couplings, 4)
-                prefactor = -prefactor / 8.0
-            columns["correction"] = scaled(apply(functools.partial(kernel, prefactor), shape),
-                                           exponent, "the correction column", length)
+            columns["correction"] = scaled(*laws[-1], "the correction column", length)
     return columns
 
 

@@ -138,7 +138,7 @@ def abel_sum_sin(eps: float, theta: float) -> float:
     the term-by-term zeros of the series.
     """
     eps = _check_eps(eps)
-    theta = float(theta)
+    theta = specfun._require_finite("theta", theta)
     if theta == 0.0 or theta == math.pi:
         return 0.0
     a = math.exp(-eps)
@@ -157,7 +157,7 @@ def abel_sum_sin_dtheta(eps: float, theta: float) -> float:
     its relative accuracy for small eps and theta at either wall.
     """
     eps = _check_eps(eps)
-    return _abel_sin_dtheta(eps, math.sin(float(theta)))
+    return _abel_sin_dtheta(eps, math.sin(specfun._require_finite("theta", theta)))
 
 
 def _abel_sin_dtheta(eps: float, sin_theta):

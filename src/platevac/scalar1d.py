@@ -145,27 +145,29 @@ def _free_total(g: Geometry) -> tuple[float, int]:
     return regsum.zeta_regularize_power(PowerSeriesSpec(exponent=1.0, scale=scale)), exponent
 
 
-def _density_law(g: Geometry) -> tuple[float, int]:
-    # pi/(4 L^2), the scale of both densities, as law (prefactor, exponent).
-    return law(math.pi, 4.0, g.length, 2)
-
-
-def _split(scale: float, scheme: RegScheme, sin_theta):
-    # (electric, magnetic) at the scale of _density_law, as plain
-    # arithmetic on sin(theta): a float or a numpy array works unchanged.
-    # Both densities are (pi/(4 L^2)) [sum n -/+ sum n cos(2 n theta)],
-    # electric taking the minus.  The caller validates the positions.
+def _laws(g: Geometry, scheme: RegScheme | None, c: Couplings | None, sin_theta) -> tuple:
+    # The density laws at L as (value, exponent) pairs, worth value * 2**exponent,
+    # in plain arithmetic on a validated sin(theta) (a float, or an array of
+    # them): the electric and magnetic densities (pi/(4 L^2)) [sum n -/+ sum n
+    # cos(2 n theta)] in ``scheme`` unless it is None; the total -pi/(24 L^2),
+    # to which their position terms cancel; with couplings, the correction
+    # -(alpha pi^2 / (8 m^2 L^4)) (1/18 + 1/sin^4 theta).
+    scale, exponent = law(math.pi, 4.0, g.length, 2)
     constant = scale * _ZETA_MINUS_ONE
-    if scheme.kind is RegKind.ZETA:
-        position_part = scale * regsum._sum_n_cos_continued(sin_theta)
-    else:
-        # sum n e^(-eps n) cos(2 n theta) is half the theta-derivative of
-        # the cutoff sine sum, taken analytically on the closed form.
-        position_part = scale * 0.5 * regsum._abel_sin_dtheta(scheme.epsilon, sin_theta)
-    return constant - position_part, constant + position_part
-
-
-_DENSITIES = ("the electric density", "the magnetic density", "the total density")
+    laws = (2.0 * constant, exponent),
+    if scheme is not None:
+        if scheme.kind is RegKind.ZETA:
+            position_part = scale * regsum._sum_n_cos_continued(sin_theta)
+        else:
+            # sum n e^(-eps n) cos(2 n theta) is half the theta-derivative of
+            # the cutoff sine sum, taken analytically on the closed form.
+            position_part = scale * 0.5 * regsum._abel_sin_dtheta(scheme.epsilon, sin_theta)
+        laws = (constant - position_part, exponent), (constant + position_part, exponent), *laws
+    if c is not None:
+        interaction, correction_exponent = _interaction(g, c, 4)
+        csc2 = 1.0 / (sin_theta * sin_theta)
+        laws += (-interaction / 8.0 * (1.0 / 18.0 + csc2 * csc2), correction_exponent),
+    return laws
 
 
 def _split_at(g: Geometry, pos: Position, scheme: RegScheme) -> tuple[float, float, float]:
@@ -178,10 +180,10 @@ def _split_at(g: Geometry, pos: Position, scheme: RegScheme) -> tuple[float, flo
                 "cutoff scheme there instead"
             )
         specfun.check_sine(sin_theta, pos.theta)
-    scale, exponent = _density_law(g)
-    # The total is the law's constant: the position terms cancel analytically.
-    parts = (*_split(scale, scheme, sin_theta), 2.0 * scale * _ZETA_MINUS_ONE)
-    return tuple(scaled(value, exponent, what, g.length) for value, what in zip(parts, _DENSITIES))
+    (electric, exponent), (magnetic, _), (total, _) = _laws(g, scheme, None, sin_theta)
+    return (scaled(electric, exponent, "the electric density", g.length),
+            scaled(magnetic, exponent, "the magnetic density", g.length),
+            scaled(total, exponent, "the total density", g.length))
 
 
 def electric_density(g: Geometry, pos: Position, scheme: RegScheme) -> float:
@@ -276,27 +278,16 @@ _INTERACTION_CONSTANT = Fraction(1, 8) * Fraction(1, 18)
 
 def _interaction(g: Geometry, c: Couplings, k: int) -> tuple[float, int]:
     # alpha pi^2 / (m^2 L^k) as law (prefactor, exponent): the correction
-    # density is -1/8 of it at k = 4 times its shape, the totals carry it
-    # at k = 3.
+    # density (see _laws) takes k = 4, the totals k = 3.
     return law(math.pi ** 2, 1.0, g.length, k, c, 1)
 
 
-def _correction(prefactor: float, sin_theta):
-    # The correction density at the scale -1/8 of _interaction at k = 4, as
-    # plain arithmetic on sin(theta): a float or a numpy array.
-    csc2 = 1.0 / (sin_theta * sin_theta)
-    return prefactor * (1.0 / 18.0 + csc2 * csc2)
-
-
-def _interacting_at(g: Geometry, pos: Position, c: Couplings) -> list[tuple[float, int]]:
+def _interacting_at(g: Geometry, pos: Position, c: Couplings) -> tuple[tuple[float, int], ...]:
     # (value, exponent) of the free constant and the correction at a validated pos.
     if not pos.interior:
         raise SingularityError("the interaction correction diverges on the walls")
     sin_theta = specfun.check_sine(pos.sin_theta, pos.theta)
-    scale, exponent = _density_law(g)
-    interaction, correction_exponent = _interaction(g, c, 4)
-    return [(2.0 * scale * _ZETA_MINUS_ONE, exponent),
-            (_correction(-interaction / 8.0, sin_theta), correction_exponent)]
+    return _laws(g, None, c, sin_theta)
 
 
 def correction_density(g: Geometry, pos: Position, c: Couplings) -> float:
@@ -308,7 +299,8 @@ def correction_density(g: Geometry, pos: Position, c: Couplings) -> float:
     """
     check_position(g, pos)
     _warn_if_strong(c, g)
-    return scaled(*_interacting_at(g, pos, c)[1], "the correction density", g.length)
+    _, (value, exponent) = _interacting_at(g, pos, c)
+    return scaled(value, exponent, "the correction density", g.length)
 
 
 def interacting_density(g: Geometry, pos: Position, c: Couplings) -> float:

@@ -160,6 +160,8 @@ def _zeta_euler_maclaurin(s: float) -> float:
     rising = s  # product s (s+1) ... (s + 2k - 2)
     power = n_cut ** (-s - 1.0)
     for k in range(1, _EM_ORDER + 1):
+        if power == 0.0:  # so is every later term, while rising may overflow to inf
+            break
         corr += coeffs[k - 1] * rising * power
         rising *= (s + 2 * k - 1) * (s + 2 * k)
         power /= n_cut * n_cut

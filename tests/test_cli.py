@@ -261,6 +261,23 @@ class TestTotalCommand:
         assert len(lines) == 2
         assert lines[0].split(",")[0] == "model"
 
+    @pytest.mark.parametrize("argv, model, alpha, mass, keys", [
+        ([], "scalar", 0.0, 1.0, ["total_energy"]),
+        (["--alpha", "0.01", "--mass", "2.5"], "scalar", 0.01, 2.5, ["total_energy"]),
+        (["--model", "em", "--alpha", "0.01"], "em", 0.01, 1.0,
+         ["total_energy", "force_per_area"]),
+    ])
+    def test_csv_cells(self, argv, model, alpha, mass, keys, capsys):
+        # The model's name, then every number as format(x, ".17g").
+        code, out, _ = run_in_process(["total", "--length", "0.37", *argv], capsys)
+        _, payload, _ = run_in_process(["total", "--length", "0.37", *argv, "--format", "json"],
+                                       capsys)
+        totals = json.loads(payload)
+        cells = [format(x, ".17g") for x in (0.37, alpha, mass, *(totals[k] for k in keys))]
+        assert code == 0
+        assert out.decode() == (",".join(["model", "length", "alpha", "mass", *keys]) + "\n"
+                                + ",".join([model, *cells]) + "\n")
+
 
 class TestExitCodes:
     def test_missing_epsilon_is_config_error(self):
@@ -374,6 +391,26 @@ class TestCommuteCommand:
         assert lines[0] == "section,index,parameter,value,reference"
         sections = {line.split(",")[0] for line in lines[1:]}
         assert sections == {"0", "1", "2"}
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["--length", "0.37", "--alpha", "0.01", "--mass", "10",
+         "--epsilons", "0.04,0.02,0.01,0.005"],
+    ])
+    def test_csv_cells(self, argv, capsys):
+        # The JSON report's rows, every cell written as format(x, ".17g").
+        code, out, _ = run_in_process(["commute", *argv], capsys)
+        _, payload, _ = run_in_process(["commute", *argv, "--format", "json"], capsys)
+        report = json.loads(payload)
+        rows = [[0.0, float(i), r["delta"], r["partial_total"], r["divergent_estimate"]]
+                for i, r in enumerate(report["integrate_then_regularize"])]
+        rows += [[1.0, float(i), r["epsilon"], r["subtracted"], r["raw_total"]]
+                 for i, r in enumerate(report["cutoff_full_interval"])]
+        rows.append([2.0, 0.0, 0.0, report["sum_then_regularize"], report["cutoff_limit"]])
+        lines = [",".join(format(x, ".17g") for x in row) for row in rows]
+        assert code == 0
+        header = "section,index,parameter,value,reference"
+        assert out.decode() == "\n".join([header, *lines]) + "\n"
 
     @pytest.mark.parametrize("flag,values", [
         ("--deltas", "0.1,0.2"),

@@ -523,6 +523,26 @@ class TestTable:
         assert cli._table(header, columns, fmt) == reference_table(header, columns, fmt)
 
 
+class TestFirstError:
+    """An EM table that leaves the normal doubles names the same column on both engines."""
+
+    @pytest.mark.parametrize("grid", ["101", "1001"])
+    @pytest.mark.parametrize("alpha", [[], ["--alpha", "0.01"]])
+    @pytest.mark.parametrize("length, message", [
+        ("1e-100", "the electric column overflows a double at L = 1e-100"),
+        ("5e76", "the free density underflows a double at L = 5e+76"),
+        ("1e77", "the electric column underflows a double at L = 1e+77"),
+    ])
+    def test_em_table(self, grid, alpha, length, message):
+        argv = ["density", "--model", "em", "--length", length, "--grid", grid, *alpha]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning either
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                assert cli.main(argv) == 1
+        assert (out.getvalue(), err.getvalue()) == ("", f"numeric error: {message}\n")
+
+
 class TestNumpyFreeImport:
     def test_point_modules_import_without_numpy(self):
         code = "\n".join([

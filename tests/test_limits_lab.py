@@ -1,6 +1,9 @@
+import ast
 import inspect
 import json
 import math
+import operator
+import pathlib
 import warnings
 
 import mpmath
@@ -682,3 +685,67 @@ class TestInteractingWindow:
             warnings.simplefilter("always")
             limits_lab._interacting_window_integral(G1, strong, 0.01)
         assert [w.category for w in caught] == [ValidityWarning]
+
+
+class TestModelPrivateNames:
+    """limits_lab reads the density laws through each model's one evaluator."""
+
+    # Validation, the two law evaluators, the EM cancellation guard, and the
+    # total laws of the commutation report.
+    READ = {
+        "scalar1d._warn_if_strong", "scalar1d._laws", "scalar1d._interaction",
+        "scalar1d._free_total", "scalar1d._total_law", "scalar1d._INTERACTION_CONSTANT",
+        "em3d._require_zeta", "em3d._laws", "em3d._check_cancellation",
+    }
+    # The helpers that wrote the density laws a second time in limits_lab.
+    FOLDED = {
+        "scalar1d._density_law", "scalar1d._split", "scalar1d._correction",
+        "scalar1d._ZETA_MINUS_ONE", "em3d._halves_law", "em3d._halves", "em3d._profile",
+        "em3d._eh", "em3d._eh_density",
+    }
+
+    def test_limits_lab_reads_only_the_declared_private_names(self):
+        path = pathlib.Path(limits_lab.__file__)
+        read = set()
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in ("scalar1d", "em3d")):
+                read.add(f"{node.value.id}.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module in ("scalar1d", "em3d"):
+                read.update(f"{node.module}.{alias.name}" for alias in node.names)
+        private = {name for name in read if name.split(".")[1].startswith("_")}
+        assert private == self.READ
+        assert not private & self.FOLDED
+
+
+class TestFloats:
+    """limits_lab._Floats: each operator gives the bits of the float operation, item by item."""
+
+    ITEMS = [0.1, -2.5, 1e300, 5e-324, -0.0, 3.0, math.pi, 7e-310]
+    OTHERS = [1.7, 1e-300, -3.0, 2.0, 0.5, -1e10, 1e-8, 3.3]
+    OPERATORS = [operator.add, operator.sub, operator.mul, operator.truediv, operator.gt]
+
+    @staticmethod
+    def bits(values):
+        return [float(v).hex() if isinstance(v, float) else v for v in values]
+
+    @pytest.mark.parametrize("op", OPERATORS)
+    def test_against_a_list_and_a_float(self, op):
+        floats = limits_lab._Floats(self.ITEMS)
+        for other in (self.OTHERS, 2.75, -1e-320):
+            others = other if isinstance(other, list) else [other] * len(self.ITEMS)
+            expected = [op(a, b) for a, b in zip(self.ITEMS, others)]
+            assert self.bits(op(floats, other)) == self.bits(expected)
+            assert type(op(floats, other)) is limits_lab._Floats
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+    def test_reflected_against_a_float(self, op):
+        floats = limits_lab._Floats(self.OTHERS)
+        for number in (2.75, -1e-320, 1e308):
+            assert self.bits(op(number, floats)) == self.bits([op(number, b) for b in self.OTHERS])
+
+    def test_abs_and_and(self):
+        floats = limits_lab._Floats(self.ITEMS)
+        assert self.bits(abs(floats)) == self.bits([abs(v) for v in self.ITEMS])
+        left, right = floats > 0.0, floats > 1.0
+        assert left & right == [a and b for a, b in zip(left, right)]

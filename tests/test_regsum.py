@@ -90,6 +90,14 @@ class TestAbelSumSin:
             regsum.abel_sum_sin(-0.1, 1.0)
 
 
+@pytest.mark.parametrize("function", [regsum.abel_sum_sin, regsum.abel_sum_sin_dtheta])
+@pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+def test_non_finite_theta_is_a_domain_error(function, theta):
+    # Not a bare "math domain error" from sin(inf), nor a nan passed through.
+    with pytest.raises(DomainError, match=f"^theta must be finite, got {theta!r}$"):
+        function(1.0, theta)
+
+
 def mp_sin_dtheta(eps: float, theta: float) -> float:
     """2 sum n e^(-eps n) cos(2 n theta) from the cos(2 theta) closed form, to 50 digits."""
     with mpmath.workdps(50):

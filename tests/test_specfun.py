@@ -37,6 +37,17 @@ class TestRiemannZeta:
     def test_tends_to_one(self):
         assert abs(specfun.riemann_zeta(30.0) - 1.0) < 1e-8
 
+    @pytest.mark.parametrize("s", [1e16, 1e20, 1e100, 1e300])
+    def test_huge_arguments_are_one(self, s):
+        # Every Euler-Maclaurin term is 0 here, while the rising factor
+        # overflows to inf: their product must not turn the sum into nan.
+        assert specfun.riemann_zeta(s) == 1.0
+
+    def test_large_arguments_against_mpmath(self):
+        mpmath.mp.dps = 30
+        for s in (40.0, 64.0, 300.0, 1075.0, 1e4, 1e8):
+            assert specfun.riemann_zeta(s) == float(mpmath.zeta(s))
+
     def test_pole_at_one(self):
         with pytest.raises(PoleError):
             specfun.riemann_zeta(1.0)
