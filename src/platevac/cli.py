@@ -167,11 +167,18 @@ def _table(header: dict, columns: list, out_format: str) -> str:
     """A density, scan or commute table of one or more float rows, given column by column.
 
     CSV: the header["columns"] line, then one line per row of its cells
-    as format(x, ".17g"); JSON: the bytes of ``_json({**header, "rows":
-    rows})``.  Each row fills one template, into which a column of one
-    nonzero value is written once (0.0 == -0.0 prints two ways).  '%r'
-    gives json.dumps' text of a finite float; only nan and inf hold an 'n'.
+    as format(x, ".17g"), from numpy columns (the array engine's) in numpy
+    passes by ``limits_lab._csv_rows``; JSON: the bytes of ``_json({**header,
+    "rows": rows})``.  Other rows fill one template, into which a column
+    of one nonzero value is written once (0.0 == -0.0 prints two ways).
+    '%r' gives json.dumps' text of a finite float; only nan and inf hold an 'n'.
     """
+    if not isinstance(columns[0], (list, tuple)):
+        if out_format == "csv":
+            from . import limits_lab
+
+            return "".join([",".join(header["columns"]) + "\n", *limits_lab._csv_rows(columns)])
+        columns = [column.tolist() for column in columns]
     cell, start, between, end, newline = (
         ("%.17g", "", ",", "", "\n") if out_format == "csv"
         else ("%r", "    [\n      ", ",\n      ", "\n    ]", ",\n"))
@@ -213,9 +220,7 @@ def _cmd_density(args: argparse.Namespace) -> int:
         "mass": config.mass,
         "columns": list(columns),
     }
-    cells = [column if isinstance(column, list) else column.tolist()
-             for column in columns.values()]
-    _emit(_table(header, cells, config.out_format), config.out_path)
+    _emit(_table(header, list(columns.values()), config.out_format), config.out_path)
     return 0
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import bisect
 import contextlib
+import functools
 import itertools
 import math
 import operator
@@ -193,6 +194,102 @@ def density_columns(
         if couplings is not None:
             columns["correction"] = scaled(*laws[-1], "the correction column", length)
     return columns
+
+
+# Rows per pass of _csv_rows: its arrays stay near 2 MB.
+_CSV_CHUNK = 2048
+
+
+def _split(x):
+    # Dekker's split: x = big + small, each of at most 26 significant bits.
+    c = 134217729.0 * x
+    big = c - (c - x)
+    return big, x - big
+
+
+@functools.cache
+def _csv_tables() -> tuple:
+    # 10**k, k in [-300, 300], as double-doubles from exact integers: hi,
+    # its halves, lo.  Then byte rows read as 8-byte words, so one gather
+    # fetches a row: the digits of 0..9999 and, in 2-byte digit-point
+    # slots, the digits kept up to digit j and the point after digit j
+    # (none in row 17); "0.000" cut to m bytes; "e-XXX" in row e + 331.
+    import numpy as np
+
+    hi, lo = [], []
+    for k in range(-300, 301):
+        hi.append(float(10 ** k) if k >= 0 else 1 / 10 ** -k)
+        a, b = hi[-1].as_integer_ratio()
+        lo.append(10 ** k - a if k >= 0 else (b - a * 10 ** -k) / (b * 10 ** -k))
+    hi = np.array(hi)
+
+    def words(rows, width):
+        data = b"".join(row.ljust(width, b"\0") for row in rows)
+        return np.frombuffer(data, np.uint64).reshape(len(rows), -1)
+
+    quads = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
+    return (hi, *_split(hi), np.array(lo, dtype=float), quads.astype("<u2").view(np.uint64),
+            words([b"\xff\0" * (j + 1) for j in range(17)], 40),
+            words([b"\0\0" * j + b"\0." for j in range(18)], 40),
+            words([b"0.000"[:m] for m in range(6)], 8),
+            words([b""] + [b"e%+03d" % e for e in range(-330, 331)], 8))
+
+
+def _csv_rows(columns: Sequence[np.ndarray]) -> list[str]:
+    """The CSV rows of float ``columns``, one string per chunk of rows.
+
+    Each cell is format(x, ".17g"), each row ends in '\\n', and a chunk
+    takes a few numpy passes.  For |x| in [1e-270, 1e290], N = round(|x|
+    10^(16-e)) is its 17 digits, from a double-double power of ten and
+    Dekker's exact product, with e log10's exponent corrected from the
+    unrounded product.  The cell then fills fixed byte slots (sign, lead
+    "0.000", 17 digit-point pairs, "e+XXX") in %g's fixed or scientific
+    form without trailing zeros, NUL in every unused slot, which one
+    translate removes.  "%.17g" itself writes every other cell, and one
+    within 1e-6 of a rounding tie.
+    """
+    import numpy as np
+
+    hi, hi_big, hi_small, lo, quads, keep, points, leads, exponents = _csv_tables()
+    chunks = []
+    for start in range(0, len(columns[0]), _CSV_CHUNK):
+        x = np.stack([column[start:start + _CSV_CHUNK] for column in columns], axis=1)
+        ax = np.abs(x)
+        fallback = ~((ax >= 1e-270) & (ax <= 1e290))  # also zeros, inf and nan
+        ax[fallback] = 1.0
+        ax_big, ax_small = _split(ax)
+        e = np.floor(np.log10(ax)).astype(np.int64)
+        for fix in (True, False):
+            k = 316 - e  # the index of 10**(16 - e)
+            p = ax * hi[k]  # an integer from 2**53 on; t carries the rest
+            t = ((((ax_big * hi_big[k] - p) + ax_big * hi_small[k]) + ax_small * hi_big[k])
+                 + ax_small * hi_small[k]) + ax * lo[k]
+            if fix:  # from the unrounded value p + t
+                e += (p > 1e17) | (p == 1e17) & (t >= 0.0)
+                e -= (p < 1e16) | (p == 1e16) & (t < 0.0)
+        n = p.astype(np.int64) + np.floor(t + 0.5).astype(np.int64)
+        fallback |= (np.abs(t - np.floor(t) - 0.5) < 1e-6) | (n < 10 ** 16) | (n >= 10 ** 17)
+        groups = np.empty(x.shape + (5,), np.intp)  # N in base 10**4, by scalar divisors
+        for i in (4, 3, 2, 1):
+            n, groups[..., i] = np.divmod(n, 10 ** 4)
+        groups[..., 0] = n
+        digits = quads[groups].view("<u2").reshape(x.shape + (20,))[..., 3:]
+        last = 16 - np.argmax(digits[..., ::-1] != ord("0"), axis=-1)  # the last nonzero digit
+        sci = (e < -4) | (e > 16)
+        whole = np.where(sci, 0, e)  # the digits before the point, less one
+        cell = np.zeros(x.shape + (46,), np.uint8)
+        cell[..., 0] = np.where(x < 0, ord("-"), 0)
+        cell[..., 1:6] = leads[np.where(sci | (e >= 0), 0, 1 - e)].view(np.uint8)[..., :5]
+        pairs = (digits & keep[np.maximum(last, whole)].view("<u2")[..., :17]
+                 | points[np.where((last > whole) & (whole >= 0), whole, 17)].view("<u2")[..., :17])
+        cell[..., 6:40] = pairs.view(np.uint8)
+        cell[..., 40:45] = exponents[np.where(sci, e + 331, 0)].view(np.uint8)[..., :5]
+        cell[..., 45] = ord(",")
+        cell[:, -1, 45] = ord("\n")
+        for row, col in zip(*np.nonzero(fallback)):
+            cell[row, col, :45] = list(b"%.17g" % x[row, col] + bytes(45))[:45]
+        chunks.append(cell.tobytes().translate(None, b"\0").decode())
+    return chunks
 
 
 _COMPONENTS = ("electric", "magnetic", "total")
@@ -550,9 +647,10 @@ _AGREEMENT_RTOL = 1e-7
 def _ladder(name: str, values: Sequence[float], g: Geometry) -> list[float]:
     """``values`` as floats, strictly decreasing inside the range of ``name``.
 
-    A delta lies in (0, L/2), an epsilon in (0, inf); nan and inf fail
-    the range test.  The window fit needs at least two deltas.  Epsilons
-    are extrapolated to zero, so their ratios must also be constant, as
+    A delta lies in (0, L/2), an epsilon in (0, inf) and at least
+    regsum's smallest cutoff, 1e-75; nan and inf fail the range test.
+    The window fit needs at least two deltas.  Epsilons are extrapolated
+    to zero, so their ratios must also be constant, as
     richardson_extrapolate requires.
     """
     ladder = [float(v) for v in values]
@@ -561,6 +659,8 @@ def _ladder(name: str, values: Sequence[float], g: Geometry) -> list[float]:
         raise DomainError(f"{name}s must be a decreasing sequence")
     if any(not 0.0 < v < upper for v in ladder):
         raise DomainError(f"every {name} must lie in {bounds}")
+    if name == "epsilon":
+        regsum._check_eps(ladder[-1])  # the smallest
     if name == "delta" and len(ladder) < 2:
         raise DomainError("the window fit needs at least two deltas")
     if name == "epsilon" and len(ladder) > 1:

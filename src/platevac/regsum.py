@@ -50,10 +50,17 @@ class RegKind(Enum):
     CUTOFF = "cutoff"
 
 
+# The smallest cutoff: below about 1e-77 the fourth power of 1 - e^(-eps)
+# in the closed forms underflows, and they divide by zero or return inf.
+_EPS_MIN = 1e-75
+
+
 def _check_eps(eps: float) -> float:
     eps = float(eps)
     if not math.isfinite(eps) or eps <= 0.0:
         raise DomainError(f"epsilon must be finite and > 0, got {eps!r}")
+    if eps < _EPS_MIN:
+        raise DomainError(f"epsilon must be >= {_EPS_MIN!r}, got {eps!r}")
     return eps
 
 

@@ -40,6 +40,14 @@ def _require_finite(name: str, value: float) -> float:
     return value
 
 
+def _normal(what: str, name: str, arg: float, value: float) -> float:
+    """``value``, of ``what`` at ``name`` = ``arg``; RangeError outside the normal doubles."""
+    if not _TINY <= abs(value) < math.inf:
+        way = "overflows" if abs(value) > 1.0 else "underflows"
+        raise RangeError(f"{what} {way} a double at {name} = {arg!r}")
+    return value
+
+
 # --------------------------------------------------------------------------
 # Bernoulli numbers
 # --------------------------------------------------------------------------
@@ -100,37 +108,46 @@ _LANCZOS_COEFFS = (
 
 
 def sin_pi(x: float) -> float:
-    """sin(pi * x) with the integer part of ``x`` reduced exactly.
+    """sin(pi * x) with the nearest integer to ``x`` reduced exactly.
 
-    Returns an exact 0.0 at integer ``x``; plain ``math.sin(math.pi * x)``
-    does not.
+    Returns an exact 0.0 at integer ``x``, and full relative accuracy next
+    to every integer; plain ``math.sin(math.pi * x)`` does neither.
     """
     x = _require_finite("x", x)
-    n = math.floor(x)
+    n = round(x)
     frac = x - n
     if frac == 0.0:
         return 0.0
     s = math.sin(math.pi * frac)
-    return -s if (int(n) & 1) else s
+    return -s if (n & 1) else s
 
 
 def gamma(x: float) -> float:
     """Gamma function for real ``x`` that is not a non-positive integer.
 
-    Lanczos series for x >= 0.5 and the reflection formula
-    Gamma(x) Gamma(1-x) = pi / sin(pi x) below that.
+    Lanczos series for 0.5 <= x <= 140 and the reflection formula
+    Gamma(x) Gamma(1-x) = pi / sin(pi x) down to -140; past |x| = 140, where
+    the series' power overflows, ``math.gamma``.  A result outside the
+    normal doubles (from x = 171.62..., and next to 0) raises RangeError.
     """
     x = _require_finite("x", x)
     if x <= 0.0 and x == math.floor(x):
         raise PoleError(f"gamma has a pole at the non-positive integer x = {x}")
-    if x < 0.5:
-        return math.pi / (sin_pi(x) * gamma(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i in range(1, len(_LANCZOS_COEFFS)):
-        acc += _LANCZOS_COEFFS[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
+    if abs(x) > 140.0:
+        try:
+            value = math.gamma(x)
+        except OverflowError:
+            value = math.inf
+    elif x < 0.5:
+        value = math.pi / (sin_pi(x) * gamma(1.0 - x))
+    else:
+        z = x - 1.0
+        acc = _LANCZOS_COEFFS[0]
+        for i in range(1, len(_LANCZOS_COEFFS)):
+            acc += _LANCZOS_COEFFS[i] / (z + i)
+        t = z + _LANCZOS_G + 0.5
+        value = math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
+    return _normal("gamma", "x", x, value)
 
 
 # --------------------------------------------------------------------------
@@ -181,7 +198,9 @@ def riemann_zeta(s: float) -> float:
     s >= 0 uses Euler-Maclaurin corrected partial summation.  Negative
     integers return the exact Bernoulli value (0 at negative even
     integers).  Other negative arguments go through the functional
-    equation zeta(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s).
+    equation zeta(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s), below
+    s = -140 with Gamma(1-s) duplicated (2^s cancels), so no partial product
+    overflows before the result, which then raises RangeError.
     """
     s = _require_finite("s", s)
     if s == 1.0:
@@ -192,6 +211,13 @@ def riemann_zeta(s: float) -> float:
             if n + 1 > MAX_BERNOULLI_INDEX:
                 raise DomainError(f"s = {s} is below the supported range")
             return _zeta_negative_integer(n)
+        if s < -140.0:
+            try:
+                value = (math.pi ** (s - 1.5) * sin_pi(0.5 * s) * gamma(0.5 - 0.5 * s)
+                         * gamma(1.0 - 0.5 * s) * _zeta_euler_maclaurin(1.0 - s))
+            except RangeError:  # a Gamma factor overflows, and so does zeta(s)
+                value = math.inf
+            return _normal("riemann_zeta", "s", s, value)
         return (
             2.0 ** s
             * math.pi ** (s - 1.0)
@@ -219,9 +245,9 @@ def require_interior_angle(theta: float) -> float:
 
 
 def cot(theta: float) -> float:
-    """cos(theta)/sin(theta) on the open interval (0, pi)."""
+    """cos(theta)/sin(theta) on the open interval (0, pi); RangeError where it overflows."""
     theta = require_interior_angle(theta)
-    return math.cos(theta) / math.sin(theta)
+    return _normal("cot", "theta", theta, math.cos(theta) / math.sin(theta))
 
 
 def check_sine(sin_theta: float, theta: float) -> float:

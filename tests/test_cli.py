@@ -522,6 +522,34 @@ class TestScanCommand:
         assert result.stderr.startswith(b"error: values:")
 
 
+class TestSmallestCutoff:
+    """A cutoff below 1e-75 is a configuration error, not "float division by zero"."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["scan", "--vary", "epsilon", "--values", "1e-200", "--theta", "1e-100"],
+         "error: values: epsilon must be >= 1e-75, got 1e-200\n"),
+        (["commute", "--epsilons", "1e-160,5e-161,2.5e-161", "--alpha", "0.01"],
+         "error: epsilons: epsilon must be >= 1e-75, got 2.5e-161\n"),
+        (["commute", "--epsilons", "1e-160,5e-161,2.5e-161"],
+         "error: epsilons: epsilon must be >= 1e-75, got 2.5e-161\n"),
+        (["density", "--scheme", "cutoff", "--epsilon", "1e-100"],
+         "error: epsilon: epsilon must be >= 1e-75, got 1e-100\n"),
+    ])
+    def test_below_the_smallest_cutoff(self, argv, message, capsys):
+        assert run_in_process(argv, capsys) == (2, b"", message.encode())
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--vary", "epsilon", "--values", "1e-75", "--theta", "1e-100"],
+        ["commute", "--epsilons", "4e-75,2e-75,1e-75", "--alpha", "0.01"],
+        ["commute", "--epsilons", "4e-75,2e-75,1e-75"],
+    ])
+    def test_smallest_cutoff_prints_finite_values(self, argv, capsys):
+        code, out, err = run_in_process(argv, capsys)
+        assert (code, err) == (0, b"")
+        cells = [float(c) for row in out.decode().splitlines()[1:] for c in row.split(",")]
+        assert all(map(math.isfinite, cells))
+
+
 class TestOverflow:
     @pytest.mark.parametrize("argv", [
         ["density", "--grid", "3", "--length", "1e-160"],

@@ -500,27 +500,104 @@ def random_cells(rng, count):
     return rng.integers(0, 2 ** 64, size=count, dtype=np.uint64).view(np.float64).tolist()
 
 
+# Row counts on both sides of the array writer's chunk boundaries.
+CHUNK_COUNTS = [limits_lab._CSV_CHUNK - 1, limits_lab._CSV_CHUNK + 1, 2 * limits_lab._CSV_CHUNK + 3]
+
+
 class TestTable:
-    """cli._table, both formats, against the table written cell by cell."""
+    """cli._table, both formats, against the table written cell by cell.
+
+    List columns are the float engine's; ndarray columns the array
+    engine's, whose CSV comes from limits_lab._csv_rows.
+    """
+
+    @staticmethod
+    def check_random_tables(fmt, count, constant, container):
+        rng = np.random.default_rng([count, constant, fmt == "json"])
+        header = JSON_HEADERS[6]
+        for _ in range(50 if count < 100 else 2):
+            kinds = [("random", "constant", "zeros")[rng.integers(3)] for _ in range(6)]
+            kinds[constant] = "constant"
+            columns = [random_column(rng, kind, count) for kind in kinds]
+            assert (cli._table(header, list(map(container, columns)), fmt)
+                    == reference_table(header, columns, fmt))
+
+    @staticmethod
+    def check_every_column_constant(fmt, count, container):
+        header = JSON_HEADERS[5]
+        columns = [[value] * count for value in (0.5, math.nan, -math.inf, 5e-324, -2.5)]
+        assert (cli._table(header, list(map(container, columns)), fmt)
+                == reference_table(header, columns, fmt))
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("count", [1, 2, 3, 40])
     @pytest.mark.parametrize("constant", [0, 2, 5])  # the first, a middle and the last column
     def test_random_tables(self, fmt, count, constant):
-        rng = np.random.default_rng([count, constant, fmt == "json"])
-        header = JSON_HEADERS[6]
-        for _ in range(50):
-            kinds = [("random", "constant", "zeros")[rng.integers(3)] for _ in range(6)]
-            kinds[constant] = "constant"
-            columns = [random_column(rng, kind, count) for kind in kinds]
-            assert cli._table(header, columns, fmt) == reference_table(header, columns, fmt)
+        self.check_random_tables(fmt, count, constant, list)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("count", [1, 2, 3, 40, *CHUNK_COUNTS])
+    @pytest.mark.parametrize("constant", [0, 2, 5])
+    def test_random_tables_of_arrays(self, fmt, count, constant):
+        self.check_random_tables(fmt, count, constant, np.array)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("count", [1, 2, 3])
     def test_every_column_constant(self, fmt, count):
-        header = JSON_HEADERS[5]
-        columns = [[value] * count for value in (0.5, math.nan, -math.inf, 5e-324, -2.5)]
-        assert cli._table(header, columns, fmt) == reference_table(header, columns, fmt)
+        self.check_every_column_constant(fmt, count, list)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("count", [1, 2, 3, *CHUNK_COUNTS])
+    def test_every_column_constant_arrays(self, fmt, count):
+        self.check_every_column_constant(fmt, count, np.array)
+
+
+def csv_cells(values):
+    """``values`` as the array writer's 6-column CSV rows, split back into cells."""
+    columns = np.asarray(values, dtype=float).reshape(-1, 6).T
+    return ",".join("".join(limits_lab._csv_rows(list(columns))).splitlines()).split(",")
+
+
+class TestArrayCsvCells:
+    """limits_lab._csv_rows against format(x, ".17g"), cell by cell."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_random_bit_patterns(self, seed):
+        # 5e5 doubles from uniform 64-bit patterns: every exponent, subnormals, NaN payloads.
+        rng = np.random.default_rng(seed)
+        values = np.concatenate([SPECIAL_DOUBLES, rng.integers(
+            0, 2 ** 64, size=499_997, dtype=np.uint64).view(np.float64)])
+        assert csv_cells(values) == [format(x, ".17g") for x in values.tolist()]
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        # 10**k and one ulp either side, both signs: log10's exponent is one
+        # off on one side, and digits round to 1 followed by zeros.
+        tens = np.array([float(f"1e{k}") for k in range(-300, 301)])
+        values = np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)])
+        values = np.concatenate([values, -values])
+        assert csv_cells(values) == [format(x, ".17g") for x in values.tolist()]
+
+    def test_halfway_cases(self):
+        # m / 2**q with m odd and m 5**q of 18 digits ending in 5: exactly
+        # halfway between two 17-digit decimals, so the tie decides.
+        rng = np.random.default_rng(5)
+        values = []
+        for q in range(2, 26):
+            low, high = -(-10 ** 17 // 5 ** q), min(10 ** 18 // 5 ** q, 2 ** 53)
+            for m in rng.integers(low, high, size=500):
+                m = int(m) | 1
+                if m * 5 ** q < 10 ** 18:
+                    values += [m / 2 ** q, -m / 2 ** q]
+        values = values[:len(values) // 6 * 6]
+        assert len(values) > 20_000
+        assert csv_cells(values) == [format(x, ".17g") for x in values]
+
+    def test_signed_zeros_and_three_digit_exponents(self):
+        values = [0.0, -0.0, 1e-100, -1.2345678901234567e-123, 9.999999999999999e299, 1e-300,
+                  2.5e-270, 1e-271, 1.7976931348623157e308, -2.2250738585072014e-308,
+                  1e100, -1e200, 1.5e-5, 0.00015, 1e16, 1e17, 123456789012345678.0, 0.1]
+        values = values * 6
+        assert csv_cells(values) == [format(x, ".17g") for x in values]
 
 
 class TestFirstError:

@@ -207,6 +207,40 @@ class TestAbelSumQuadratic:
         assert regsum.abel_sum_quadratic_minus_bulk(1e-9) == pytest.approx(0.0, abs=1e-10)
 
 
+EPS_FUNCTIONS = [regsum.abel_sum_linear, regsum.abel_sum_linear_minus_bulk,
+                 regsum.abel_sum_quadratic, regsum.abel_sum_quadratic_minus_bulk,
+                 lambda eps: regsum.abel_sum_sin(eps, 1e-100),
+                 lambda eps: regsum.abel_sum_sin_dtheta(eps, 1e-100), RegScheme.cutoff]
+
+
+class TestSmallestCutoff:
+    """Below 1e-75 the closed forms' powers of eps underflow: a DomainError, not a bare error."""
+
+    @pytest.mark.parametrize("function", EPS_FUNCTIONS)
+    @pytest.mark.parametrize("eps", [1e-76, 1e-110, 1e-160, 1e-200, 5e-324])
+    def test_below_the_smallest_cutoff(self, function, eps):
+        # 1e-110 divided by zero in abel_sum_quadratic, 1e-160 returned inf
+        # from abel_sum_linear, 1e-200 divided by zero in abel_sum_sin_dtheta.
+        with pytest.raises(DomainError, match=f"^epsilon must be >= 1e-75, got {eps!r}$"):
+            function(eps)
+
+    @pytest.mark.parametrize("theta", [0.0, 1e-300, 1e-100, 1e-38, 1.0, math.pi - 1e-15])
+    def test_smallest_cutoff_against_mpmath(self, theta):
+        # The closed forms in u = 1 - e^(-eps) and sin^2(theta), to 50 digits.
+        eps = regsum._EPS_MIN
+        with mpmath.workdps(50):
+            a, u = mpmath.exp(-mpmath.mpf(eps)), -mpmath.expm1(-mpmath.mpf(eps))
+            s2 = mpmath.sin(mpmath.mpf(theta)) ** 2
+            denom = u * u + 4 * a * s2
+            exact = [a / u ** 2, a * (1 + a) / u ** 3, a * mpmath.sin(2 * mpmath.mpf(theta)) / denom,
+                     2 * a * (u * u - 2 * (1 + a * a) * s2) / denom ** 2]
+        values = [regsum.abel_sum_linear(eps), regsum.abel_sum_quadratic(eps),
+                  regsum.abel_sum_sin(eps, theta), regsum.abel_sum_sin_dtheta(eps, theta)]
+        for value, exact in zip(values, exact):
+            assert math.isfinite(value)
+            assert value == pytest.approx(float(exact), rel=1e-12, abs=1e-300)
+
+
 class TestRichardson:
     def test_polynomial_annihilated(self):
         samples = [(h, 3.0 + h * h) for h in (0.4, 0.2, 0.1)]

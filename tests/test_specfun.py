@@ -48,6 +48,18 @@ class TestRiemannZeta:
         for s in (40.0, 64.0, 300.0, 1075.0, 1e4, 1e8):
             assert specfun.riemann_zeta(s) == float(mpmath.zeta(s))
 
+    @pytest.mark.parametrize("s", [-141.5, -160.5, -200.25, -259.5, -262.0 + 2e-13])
+    def test_large_negative_arguments_against_mpmath(self, s):
+        # zeta(-160.5) = -1.0e157; next to -262 the sine keeps it a normal double.
+        mpmath.mp.dps = 40
+        assert specfun.riemann_zeta(s) == pytest.approx(float(mpmath.zeta(s)), rel=1e-12)
+
+    @pytest.mark.parametrize("s", [-270.5, -400.5, -1e6 - 0.5])
+    def test_overflow_is_a_range_error(self, s):
+        with pytest.raises(RangeError) as caught:
+            specfun.riemann_zeta(s)
+        assert str(caught.value) == f"riemann_zeta overflows a double at s = {s!r}"
+
     def test_pole_at_one(self):
         with pytest.raises(PoleError):
             specfun.riemann_zeta(1.0)
@@ -135,6 +147,37 @@ class TestGamma:
         with pytest.raises(DomainError):
             specfun.gamma(float("nan"))
 
+    @pytest.mark.parametrize("x", [141.5, 169.0, 171.6, 171.62, -150.3, -170.5, 1e-308, -1e-308,
+                                   -1e-10, -1e-200, 6e-309])
+    def test_large_and_tiny_arguments_against_mpmath(self, x):
+        # Normal doubles up to 1.6e308 at 171.6, and 1/x next to 0 from both sides.
+        mpmath.mp.dps = 40
+        assert specfun.gamma(x) == pytest.approx(float(mpmath.gamma(x)), rel=1e-12)
+
+    def test_random_arguments_past_the_series_against_mpmath(self):
+        mpmath.mp.dps = 40
+        rng = np.random.default_rng(171)
+        for x in [*rng.uniform(100.0, 171.62, 200), *rng.uniform(-175.0, -100.0, 200),
+                  *-10.0 ** rng.uniform(-300.0, -1.0, 200)]:
+            exact = float(mpmath.gamma(x))
+            if abs(exact) < 2.2250738585072014e-308:  # below the normal doubles
+                with pytest.raises(RangeError):
+                    specfun.gamma(x)
+            else:
+                assert specfun.gamma(x) == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("x, message", [
+        (171.7, "gamma overflows a double at x = 171.7"),
+        (1e300, "gamma overflows a double at x = 1e+300"),
+        (1e-320, "gamma overflows a double at x = 1e-320"),
+        (-1e-320, "gamma overflows a double at x = -1e-320"),
+        (-200.5, "gamma underflows a double at x = -200.5"),
+    ])
+    def test_outside_the_normal_doubles(self, x, message):
+        with pytest.raises(RangeError) as caught:
+            specfun.gamma(x)
+        assert str(caught.value) == message
+
 
 class TestBernoulli:
     def test_table_values(self):
@@ -188,9 +231,21 @@ class TestTrigHelpers:
         for x in (0.25, 0.5, 1.75, -2.3, 17.1):
             assert specfun.sin_pi(x) == pytest.approx(math.sin(math.pi * x), abs=5e-15)
 
+    def test_sin_pi_next_to_an_integer_from_below(self):
+        # x - round(x) is exact: 1 + x would round away the distance.
+        mpmath.mp.dps = 40
+        for x in (-1e-320, -1e-10, -0.3, 2.0 - 2.0 ** -40, -3.0 + 1e-12):
+            assert specfun.sin_pi(x) == pytest.approx(float(mpmath.sinpi(x)), rel=1e-13)
+
     def test_cot_values(self):
         assert specfun.cot(math.pi / 4) == pytest.approx(1.0, rel=1e-14)
         assert specfun.cot(math.pi / 2) == pytest.approx(0.0, abs=1e-15)
+        assert specfun.cot(1e-308) == pytest.approx(1e308, rel=1e-15)
+
+    def test_cot_names_the_overflow(self):
+        with pytest.raises(RangeError) as caught:
+            specfun.cot(1e-320)
+        assert str(caught.value) == "cot overflows a double at theta = 1e-320"
 
     def test_csc2(self):
         assert specfun.csc2(math.pi / 2) == pytest.approx(1.0, rel=1e-14)
