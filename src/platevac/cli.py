@@ -166,32 +166,32 @@ def _json(payload: dict) -> str:
 def _table(header: dict, columns: list, out_format: str) -> str:
     """A density, scan or commute table of one or more float rows, given column by column.
 
-    CSV: the header["columns"] line, then one line per row of its cells
-    as format(x, ".17g"), from numpy columns (the array engine's) in numpy
-    passes by ``limits_lab._csv_rows``; JSON: the bytes of ``_json({**header,
-    "rows": rows})``.  Other rows fill one template, into which a column
-    of one nonzero value is written once (0.0 == -0.0 prints two ways).
-    '%r' gives json.dumps' text of a finite float; only nan and inf hold an 'n'.
+    CSV: the header["columns"] line, then a line per row of its cells as
+    format(x, ".17g"); JSON: the bytes of ``_json({**header, "rows": rows})``,
+    each cell repr(x), in which only nan and inf hold an 'n'.  Numpy columns go
+    through ``limits_lab._table_rows``; lists fill one template, into which a
+    column of one nonzero value is written once (0.0 == -0.0 prints two ways).
+    The rows' pieces and the framing are joined once.
     """
-    if not isinstance(columns[0], (list, tuple)):
-        if out_format == "csv":
-            from . import limits_lab
-
-            return "".join([",".join(header["columns"]) + "\n", *limits_lab._csv_rows(columns)])
-        columns = [column.tolist() for column in columns]
     cell, start, between, end, newline = (
         ("%.17g", "", ",", "", "\n") if out_format == "csv"
         else ("%r", "    [\n      ", ",\n      ", "\n    ]", ",\n"))
-    fixed = [column[0] and column.count(column[0]) == len(column) for column in columns]
-    live = [column for column, one in zip(columns, fixed) if not one]
-    template = start + between.join(
-        cell % column[0] if one else cell for column, one in zip(columns, fixed)) + end
-    rows = newline.join([template % row for row in zip(*live)] if live
-                        else [template] * len(columns[0]))
+    if isinstance(columns[0], (list, tuple)):
+        fixed = [column[0] and column.count(column[0]) == len(column) for column in columns]
+        live = [column for column, one in zip(columns, fixed) if not one]
+        template = start + between.join(
+            cell % column[0] if one else cell for column, one in zip(columns, fixed)) + end
+        parts = [newline.join([template % row for row in zip(*live)] if live
+                              else [template] * len(columns[0]))]
+    else:
+        from . import limits_lab
+
+        rows = limits_lab._table_rows(columns, out_format == "json", between, end + newline + start)
+        parts = [start, *rows, end]
     if out_format == "csv":
-        return ",".join(header["columns"]) + "\n" + rows + "\n"
-    rows = rows.replace("nan", "NaN").replace("inf", "Infinity")
-    return json.dumps(header, indent=2)[:-2] + ',\n  "rows": [\n' + rows + "\n  ]\n}\n"
+        return "".join([",".join(header["columns"]) + "\n", *parts, "\n"])
+    parts = [part.replace("nan", "NaN").replace("inf", "Infinity") for part in parts]
+    return "".join([json.dumps(header, indent=2)[:-2] + ',\n  "rows": [\n', *parts, "\n  ]\n}\n"])
 
 
 # --------------------------------------------------------------------------

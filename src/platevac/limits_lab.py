@@ -196,8 +196,8 @@ def density_columns(
     return columns
 
 
-# Rows per pass of _csv_rows: its arrays stay near 2 MB.
-_CSV_CHUNK = 2048
+# Rows per pass of _table_rows: its arrays stay near 2 MB.
+_TABLE_CHUNK = 2048
 
 
 def _split(x):
@@ -208,7 +208,7 @@ def _split(x):
 
 
 @functools.cache
-def _csv_tables() -> tuple:
+def _digit_tables() -> tuple:
     # 10**k, k in [-300, 300], as double-doubles from exact integers: hi,
     # its halves, lo.  Then byte rows read as 8-byte words, so one gather
     # fetches a row: the digits of 0..9999 and, in 2-byte digit-point
@@ -235,25 +235,35 @@ def _csv_tables() -> tuple:
             words([b""] + [b"e%+03d" % e for e in range(-330, 331)], 8))
 
 
-def _csv_rows(columns: Sequence[np.ndarray]) -> list[str]:
-    """The CSV rows of float ``columns``, one string per chunk of rows.
+def _table_rows(columns: Sequence[np.ndarray], shortest: bool = False,
+                between: str = ",", row_end: str = "\n") -> list[str]:
+    """The rows of float ``columns``, one string per chunk of rows.
 
-    Each cell is format(x, ".17g"), each row ends in '\\n', and a chunk
-    takes a few numpy passes.  For |x| in [1e-270, 1e290], N = round(|x|
-    10^(16-e)) is its 17 digits, from a double-double power of ten and
-    Dekker's exact product, with e log10's exponent corrected from the
-    unrounded product.  The cell then fills fixed byte slots (sign, lead
-    "0.000", 17 digit-point pairs, "e+XXX") in %g's fixed or scientific
-    form without trailing zeros, NUL in every unused slot, which one
-    translate removes.  "%.17g" itself writes every other cell, and one
-    within 1e-6 of a rounding tie.
+    Each cell is format(x, ".17g"), or repr(x) with ``shortest``; cells
+    are joined by ``between`` and rows by ``row_end``; a chunk takes a few
+    numpy passes.  For |x| in [1e-270, 1e290], p + t = |x| 10^(16-e) comes
+    from a double-double power of ten and Dekker's exact product, with e
+    log10's exponent corrected from the unrounded product, and N =
+    round(p + t) is its 17 digits.  ``shortest`` takes repr's digits
+    instead: N rounded to 15 digits, else to 16, whichever lies within
+    half an ulp of |x| first (a decimal of at most 15 digits survives the
+    trip through a double, so the shortest one, if it has 15 digits or
+    fewer, is x rounded to 15).  The cell then fills fixed byte slots
+    (sign, lead "0.000", 17 digit-point pairs, "e+XXX") in %g's or repr's
+    fixed or scientific form without trailing zeros, NUL in every unused
+    slot, which one translate removes.  "%.17g" or repr itself writes
+    every other cell, one within 1e-6 of a rounding tie or of the ulp
+    bound, and with ``shortest`` a significand that is a power of two,
+    whose rounding interval is lopsided.
     """
     import numpy as np
 
-    hi, hi_big, hi_small, lo, quads, keep, points, leads, exponents = _csv_tables()
+    hi, hi_big, hi_small, lo, quads, keep, points, leads, exponents = _digit_tables()
+    between, row_end = between.encode(), row_end.encode()
+    width = 45 + max(len(between), len(row_end))
     chunks = []
-    for start in range(0, len(columns[0]), _CSV_CHUNK):
-        x = np.stack([column[start:start + _CSV_CHUNK] for column in columns], axis=1)
+    for start in range(0, len(columns[0]), _TABLE_CHUNK):
+        x = np.stack([column[start:start + _TABLE_CHUNK] for column in columns], axis=1)
         ax = np.abs(x)
         fallback = ~((ax >= 1e-270) & (ax <= 1e290))  # also zeros, inf and nan
         ax[fallback] = 1.0
@@ -267,28 +277,42 @@ def _csv_rows(columns: Sequence[np.ndarray]) -> list[str]:
             if fix:  # from the unrounded value p + t
                 e += (p > 1e17) | (p == 1e17) & (t >= 0.0)
                 e -= (p < 1e16) | (p == 1e16) & (t < 0.0)
-        n = p.astype(np.int64) + np.floor(t + 0.5).astype(np.int64)
-        fallback |= (np.abs(t - np.floor(t) - 0.5) < 1e-6) | (n < 10 ** 16) | (n >= 10 ** 17)
+        p_int = p.astype(np.int64)
+        n = p_int + np.floor(t + 0.5).astype(np.int64)
+        fallback |= np.abs(t - np.floor(t) - 0.5) < 1e-6
+        if shortest:
+            half = np.spacing(ax) * hi[k] / 2  # half an ulp of |x|, in units of p
+            fallback |= (ax.view(np.uint64) & (2 ** 52 - 1)) == 0
+            for step in (10, 100):  # 16 digits, then 15
+                q, r = np.divmod(p_int, step)
+                up = np.floor((r + t) / step + 0.5)
+                miss = np.abs(up * step - r - t)  # |(q + up) step - (p + t)|
+                fallback |= (np.abs(miss - half) < 1e-6) | (np.abs(miss - step / 2) < 1e-6)
+                n = np.where(miss < half, (q + up.astype(np.int64)) * step, n)
+        fallback |= (n < 10 ** 16) | (n >= 10 ** 17)
         groups = np.empty(x.shape + (5,), np.intp)  # N in base 10**4, by scalar divisors
         for i in (4, 3, 2, 1):
             n, groups[..., i] = np.divmod(n, 10 ** 4)
         groups[..., 0] = n
         digits = quads[groups].view("<u2").reshape(x.shape + (20,))[..., 3:]
         last = 16 - np.argmax(digits[..., ::-1] != ord("0"), axis=-1)  # the last nonzero digit
-        sci = (e < -4) | (e > 16)
+        sci = (e < -4) | (e > 16 - shortest)
         whole = np.where(sci, 0, e)  # the digits before the point, less one
-        cell = np.zeros(x.shape + (46,), np.uint8)
+        last = np.maximum(last, whole + ~sci if shortest else whole)  # repr writes 1.0, %g 1
+        cell = np.zeros(x.shape + (width,), np.uint8)
         cell[..., 0] = np.where(x < 0, ord("-"), 0)
         cell[..., 1:6] = leads[np.where(sci | (e >= 0), 0, 1 - e)].view(np.uint8)[..., :5]
-        pairs = (digits & keep[np.maximum(last, whole)].view("<u2")[..., :17]
+        pairs = (digits & keep[last].view("<u2")[..., :17]
                  | points[np.where((last > whole) & (whole >= 0), whole, 17)].view("<u2")[..., :17])
         cell[..., 6:40] = pairs.view(np.uint8)
         cell[..., 40:45] = exponents[np.where(sci, e + 331, 0)].view(np.uint8)[..., :5]
-        cell[..., 45] = ord(",")
-        cell[:, -1, 45] = ord("\n")
+        cell[..., 45:45 + len(between)] = list(between)
+        cell[:, -1, 45:] = list(row_end.ljust(width - 45, b"\0"))
         for row, col in zip(*np.nonzero(fallback)):
-            cell[row, col, :45] = list(b"%.17g" % x[row, col] + bytes(45))[:45]
+            text = repr(float(x[row, col])).encode() if shortest else b"%.17g" % x[row, col]
+            cell[row, col, :45] = list(text.ljust(45, b"\0"))
         chunks.append(cell.tobytes().translate(None, b"\0").decode())
+    chunks[-1] = chunks[-1][:-len(row_end)]
     return chunks
 
 
@@ -632,9 +656,12 @@ def _interacting_window_integral(
     # shape, and the free and interacting totals for the constant part.
     scale, exponent = scalar1d._interaction(g, c, 3)
     prefactor = -scale / 8.0
-    ct = specfun.cot(math.pi * delta / g.length)
+    # cot^3 overflows before the estimate does: the sum is taken at 2**(-3 power)
+    # of its size, which leaves every bit of it as it was.
+    mantissa, power = math.frexp(specfun.cot(math.pi * delta / g.length))
+    window = math.ldexp(mantissa, -2 * power) + mantissa ** 3 / 3.0
     what = "the window integral"
-    estimate = scaled(prefactor * (2.0 / math.pi) * (ct + ct ** 3 / 3.0), exponent, what, g.length)
+    estimate = scaled(prefactor * (2.0 / math.pi) * window, exponent + 3 * power, what, g.length)
     constant = summed(what, g.length, scalar1d._free_total(g), (prefactor / 18.0, exponent))
     value = (1.0 - 2.0 * delta / g.length) * constant + estimate
     return scaled(value, 0, what, g.length), estimate

@@ -21,7 +21,7 @@ from enum import Enum
 from typing import Sequence
 
 from . import specfun
-from .errors import DomainError, PoleError
+from .errors import DomainError, PoleError, RangeError
 from .record import Record
 
 __all__ = [
@@ -151,7 +151,7 @@ def abel_sum_sin(eps: float, theta: float) -> float:
     a = math.exp(-eps)
     s = math.sin(theta)
     denom = math.expm1(-eps) ** 2 + 4.0 * a * s * s
-    return a * math.sin(2.0 * theta) / denom
+    return a * (2.0 * s * math.cos(theta)) / denom  # 2 theta overflows past 9e307
 
 
 def abel_sum_sin_dtheta(eps: float, theta: float) -> float:
@@ -296,7 +296,10 @@ def richardson_extrapolate(
     Assumes f(h) = f0 + c1 h^order + c2 h^(2 order) + ... and requires the
     h values to be strictly decreasing in a constant ratio, with at least
     order + 1 of them.  Returns (limit, error_estimate); the estimate is
-    the difference between the last two extrapolation stages.
+    the difference between the last two extrapolation stages.  A sample
+    that is not finite is a DomainError; a stage whose arithmetic
+    overflows a double is a RangeError, even where the limit itself is
+    a normal double.
     """
     if isinstance(order, bool) or not isinstance(order, int) or order < 1:
         raise DomainError(f"order must be a positive integer, got {order!r}")
@@ -305,6 +308,8 @@ def richardson_extrapolate(
         raise DomainError(
             f"need at least order + 1 = {order + 1} samples, got {len(pts)}"
         )
+    if not all(math.isfinite(h) and math.isfinite(v) for h, v in pts):
+        raise DomainError(f"samples must be finite, got {pts!r}")
     hs = [h for h, _ in pts]
     if any(h <= 0.0 for h in hs):
         raise DomainError("sample step sizes must be positive")
@@ -323,4 +328,6 @@ def richardson_extrapolate(
         if len(level) > 1:
             previous_head = level[-1]
         stage += 1
+    if not math.isfinite(level[0] - previous_head):
+        raise RangeError("the extrapolation's arithmetic overflows a double")
     return level[0], abs(level[0] - previous_head)

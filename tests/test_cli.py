@@ -587,6 +587,26 @@ class TestOverflow:
         )
 
 
+class TestCommuteCotCubed:
+    """The interacting report where cot(pi delta / L)^3 overflows a double."""
+
+    def test_huge_length_prints_finite_cells(self, capsys):
+        from platevac import cli
+
+        assert cli.main(["commute", "--alpha", "0.01", "--mass", "1", "--length", "1e102"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 8 and all(math.isfinite(float(c)) for r in rows for c in r.split(","))
+
+    def test_past_the_doubles_is_a_named_error(self, capsys):
+        from platevac import cli
+
+        argv = ["commute", "--alpha", "0.01", "--deltas", "1e-200,5e-201,2.5e-201,1.25e-201"]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "numeric error: the window integral overflows a double at L = 1.0\n")
+
+
 class TestConfigFile:
     def test_flags_take_precedence(self, tmp_path):
         config = tmp_path / "run.conf"

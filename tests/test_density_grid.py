@@ -501,14 +501,15 @@ def random_cells(rng, count):
 
 
 # Row counts on both sides of the array writer's chunk boundaries.
-CHUNK_COUNTS = [limits_lab._CSV_CHUNK - 1, limits_lab._CSV_CHUNK + 1, 2 * limits_lab._CSV_CHUNK + 3]
+CHUNK = limits_lab._TABLE_CHUNK
+CHUNK_COUNTS = [CHUNK - 1, CHUNK + 1, 2 * CHUNK + 3]
 
 
 class TestTable:
     """cli._table, both formats, against the table written cell by cell.
 
     List columns are the float engine's; ndarray columns the array
-    engine's, whose CSV comes from limits_lab._csv_rows.
+    engine's, whose CSV and JSON come from limits_lab._table_rows.
     """
 
     @staticmethod
@@ -555,11 +556,11 @@ class TestTable:
 def csv_cells(values):
     """``values`` as the array writer's 6-column CSV rows, split back into cells."""
     columns = np.asarray(values, dtype=float).reshape(-1, 6).T
-    return ",".join("".join(limits_lab._csv_rows(list(columns))).splitlines()).split(",")
+    return ",".join("".join(limits_lab._table_rows(list(columns))).splitlines()).split(",")
 
 
 class TestArrayCsvCells:
-    """limits_lab._csv_rows against format(x, ".17g"), cell by cell."""
+    """limits_lab._table_rows against format(x, ".17g"), cell by cell."""
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_random_bit_patterns(self, seed):
@@ -598,6 +599,107 @@ class TestArrayCsvCells:
                   1e100, -1e200, 1.5e-5, 0.00015, 1e16, 1e17, 123456789012345678.0, 0.1]
         values = values * 6
         assert csv_cells(values) == [format(x, ".17g") for x in values]
+
+
+def json_cells(values):
+    """``values`` as the array writer's 6-column rows of repr cells, split back into cells."""
+    columns = np.asarray(values, dtype=float).reshape(-1, 6).T
+    text = "".join(limits_lab._table_rows(list(columns), shortest=True))
+    return ",".join(text.splitlines()).split(",")
+
+
+def reprs(values):
+    values = list(values)[:len(values) // 6 * 6]
+    return values, [repr(x) for x in values]
+
+
+class TestArrayJsonCells:
+    """limits_lab._table_rows with shortest digits against repr(x), cell by cell.
+
+    repr keeps the fewest digits that read back as x: 15 or fewer, else 16
+    when within half an ulp, else 17; fixed below exponent 16, with '.0'.
+    """
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_random_bit_patterns(self, seed):
+        rng = np.random.default_rng(seed)
+        values, expected = reprs(np.concatenate([SPECIAL_DOUBLES, rng.integers(
+            0, 2 ** 64, size=499_997, dtype=np.uint64).view(np.float64)]).tolist())
+        assert json_cells(values) == expected
+
+    def test_signed_log_normal_values(self):
+        # Density-like magnitudes, most of them with 16 or 17 digits.
+        rng = np.random.default_rng(3)
+        values = rng.lognormal(0.0, 30.0, 120_000) * rng.choice([-1.0, 1.0], 120_000)
+        values, expected = reprs(values.tolist())
+        assert json_cells(values) == expected
+
+    def test_powers_of_ten_and_two_and_their_neighbours(self):
+        # 10**k (1e-269 is stored just below it: its digits carry to 10**17)
+        # and 2**k (a lopsided rounding interval), one ulp either side.
+        tens = np.array([float(f"1e{k}") for k in range(-300, 301)])
+        twos = np.ldexp(1.0, np.arange(-1022, 1024))
+        values = np.concatenate([tens, twos])
+        values = np.concatenate([values, np.nextafter(values, 0.0), np.nextafter(values, np.inf)])
+        values, expected = reprs(np.concatenate([values, -values]).tolist())
+        assert json_cells(values) == expected
+
+    def test_halfway_cases(self):
+        # m / 2**q exactly halfway between two 16-digit (or 15-digit)
+        # decimals: m 5**q of 17 (or 16) digits ending in 5.
+        rng = np.random.default_rng(5)
+        values = []
+        for digits in (16, 17):
+            for q in range(2, 24):
+                low, high = -(-10 ** (digits - 1) // 5 ** q), min(10 ** digits // 5 ** q, 2 ** 53)
+                for m in rng.integers(low, high, size=300) if low < high else ():
+                    m = int(m) | 1
+                    if m * 5 ** q < 10 ** digits:
+                        values += [m / 2 ** q, -m / 2 ** q]
+        values, expected = reprs(values)
+        assert len(values) > 10_000
+        assert json_cells(values) == expected
+
+    def test_near_the_rounding_boundary(self):
+        # Integers from 2**54 to 2**57 whose neighbours' midpoint is a
+        # multiple of 10 or 100: a 16- or 15-digit decimal exactly half an ulp
+        # from both; and random 16-digit decimals with the doubles on each side.
+        rng = np.random.default_rng(7)
+        values = []
+        for power in range(54, 57):
+            ulp = 2 ** (power - 52)
+            for step in (10, 100):
+                for j in rng.integers(2 ** power // step, 2 ** (power + 1) // step, 2000):
+                    mid = int(j) * step
+                    if mid % ulp == ulp // 2:
+                        values += [float(mid - ulp // 2), float(mid + ulp // 2)]
+        assert len(values) > 3000
+        decimals = [float(f"{d}e{x}") for d, x in zip(
+            rng.integers(10 ** 15, 10 ** 16, 20_000), rng.integers(-300, 290, 20_000))]
+        decimals = np.array(decimals)
+        values = np.concatenate([values, decimals, np.nextafter(decimals, 0.0),
+                                 np.nextafter(decimals, np.inf)])
+        values, expected = reprs(values.tolist())
+        assert json_cells(values) == expected
+
+    def test_zeros_subnormals_and_non_finite_cells(self):
+        values, expected = reprs([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072009e-308,
+                                  2.2250738585072014e-308, math.nan, math.inf, -math.inf,
+                                  1e-270, 9.9e-271, 1e290, 1.1e290, 1.7976931348623157e308, 0.1])
+        assert json_cells(values) == expected
+
+    def test_layout_switches(self):
+        # repr is fixed for exponents -4 to 15 and scientific outside; an
+        # integral fixed value keeps '.0', a scientific one has no point.
+        values = []
+        for exponent in (-5, -4, 15, 16, 17):
+            for digits in ("1", "15", "123456789012345", "1234567890123456", "12345678901234567"):
+                x = float(f"{digits[0]}.{digits[1:]}e{exponent}" if len(digits) > 1
+                          else f"{digits}e{exponent}")
+                values += [x, -x, math.nextafter(x, 0.0), math.nextafter(x, math.inf)]
+        values += [9999999999999998.0, 999999999999999.9, 0.00009999999999999999, 1234.0, 0.5]
+        values, expected = reprs(values * 6)
+        assert json_cells(values) == expected
 
 
 class TestFirstError:

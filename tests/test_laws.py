@@ -118,7 +118,7 @@ def split_expectation(constant, position_term):
 
 
 class TestDensityLaws:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300, deadline=None, derandomize=True)
     @given(LENGTHS, RATIOS, st.booleans())
     def test_scalar_zeta(self, length, ratio, right):
         g = Geometry(length)
@@ -126,7 +126,7 @@ class TestDensityLaws:
         exact, scale = split_expectation(*scalar_zeta(length, sin_theta))
         expect(lambda: parts(scalar1d.density_split(g, pos, RegScheme.zeta())), exact, scale)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300, deadline=None, derandomize=True)
     @given(LENGTHS, RATIOS, st.booleans(), EPSILONS)
     def test_scalar_cutoff(self, length, ratio, right, eps):
         g = Geometry(length)
@@ -134,7 +134,7 @@ class TestDensityLaws:
         exact, scale = split_expectation(*scalar_cutoff(length, eps, sin_theta))
         expect(lambda: parts(scalar1d.density_split(g, pos, RegScheme.cutoff(eps))), exact, scale)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300, deadline=None, derandomize=True)
     @given(LENGTHS, RATIOS, st.booleans(), ALPHAS, MASSES)
     def test_scalar_interacting(self, length, ratio, right, alpha, mass):
         g, c = Geometry(length), Couplings(alpha, mass)
@@ -146,7 +146,7 @@ class TestDensityLaws:
             expect(lambda: scalar1d.interacting_density(g, pos, c), [free + correction],
                    [abs(free) + abs(correction)])
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300, deadline=None, derandomize=True)
     @given(LENGTHS, RATIOS, st.booleans(), ALPHAS, MASSES)
     def test_em_and_correction(self, length, ratio, right, alpha, mass):
         g, c = Geometry(length), em3d.EhCouplings(alpha, mass)
@@ -156,14 +156,14 @@ class TestDensityLaws:
         expect(lambda: parts(em3d.density_split(g, pos)), exact, scale)
         expect(lambda: em3d.eh_correction_density(g, pos, c), [eh(length, c, f)])
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300, deadline=None, derandomize=True)
     @given(log_uniform(1e-120, 1e120))
     def test_em_near_plate_asymptote(self, z):
         # 3/(16 pi^2 z^4) leaves the normal doubles beyond z of about 1e-77 and 1e77.
         expect(lambda: em3d.near_plate_asymptotics(Geometry(1e100), z).e2,
                [3 / (16 * PI ** 2 * mp.mpf(z) ** 4)])
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200, deadline=None, derandomize=True)
     @given(LENGTHS, RATIOS, ALPHAS, MASSES, st.sampled_from(["zeta", "cutoff", "em"]),
            st.sampled_from(["floats", "numpy"]))
     def test_correction_columns(self, length, ratio, alpha, mass, kind, engine):
@@ -206,7 +206,7 @@ def _outcome(call):
 
 
 class TestScaledColumns:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.lists(st.floats(allow_nan=False) | st.sampled_from([0.0, -0.0, 5e-324]), max_size=8),
            st.integers(-2200, 2200))
     @example([5e-324], 2047)  # 2**973, a normal double
@@ -229,7 +229,7 @@ class TestScaledColumns:
 
 
 class TestTotalLaws:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300, deadline=None, derandomize=True)
     @given(LENGTHS, ALPHAS, MASSES, EPSILONS)
     def test_scalar_totals(self, length, alpha, mass, eps):
         g, c = Geometry(length), Couplings(alpha, mass)
@@ -243,7 +243,7 @@ class TestTotalLaws:
         expect(lambda: scalar1d.total_energy_by_route(
             g, Route.SUM_THEN_REGULARIZE, RegScheme.cutoff(eps)), [cutoff])
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300, deadline=None, derandomize=True)
     @given(LENGTHS, ALPHAS, MASSES)
     def test_em_totals_and_force(self, length, alpha, mass):
         g, c = Geometry(length), em3d.EhCouplings(alpha, mass)

@@ -679,6 +679,21 @@ class TestInteractingWindow:
         value, _ = limits_lab._interacting_window_integral(g, c, delta)
         assert value == pytest.approx(oracle, rel=1e-10)
 
+    @pytest.mark.parametrize("length, delta", [(1e102, 0.02), (1e200, 0.0025), (1.0, 1e-103)])
+    def test_where_cot_cubed_overflows(self, length, delta):
+        # cot(pi delta / L)^3 is past the doubles; the window integral is not.
+        # mp_window's far end L - delta needs more digits than 50; by symmetry,
+        # cot there is -cot(pi delta / L), so the window is taken from one end.
+        c = Couplings(alpha=0.01, m=1.0)
+        with mpmath.workdps(50):
+            L, d = mpmath.mpf(length), mpmath.mpf(delta)
+            p = -mpmath.mpf(c.alpha) * mpmath.pi ** 2 / (8 * mpmath.mpf(c.m) ** 2 * L ** 4)
+            ct = mpmath.cot(mpmath.pi * d / L)
+            exact = ((-mpmath.pi / (24 * L ** 2) + p / 18) * (L - 2 * d)
+                     + 2 * p * (L / mpmath.pi) * (ct + ct ** 3 / 3))
+        value, _ = limits_lab._interacting_window_integral(Geometry(length), c, delta)
+        assert value == pytest.approx(float(exact), rel=1e-12)
+
     def test_warns_once_per_window(self):
         strong = Couplings(alpha=1.0, m=1.0)
         with warnings.catch_warnings(record=True) as caught:

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from platevac import regsum, specfun
-from platevac.errors import DomainError, PoleError, SingularityError
+from platevac.errors import DomainError, PoleError, RangeError, SingularityError
 from platevac.regsum import (
     PowerSeriesSpec,
     RegKind,
@@ -88,6 +88,15 @@ class TestAbelSumSin:
             regsum.abel_sum_sin(0.0, 1.0)
         with pytest.raises(DomainError):
             regsum.abel_sum_sin(-0.1, 1.0)
+
+    @pytest.mark.parametrize("theta", [1.7e308, -1.7e308, 1e300, 9e307])
+    def test_huge_theta_against_mpmath(self, theta):
+        # 2 theta overflows past 9e307: sin(2 theta) is taken as 2 sin cos.
+        with mpmath.workdps(400):  # enough digits to reduce theta mod pi
+            a = mpmath.exp(-mpmath.mpf(0.1))
+            c = mpmath.cos(2 * mpmath.mpf(theta))
+            exact = a * mpmath.sin(2 * mpmath.mpf(theta)) / (1 - 2 * a * c + a * a)
+        assert regsum.abel_sum_sin(0.1, theta) == pytest.approx(float(exact), rel=1e-12)
 
 
 @pytest.mark.parametrize("function", [regsum.abel_sum_sin, regsum.abel_sum_sin_dtheta])
@@ -276,6 +285,24 @@ class TestRichardson:
     def test_bad_order(self):
         with pytest.raises(DomainError):
             regsum.richardson_extrapolate([(0.1, 1.0), (0.05, 1.0)], order=0)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    @pytest.mark.parametrize("part", [0, 1])
+    def test_non_finite_sample_is_a_domain_error(self, bad, where, part):
+        samples = [[0.4, 1.0], [0.2, 1.0], [0.1, 1.0]]
+        samples[where][part] = bad
+        with pytest.raises(DomainError, match="^samples must be finite"):
+            regsum.richardson_extrapolate(samples, order=2)
+
+    @pytest.mark.parametrize("values", [
+        (1e308, -1e308, 1e308),  # the limit itself is past the doubles
+        (1e308, 1e308, 1e308),  # the limit is 1e308; 4 * 1e308 is not
+    ])
+    def test_overflowing_stage_is_a_range_error(self, values):
+        samples = list(zip((0.4, 0.2, 0.1), values))
+        with pytest.raises(RangeError, match="^the extrapolation's arithmetic overflows a double$"):
+            regsum.richardson_extrapolate(samples, order=2)
 
 
 class TestSchemeAgreement:

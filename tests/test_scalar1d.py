@@ -405,6 +405,22 @@ class TestInteractingDensity:
             warnings.simplefilter("error")
             scalar1d.interacting_density(G1, pos(1.0), Couplings(alpha=0.01, m=10.0))
 
+    def test_validity_warning_on_every_call(self):
+        # Each point call decides the warning itself, in the same words,
+        # naming its own caller.
+        import warnings
+
+        c = Couplings(alpha=0.3, m=1.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for _ in range(3):
+                scalar1d.interacting_density(G1, pos(1.0), c)
+                scalar1d.correction_density(G1, pos(1.0), c)
+        assert [str(w.message) for w in caught] == 6 * [
+            "alpha/(m L)^2 = 0.3 exceeds 0.1; the lowest-order correction is "
+            "outside its validity regime"]
+        assert {w.filename for w in caught} == {__file__}
+
     def test_wick_contraction_cross_check(self):
         # Independent route to the correction: with gaussian fields,
         # <X^4> = 3 <X^2>^2 and <X^2 Y^2> = <X^2><Y^2> for vanishing cross
