@@ -176,7 +176,8 @@ def _table(header: dict, columns: list, out_format: str) -> str:
     cell, start, between, end, newline = (
         ("%.17g", "", ",", "", "\n") if out_format == "csv"
         else ("%r", "    [\n      ", ",\n      ", "\n    ]", ",\n"))
-    if isinstance(columns[0], (list, tuple)):
+    lists = isinstance(columns[0], (list, tuple))
+    if lists:
         fixed = [column[0] and column.count(column[0]) == len(column) for column in columns]
         live = [column for column, one in zip(columns, fixed) if not one]
         template = start + between.join(
@@ -190,7 +191,10 @@ def _table(header: dict, columns: list, out_format: str) -> str:
         parts = [start, *rows, end]
     if out_format == "csv":
         return "".join([",".join(header["columns"]) + "\n", *parts, "\n"])
-    parts = [part.replace("nan", "NaN").replace("inf", "Infinity") for part in parts]
+    # An array's min and max propagate nan and cannot overflow: a finite table needs no pass.
+    if lists or not all(math.isfinite(column.min()) and math.isfinite(column.max())
+                        for column in columns):
+        parts = [part.replace("nan", "NaN").replace("inf", "Infinity") for part in parts]
     return "".join([json.dumps(header, indent=2)[:-2] + ',\n  "rows": [\n', *parts, "\n  ]\n}\n"])
 
 

@@ -210,10 +210,11 @@ def _split(x):
 @functools.cache
 def _digit_tables() -> tuple:
     # 10**k, k in [-300, 300], as double-doubles from exact integers: hi,
-    # its halves, lo.  Then byte rows read as 8-byte words, so one gather
-    # fetches a row: the digits of 0..9999 and, in 2-byte digit-point
-    # slots, the digits kept up to digit j and the point after digit j
-    # (none in row 17); "0.000" cut to m bytes; "e-XXX" in row e + 331.
+    # its halves, lo; and the least double >= 10**k.  Then byte rows read
+    # as 8-byte words, so one gather fetches a row: the digits of 0..9999
+    # and, in 2-byte digit-point slots, the digits kept up to digit j and
+    # the point after digit j (none in row 17); "0.000" cut to m bytes;
+    # "e-XXX" in row e + 331.
     import numpy as np
 
     hi, lo = [], []
@@ -221,14 +222,15 @@ def _digit_tables() -> tuple:
         hi.append(float(10 ** k) if k >= 0 else 1 / 10 ** -k)
         a, b = hi[-1].as_integer_ratio()
         lo.append(10 ** k - a if k >= 0 else (b - a * 10 ** -k) / (b * 10 ** -k))
-    hi = np.array(hi)
+    hi, lo = np.array(hi), np.array(lo, dtype=float)
 
     def words(rows, width):
         data = b"".join(row.ljust(width, b"\0") for row in rows)
         return np.frombuffer(data, np.uint64).reshape(len(rows), -1)
 
     quads = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
-    return (hi, *_split(hi), np.array(lo, dtype=float), quads.astype("<u2").view(np.uint64),
+    return (hi, *_split(hi), lo, np.where(lo > 0.0, np.nextafter(hi, np.inf), hi),
+            quads.astype("<u2").view(np.uint64),
             words([b"\xff\0" * (j + 1) for j in range(17)], 40),
             words([b"\0\0" * j + b"\0." for j in range(18)], 40),
             words([b"0.000"[:m] for m in range(6)], 8),
@@ -241,42 +243,56 @@ def _table_rows(columns: Sequence[np.ndarray], shortest: bool = False,
 
     Each cell is format(x, ".17g"), or repr(x) with ``shortest``; cells
     are joined by ``between`` and rows by ``row_end``; a chunk takes a few
-    numpy passes.  For |x| in [1e-270, 1e290], p + t = |x| 10^(16-e) comes
-    from a double-double power of ten and Dekker's exact product, with e
-    log10's exponent corrected from the unrounded product, and N =
-    round(p + t) is its 17 digits.  ``shortest`` takes repr's digits
-    instead: N rounded to 15 digits, else to 16, whichever lies within
-    half an ulp of |x| first (a decimal of at most 15 digits survives the
-    trip through a double, so the shortest one, if it has 15 digits or
-    fewer, is x rounded to 15).  The cell then fills fixed byte slots
-    (sign, lead "0.000", 17 digit-point pairs, "e+XXX") in %g's or repr's
-    fixed or scientific form without trailing zeros, NUL in every unused
-    slot, which one translate removes.  "%.17g" or repr itself writes
-    every other cell, one within 1e-6 of a rounding tie or of the ulp
-    bound, and with ``shortest`` a significand that is a power of two,
+    numpy passes.  A column whose cells share one bit pattern is formatted
+    once.  For |x| in [1e-270, 1e290], p + t = |x| 10^(16-e) comes from a
+    double-double power of ten and Dekker's exact product, with e log10's
+    exponent corrected by comparing |x| with the least doubles at or above
+    10^e and 10^(e+1), and N = round(p + t) is its 17 digits.  ``shortest``
+    takes repr's digits instead: N rounded to 15 digits, else to 16,
+    whichever lies within half an ulp of |x| first (a decimal of at most 15
+    digits survives the trip through a double, so the shortest one, if it
+    has 15 digits or fewer, is x rounded to 15).  The cell then fills fixed
+    byte slots (sign, lead "0.000", 17 digit-point pairs, "e+XXX") in %g's
+    or repr's fixed or scientific form without trailing zeros, NUL in every
+    unused slot, which one translate removes.  "%.17g" or repr itself
+    writes every other cell, one within 1e-6 of a rounding tie or of the
+    ulp bound, and with ``shortest`` a significand that is a power of two,
     whose rounding interval is lopsided.
     """
     import numpy as np
 
-    hi, hi_big, hi_small, lo, quads, keep, points, leads, exponents = _digit_tables()
+    hi, hi_big, hi_small, lo, ceil_tens, quads, keep, points, leads, exponents = _digit_tables()
     between, row_end = between.encode(), row_end.encode()
     width = 45 + max(len(between), len(row_end))
+
+    def text(value):  # the cell as "%.17g" or repr writes it, NUL-padded
+        return list((repr(float(value)) if shortest else "%.17g" % value).encode().ljust(45, b"\0"))
+
+    # One cell buffer serves every pass, which rewrites all 45 bytes of each
+    # live cell: a column of one bit pattern (0.0 and -0.0 print apart) and
+    # the separators are written once per table.
+    live = [j for j, column in enumerate(columns)
+            if (column.view(np.uint64) != column.view(np.uint64)[0]).any()]
+    buffer = np.zeros((min(len(columns[0]), _TABLE_CHUNK), len(columns), width), np.uint8)
+    for j in set(range(len(columns))) - set(live):
+        buffer[:, j, :45] = text(columns[j][0])
+    buffer[..., 45:45 + len(between)] = list(between)
+    buffer[:, -1, 45:] = list(row_end.ljust(width - 45, b"\0"))
+    table = np.stack(columns, axis=1)[:, live]
     chunks = []
-    for start in range(0, len(columns[0]), _TABLE_CHUNK):
-        x = np.stack([column[start:start + _TABLE_CHUNK] for column in columns], axis=1)
+    for start in range(0, len(table), _TABLE_CHUNK):
+        x = table[start:start + _TABLE_CHUNK]
         ax = np.abs(x)
         fallback = ~((ax >= 1e-270) & (ax <= 1e290))  # also zeros, inf and nan
         ax[fallback] = 1.0
         ax_big, ax_small = _split(ax)
         e = np.floor(np.log10(ax)).astype(np.int64)
-        for fix in (True, False):
-            k = 316 - e  # the index of 10**(16 - e)
-            p = ax * hi[k]  # an integer from 2**53 on; t carries the rest
-            t = ((((ax_big * hi_big[k] - p) + ax_big * hi_small[k]) + ax_small * hi_big[k])
-                 + ax_small * hi_small[k]) + ax * lo[k]
-            if fix:  # from the unrounded value p + t
-                e += (p > 1e17) | (p == 1e17) & (t >= 0.0)
-                e -= (p < 1e16) | (p == 1e16) & (t < 0.0)
+        e += ax >= ceil_tens[e + 301]  # exact, as ceil_tens[e + 300] <= |x| means 10**e <= |x|
+        e -= ax < ceil_tens[e + 300]
+        k = 316 - e  # the index of 10**(16 - e)
+        p = ax * hi[k]  # an integer from 2**53 on; t carries the rest
+        t = ((((ax_big * hi_big[k] - p) + ax_big * hi_small[k]) + ax_small * hi_big[k])
+             + ax_small * hi_small[k]) + ax * lo[k]
         p_int = p.astype(np.int64)
         n = p_int + np.floor(t + 0.5).astype(np.int64)
         fallback |= np.abs(t - np.floor(t) - 0.5) < 1e-6
@@ -299,18 +315,15 @@ def _table_rows(columns: Sequence[np.ndarray], shortest: bool = False,
         sci = (e < -4) | (e > 16 - shortest)
         whole = np.where(sci, 0, e)  # the digits before the point, less one
         last = np.maximum(last, whole + ~sci if shortest else whole)  # repr writes 1.0, %g 1
-        cell = np.zeros(x.shape + (width,), np.uint8)
-        cell[..., 0] = np.where(x < 0, ord("-"), 0)
-        cell[..., 1:6] = leads[np.where(sci | (e >= 0), 0, 1 - e)].view(np.uint8)[..., :5]
+        cell = buffer[:len(x)]
+        cell[:, live, 0] = np.where(x < 0, ord("-"), 0)
+        cell[:, live, 1:6] = leads[np.where(sci | (e >= 0), 0, 1 - e)].view(np.uint8)[..., :5]
         pairs = (digits & keep[last].view("<u2")[..., :17]
                  | points[np.where((last > whole) & (whole >= 0), whole, 17)].view("<u2")[..., :17])
-        cell[..., 6:40] = pairs.view(np.uint8)
-        cell[..., 40:45] = exponents[np.where(sci, e + 331, 0)].view(np.uint8)[..., :5]
-        cell[..., 45:45 + len(between)] = list(between)
-        cell[:, -1, 45:] = list(row_end.ljust(width - 45, b"\0"))
+        cell[:, live, 6:40] = pairs.view(np.uint8)
+        cell[:, live, 40:45] = exponents[np.where(sci, e + 331, 0)].view(np.uint8)[..., :5]
         for row, col in zip(*np.nonzero(fallback)):
-            text = repr(float(x[row, col])).encode() if shortest else b"%.17g" % x[row, col]
-            cell[row, col, :45] = list(text.ljust(45, b"\0"))
+            cell[row, live[col], :45] = text(x[row, col])
         chunks.append(cell.tobytes().translate(None, b"\0").decode())
     chunks[-1] = chunks[-1][:-len(row_end)]
     return chunks

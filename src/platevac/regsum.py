@@ -320,7 +320,10 @@ def richardson_extrapolate(
     previous_head = level[-1]
     stage = 1
     while len(level) > 1:
-        mult = ratio ** (order * stage)
+        try:
+            mult = ratio ** (order * stage)
+        except OverflowError:  # the stage weight itself leaves the doubles
+            raise RangeError("the extrapolation's arithmetic overflows a double") from None
         level = [
             (mult * level[i + 1] - level[i]) / (mult - 1.0)
             for i in range(len(level) - 1)

@@ -156,6 +156,10 @@ def gamma(x: float) -> float:
 
 _EM_CUT = 20  # partial-sum length
 _EM_ORDER = 13  # number of B_{2k} tail-correction terms
+# Below this, the functional equation.  As s -> 0- it takes zeta(1 - s) next
+# to its pole and sin(pi s/2) next to 0, and loses digits: against 50-digit
+# mpmath its relative error passes Euler-Maclaurin's (about 2e-14) near -0.01.
+_EM_FLOOR = -0.01
 
 
 @functools.cache
@@ -195,9 +199,9 @@ def _zeta_negative_integer(n: int) -> float:
 def riemann_zeta(s: float) -> float:
     """Riemann zeta on the real line, s != 1.
 
-    s >= 0 uses Euler-Maclaurin corrected partial summation.  Negative
+    s >= -0.01 uses Euler-Maclaurin corrected partial summation.  Negative
     integers return the exact Bernoulli value (0 at negative even
-    integers).  Other negative arguments go through the functional
+    integers).  Other arguments below -0.01 go through the functional
     equation zeta(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s), below
     s = -140 with Gamma(1-s) duplicated (2^s cancels), so no partial product
     overflows before the result, which then raises RangeError.
@@ -205,7 +209,7 @@ def riemann_zeta(s: float) -> float:
     s = _require_finite("s", s)
     if s == 1.0:
         raise PoleError("riemann_zeta has a simple pole at s = 1")
-    if s < 0.0:
+    if s < _EM_FLOOR:
         if s == math.floor(s):
             n = int(-s)
             if n + 1 > MAX_BERNOULLI_INDEX:
@@ -251,7 +255,12 @@ def cot(theta: float) -> float:
 
 
 def check_sine(sin_theta: float, theta: float) -> float:
-    """``sin_theta``, for a kernel that divides by its square; RangeError if that underflows."""
+    """``sin_theta``, for a kernel that divides by its square; RangeError if that underflows.
+
+    A value that is not finite or exceeds 1 in magnitude is no sine: DomainError.
+    """
+    if not abs(sin_theta) <= 1.0:
+        raise DomainError(f"sin(theta) must lie in [-1, 1], got {sin_theta!r} at theta = {theta!r}")
     if sin_theta * sin_theta < _TINY:
         raise RangeError(f"sin(theta)^2 underflows a double at theta = {theta!r}")
     return sin_theta

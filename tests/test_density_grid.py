@@ -500,6 +500,11 @@ def random_cells(rng, count):
     return rng.integers(0, 2 ** 64, size=count, dtype=np.uint64).view(np.float64).tolist()
 
 
+# Whole-table constants: signed zeros print apart, and a NaN with a payload
+# and a sign bit is one bit pattern all the same.
+NAN_PAYLOAD = np.array(0xFFF8_0000_0000_1234, np.uint64).view(np.float64).item()
+CONSTANTS = [(0.5, math.nan, -math.inf, 5e-324, -2.5), (-0.0, NAN_PAYLOAD, 0.0, math.inf, 1e308)]
+
 # Row counts on both sides of the array writer's chunk boundaries.
 CHUNK = limits_lab._TABLE_CHUNK
 CHUNK_COUNTS = [CHUNK - 1, CHUNK + 1, 2 * CHUNK + 3]
@@ -526,9 +531,10 @@ class TestTable:
     @staticmethod
     def check_every_column_constant(fmt, count, container):
         header = JSON_HEADERS[5]
-        columns = [[value] * count for value in (0.5, math.nan, -math.inf, 5e-324, -2.5)]
-        assert (cli._table(header, list(map(container, columns)), fmt)
-                == reference_table(header, columns, fmt))
+        for values in CONSTANTS:
+            columns = [[value] * count for value in values]
+            assert (cli._table(header, list(map(container, columns)), fmt)
+                    == reference_table(header, columns, fmt))
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("count", [1, 2, 3, 40])
@@ -551,6 +557,22 @@ class TestTable:
     @pytest.mark.parametrize("count", [1, 2, 3, *CHUNK_COUNTS])
     def test_every_column_constant_arrays(self, fmt, count):
         self.check_every_column_constant(fmt, count, np.array)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("count", [3, *CHUNK_COUNTS])
+    @pytest.mark.parametrize("middle", [1e308, math.nan, math.inf, -math.inf])
+    def test_one_cell_in_the_middle_of_huge_arrays(self, fmt, count, middle):
+        # Every other cell is near the largest double, so a finiteness test by
+        # column.sum() would overflow and warn; a non-finite middle cell still
+        # prints as NaN or Infinity in JSON.
+        huge = np.where(np.arange(count) % 2, 1.7976931348623157e308, -1e308)
+        columns = [huge, -huge, np.full(count, 1e308), huge.copy(), np.linspace(1.0, 2.0, count)]
+        for column in columns[::3]:
+            column[count // 2] = middle
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            text = cli._table(JSON_HEADERS[5], columns, fmt)
+        assert text == reference_table(JSON_HEADERS[5], [c.tolist() for c in columns], fmt)
 
 
 def csv_cells(values):
@@ -577,6 +599,19 @@ class TestArrayCsvCells:
         values = np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)])
         values = np.concatenate([values, -values])
         assert csv_cells(values) == [format(x, ".17g") for x in values.tolist()]
+
+    @pytest.mark.parametrize("shift", [-0.5, 0.5])
+    def test_exponent_one_off_either_way(self, monkeypatch, shift):
+        # The exponent from log10 is corrected by exact comparisons in both
+        # directions: with log10 half a decade off, every cell is the same.
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda x: log10(x) + shift)
+        rng = np.random.default_rng(9)
+        values = np.concatenate([[float(f"1e{k}") for k in range(-270, 290)],
+                                 rng.lognormal(0.0, 100.0, 6000)])
+        values = np.concatenate([values, np.nextafter(values, 0.0), np.nextafter(values, np.inf)])
+        assert csv_cells(values) == [format(x, ".17g") for x in values.tolist()]
+        assert json_cells(values) == [repr(x) for x in values.tolist()]
 
     def test_halfway_cases(self):
         # m / 2**q with m odd and m 5**q of 18 digits ending in 5: exactly

@@ -304,6 +304,19 @@ class TestRichardson:
         with pytest.raises(RangeError, match="^the extrapolation's arithmetic overflows a double$"):
             regsum.richardson_extrapolate(samples, order=2)
 
+    @pytest.mark.parametrize("steps,order", [
+        ((1e200, 1.0, 1e-200), 2), ((1e110, 1.0, 1e-110, 1e-220), 3)])
+    def test_overflowing_stage_weight_is_a_range_error(self, steps, order):
+        # ratio ** (order * stage) is 1e400 or 1e330, past the doubles, though
+        # the samples are all 1.0: a named error, not a bare OverflowError.
+        with pytest.raises(RangeError, match="^the extrapolation's arithmetic overflows a double$"):
+            regsum.richardson_extrapolate([(h, 1.0) for h in steps], order=order)
+
+    def test_largest_finite_stage_weights(self):
+        # Weights 1e100 and then 1e200 stay finite: the limit is computed as before.
+        samples = [(1e100, 1.0), (1.0, 1.0), (1e-100, 1.0)]
+        assert regsum.richardson_extrapolate(samples, order=1) == (1.0, 0.0)
+
 
 class TestSchemeAgreement:
     def test_interior_agreement(self):

@@ -105,6 +105,16 @@ class TestRiemannZeta:
             ref = float(mpmath.zeta(s))
             assert specfun.riemann_zeta(s) == pytest.approx(ref, rel=1e-12)
 
+    def test_just_below_zero_against_mpmath(self):
+        # The functional equation takes zeta(1 - s) next to its pole here: it
+        # raised ZeroDivisionError at s = -1e-20 and gave -0.4504 at -1e-15.
+        grid = -np.logspace(-300, 0, 1201)
+        switch = specfun._EM_FLOOR
+        with mpmath.workdps(50):
+            for s in [*grid.tolist(), switch, math.nextafter(switch, -1.0), -5e-324]:
+                exact = float(mpmath.zeta(mpmath.mpf(s)))
+                assert specfun.riemann_zeta(s) == pytest.approx(exact, rel=1e-12), s
+
     def test_positive_range_against_mpmath(self):
         mpmath.mp.dps = 30
         for s in (0.25, 0.5, 1.5, 2.5, 4.0, 11.3, 25.0, 29.5):
@@ -255,6 +265,15 @@ class TestTrigHelpers:
         with pytest.raises(RangeError) as caught:
             specfun.csc2(1e-200)
         assert str(caught.value) == "sin(theta)^2 underflows a double at theta = 1e-200"
+
+    @pytest.mark.parametrize("sine", [math.inf, -math.inf, math.nan, 2.0, -1.0000000000000002])
+    def test_check_sine_rejects_what_is_no_sine(self, sine):
+        with pytest.raises(DomainError, match=r"^sin\(theta\) must lie in \[-1, 1\]"):
+            specfun.check_sine(sine, 1.0)
+
+    @pytest.mark.parametrize("sine", [1.0, -1.0, 0.5, 1e-150])
+    def test_check_sine_keeps_sines(self, sine):
+        assert specfun.check_sine(sine, 1.0) == sine
 
     @pytest.mark.parametrize("theta", [0.0, math.pi, -0.1, 4.0])
     def test_guards(self, theta):
