@@ -9,11 +9,11 @@ mapping L -> 1/(2T).
 All outputs for 3-d quantities are per unit plate area (totals) or per
 unit volume (densities), in natural units.
 
-Each quantity is one law (see :func:`geometry.law`): the halves of the
-correlators pi^2/(16 L^4) times a shape in the profile F, the free
-density, total and force -pi^2/(720 L^4), -pi^2/(720 L^3) and
-pi^2/(240 L^4), and the correction -alpha^2 pi^4/(2^7 3^3 5 m^4 L^k) times
-11/225 + 9 F^2 (k = 8) or 11/225 (k = 7, the total).  The powers of L,
+Each quantity is one law, an entry of :data:`geometry.LAWS` that holds
+its exact coefficient: the halves of the correlators are a shape in the
+profile F at the scale of "em correlator", the free density, total and
+force are constants, and the correction is 11/225 + 9 F^2 at the scale
+of "eh density", or its constant part at "eh total".  The powers of L,
 m and alpha are applied once, to the finished value; a result outside
 the normal doubles raises RangeError.  The density total is the free
 constant, to which the profile cancels.
@@ -22,10 +22,9 @@ constant, to which the profile cancels.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import DomainError, PlatevacError
-from .geometry import Geometry, Position, check_position, law, scaled, summed
+from .geometry import LAWS, Geometry, Position, check_position, law, scaled, summed
 from .record import Record
 from .regsum import RegKind, RegScheme
 from .scalar1d import Couplings, EnergySplit
@@ -49,19 +48,6 @@ __all__ = [
 ]
 
 FINE_STRUCTURE_ALPHA = 1.0 / 137.035999
-
-# -pi^4 and 2^7 * 3^3 * 5, the numerator and denominator of the
-# correction-density prefactor.
-_EH_NUMERATOR = -math.pi ** 4
-_EH_DENOMINATOR = 17280
-
-# The correction to the total energy carries 11 / (2^7 3^5 5^3); it must be
-# exactly (11/225) / (2^7 3^3 5) for the density and total forms to agree,
-# which the ``verify`` suite checks ("constant-part rational identities").
-_EH_TOTAL_COEFF = Fraction(11, 225) / _EH_DENOMINATOR
-
-# The constant part 11/225 of the correction density.
-_EH_CONSTANT = float(Fraction(11, 225))
 
 
 class CorrelatorPair(Record):
@@ -120,19 +106,14 @@ def _laws(g: Geometry, c: Couplings | None, sin_theta, halves: bool = True) -> t
     f_value = _profile(sin_theta)
     laws = ()
     if halves:
-        scale, exponent = law(math.pi ** 2, 16.0, g.length, 4)
+        scale, exponent = law("em correlator", g.length)
         laws = ((0.5 * (-scale * (1.0 / 45.0 - f_value)), exponent),
                 (0.5 * (-scale * (1.0 / 45.0 + f_value)), exponent))
     if c is not None:
-        scale, exponent = _eh(g, c, 8)
-        laws += (scale * _EH_CONSTANT + scale * 9.0 * f_value * f_value, exponent),
+        scale, exponent = law("eh density", g.length, c)
+        r, s = LAWS["eh density"][4]
+        laws += (scale * (r / s) + scale * 9.0 * f_value * f_value, exponent),
     return laws
-
-
-def _free(g: Geometry, k: int) -> tuple[float, int]:
-    # -pi^2/(720 L^k) as law (prefactor, exponent): the free density takes
-    # k = 4, the total per unit area k = 3.
-    return law(-math.pi ** 2, 720.0, g.length, k)
 
 
 def profile_F_via_cot_derivative(theta: float) -> float:
@@ -181,13 +162,13 @@ def near_plate_asymptotics(g: Geometry, z: float) -> CorrelatorPair:
     z = float(z)
     if not math.isfinite(z) or z <= 0.0:
         raise DomainError(f"z must be finite and > 0, got {z!r}")
-    e2 = scaled(*law(3.0, 16.0 * math.pi ** 2, z, 4), "the near-plate <E^2>", z, "z")
+    e2 = scaled(*law("near-plate correlator", z), "the near-plate <E^2>", z, "z")
     return CorrelatorPair(e2=e2, b2=-e2)
 
 
 def free_casimir_density(g: Geometry) -> float:
     """Free Casimir energy per unit volume: -pi^2/(720 L^4)."""
-    return scaled(*_free(g, 4), "the free density", g.length)
+    return scaled(*law("em density", g.length), "the free density", g.length)
 
 
 def casimir_force_per_area(g: Geometry) -> float:
@@ -197,19 +178,14 @@ def casimir_force_per_area(g: Geometry) -> float:
     ``verify`` suite cross-checks it against a central difference of that
     energy.
     """
-    return scaled(*law(math.pi ** 2, 240.0, g.length, 4), "the Casimir force", g.length)
-
-
-def _eh(g: Geometry, c: Couplings, k: int) -> tuple[float, int]:
-    # -alpha^2 pi^4 / (2^7 3^3 5 m^4 L^k) as law (prefactor, exponent): the
-    # correction density (see _laws) takes k = 8, the total k = 7.
-    return law(_EH_NUMERATOR, _EH_DENOMINATOR, g.length, k, c, 2)
+    return scaled(*law("casimir force", g.length), "the Casimir force", g.length)
 
 
 def eh_correction_constant(g: Geometry, c: Couplings) -> float:
     """Position-independent part of the correction density (the 11/225 term)."""
-    scale, exponent = _eh(g, c, 8)
-    return scaled(scale * _EH_CONSTANT, exponent, "the correction constant", g.length)
+    scale, exponent = law("eh density", g.length, c)
+    r, s = LAWS["eh density"][4]
+    return scaled(scale * (r / s), exponent, "the correction constant", g.length)
 
 
 def eh_correction_density(g: Geometry, pos: Position, c: Couplings) -> float:
@@ -230,9 +206,10 @@ def corrected_total_energy(g: Geometry, c: Couplings) -> float:
     density; the integrated position-dependent part contributes nothing.
     Either term may underflow where their sum is a normal double.
     """
-    scale, exponent = _eh(g, c, 7)
-    return summed("the total energy", g.length, _free(g, 3),
-                  (scale * _EH_CONSTANT, exponent))
+    scale, exponent = law("eh total", g.length, c)
+    r, s = LAWS["eh total"][4]
+    return summed("the total energy", g.length, law("em total", g.length),
+                  (scale * (r / s), exponent))
 
 
 def thermal_free_energy_density(temperature: float, c: Couplings) -> float:
@@ -246,9 +223,10 @@ def thermal_free_energy_density(temperature: float, c: Couplings) -> float:
     if not math.isfinite(temperature) or temperature <= 0.0:
         raise DomainError(f"temperature must be finite and > 0, got {temperature!r}")
     g = Geometry(1.0 / (2.0 * temperature))
-    scale, exponent = _eh(g, c, 8)
-    return summed("the free energy density", g.length, _free(g, 4),
-                  (scale * _EH_CONSTANT, exponent))
+    scale, exponent = law("eh density", g.length, c)
+    r, s = LAWS["eh density"][4]
+    return summed("the free energy density", g.length, law("em density", g.length),
+                  (scale * (r / s), exponent))
 
 
 def density_split(g: Geometry, pos: Position, scheme: RegScheme | None = None) -> EnergySplit:

@@ -2,9 +2,11 @@
 
 Natural units throughout: hbar = c = 1, so energies and masses carry the
 dimension of inverse length.  Every density, total and force is a law,
-a coefficient times alpha^j / (m^2j L^k) times a shape in sin(theta);
-:func:`law` and :func:`scaled` apply its powers of L, m and alpha by
-exponent arithmetic, so none of them is ever formed as a float.
+an exact coefficient times alpha^j / (m^2j L^k) times a shape in
+sin(theta).  :data:`LAWS` is the one table of those coefficients;
+:func:`law` reads an entry by name, and it and :func:`scaled` apply the
+powers of L, m and alpha by exponent arithmetic, so none of them is ever
+formed as a float.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .specfun import _TINY
 
 __all__ = [
     "FieldModel", "Clustering", "GridSpec", "Geometry", "Position", "check_position",
-    "law", "scaled", "summed",
+    "LAWS", "law", "scaled", "summed",
 ]
 
 
@@ -121,13 +123,45 @@ def check_position(g: Geometry, pos: Position) -> Position:
     return pos
 
 
-def law(numerator: float, denominator: float, length: float, k: int, couplings=None, j=0):
-    """numerator alpha^j / (denominator m^2j L^k) as (prefactor, exponent).
+# Every law's exact coefficient, by name: ((p, q), n, k, j, constant) is
+# (p pi^n / q) alpha^j / (m^2j L^k) times a shape the model computes, whose
+# rational constant part is ``constant`` = (r, s), or None.  The verify suite
+# derives its rational identities from these integers.
+LAWS = {
+    "validity ratio": ((1, 1), 0, 2, 1, None),  # alpha / (m L)^2
+    "scalar total": ((1, 2), 1, 1, 0, None),  # times a mode sum
+    "scalar density": ((1, 4), 1, 2, 0, None),  # times mode sums in theta
+    "window divergence": ((1, 8), 0, 1, 0, None),  # times cot(a), a = pi delta / L
+    "window remainder": ((1, 48), 0, 1, 0, None),  # times pi - 2a
+    "scalar correction density": ((-1, 8), 2, 4, 1, (1, 18)),  # times 1/18 + 1/sin^4
+    "scalar correction window": ((-1, 8), 2, 3, 1, (1, 18)),  # L times the density
+    "scalar correction total": ((-1, 1), 2, 3, 1, (1, 144)),
+    "em correlator": ((1, 16), 2, 4, 0, None),  # times -(1/45 -/+ F)
+    "em density": ((-1, 720), 2, 4, 0, None),
+    "em total": ((-1, 720), 2, 3, 0, None),
+    "casimir force": ((1, 240), 2, 4, 0, None),
+    "near-plate correlator": ((3, 16), -2, 4, 0, None),  # <E^2> next to a wall, z for L
+    "eh density": ((-1, 17280), 4, 8, 2, (11, 225)),  # times 11/225 + 9 F^2
+    "eh total": ((-1, 17280), 4, 7, 2, (11, 225)),
+}
 
-    The quotient is prefactor * 2**exponent.  The prefactor takes the
+# Each law's numerator p pi^n and denominator q, or q pi^-n for n < 0, as
+# the floats it divides, with its k and j.
+_FLOATS = {name: (p * math.pi ** max(n, 0), q * math.pi ** max(-n, 0), k, j)
+           for name, ((p, q), n, k, j, _) in LAWS.items()}
+
+
+def law(name: str, length: float, couplings=None, shape=None):
+    """The law ``name`` of :data:`LAWS` at L = ``length`` as (prefactor, exponent).
+
+    The quotient p pi^n alpha^j / (q m^2j L^k), times ``shape`` where one
+    is given, is prefactor * 2**exponent.  The prefactor takes the
     mantissas of L, m and alpha in the quotient's own order, so it rounds
     as the quotient would wherever that is a normal double.
     """
+    numerator, denominator, k, j = _FLOATS[name]
+    if shape is not None:
+        numerator = shape * numerator
     l_mantissa, l_exponent = math.frexp(length)
     exponent = -k * l_exponent
     if j:

@@ -24,10 +24,10 @@ from typing import TYPE_CHECKING, Callable
 from . import em3d, regsum, scalar1d, specfun
 from .errors import DomainError, FitError
 from .geometry import (
-    Clustering, FieldModel, Geometry, GridSpec, Position, scaled, summed,
+    LAWS, Clustering, FieldModel, Geometry, GridSpec, Position, law, scaled, summed,
 )
 from .record import Record
-from .regsum import RegKind, RegScheme
+from .regsum import PowerSeriesSpec, RegKind, RegScheme
 from .scalar1d import Couplings, EnergySplit, Route
 
 if TYPE_CHECKING:
@@ -665,17 +665,20 @@ def _interacting_window_integral(
     cot(a) + cot(a)^3 / 3, a = pi delta / L.
     """
     scalar1d._warn_if_strong(c, g)
-    # L times the density's laws: -alpha pi^2 / (8 m^2 L^3) times the
-    # shape, and the free and interacting totals for the constant part.
-    scale, exponent = scalar1d._interaction(g, c, 3)
-    prefactor = -scale / 8.0
+    # L times the correction density's law, times its shape.
+    prefactor, exponent = law("scalar correction window", g.length, c)
     # cot^3 overflows before the estimate does: the sum is taken at 2**(-3 power)
     # of its size, which leaves every bit of it as it was.
     mantissa, power = math.frexp(specfun.cot(math.pi * delta / g.length))
     window = math.ldexp(mantissa, -2 * power) + mantissa ** 3 / 3.0
     what = "the window integral"
     estimate = scaled(prefactor * (2.0 / math.pi) * window, exponent + 3 * power, what, g.length)
-    constant = summed(what, g.length, scalar1d._free_total(g), (prefactor / 18.0, exponent))
+    # The constant part, the free total plus prefactor r / s: divided by s, where
+    # the total multiplies by a rounded r / s.
+    free_scale, free_exponent = law("scalar total", g.length)
+    r, s = LAWS["scalar correction window"][4]
+    free = regsum.zeta_regularize_power(PowerSeriesSpec(exponent=1.0, scale=free_scale))
+    constant = summed(what, g.length, (free, free_exponent), (prefactor * r / s, exponent))
     value = (1.0 - 2.0 * delta / g.length) * constant + estimate
     return scaled(value, 0, what, g.length), estimate
 
@@ -760,11 +763,12 @@ def commutation_report(
     # (c) cutoff scheme on the full interval; position terms integrate to
     # zero at any eps, the rest carries the bulk divergence.
     # The free total law, plus the interaction law's terms when interacting.
-    lin_scale, lin_exponent = scalar1d._total_law(g)
+    lin_scale, lin_exponent = law("scalar total", g.length)
     quad_exponent = 0
     if interacting:
-        quad_scale, quad_exponent = scalar1d._interaction(g, couplings, 3)
-        const_correction = -quad_scale * float(scalar1d._INTERACTION_CONSTANT)
+        quad_scale, quad_exponent = law("scalar correction total", g.length, couplings)
+        r, s = LAWS["scalar correction total"][4]
+        const_correction = quad_scale * (r / s)
     rows = []
     for eps in epsilons:
         free = (lin_scale * regsum.abel_sum_linear(eps), lin_scale / (eps * eps),
@@ -772,9 +776,9 @@ def commutation_report(
         quad = (0.0, 0.0, 0.0)
         if interacting:
             quad = (
-                const_correction - quad_scale * regsum.abel_sum_quadratic(2.0 * eps),
-                -quad_scale * 2.0 / (2.0 * eps) ** 3,
-                const_correction - quad_scale * regsum.abel_sum_quadratic_minus_bulk(2.0 * eps),
+                const_correction + quad_scale * regsum.abel_sum_quadratic(2.0 * eps),
+                quad_scale * 2.0 / (2.0 * eps) ** 3,
+                const_correction + quad_scale * regsum.abel_sum_quadratic_minus_bulk(2.0 * eps),
             )
         rows.append(CutoffRow(eps, *(
             summed("the cutoff total", g.length, (f, lin_exponent), (q, quad_exponent))

@@ -209,18 +209,19 @@ _SUBTRACT_SERIES_RADIUS = 1.0
 @functools.cache
 def _linear_bulk_coeffs() -> tuple[float, ...]:
     # sum n e^(-eps n) - 1/eps^2 = -sum_{k>=1} (2k-1) B_{2k} eps^(2k-2) / (2k)!
+    pairs = map(specfun._bernoulli_pair, range(2, 2 * _SUBTRACT_SERIES_TERMS + 1, 2))
     return tuple(
-        -(2 * k - 1) * float(specfun.bernoulli(2 * k)) / math.factorial(2 * k)
-        for k in range(1, _SUBTRACT_SERIES_TERMS + 1)
+        -(2 * k - 1) * (p / q) / math.factorial(2 * k) for k, (p, q) in enumerate(pairs, 1)
     )
 
 
 @functools.cache
 def _quadratic_bulk_coeffs() -> tuple[float, ...]:
     # sum n^2 e^(-d n) - 2/d^3 = sum_{j>=2} (2j-1)(2j-2) B_{2j} d^(2j-3) / (2j)!
+    pairs = map(specfun._bernoulli_pair, range(4, 2 * _SUBTRACT_SERIES_TERMS + 3, 2))
     return tuple(
-        (2 * j - 1) * (2 * j - 2) * float(specfun.bernoulli(2 * j)) / math.factorial(2 * j)
-        for j in range(2, _SUBTRACT_SERIES_TERMS + 2)
+        (2 * j - 1) * (2 * j - 2) * (p / q) / math.factorial(2 * j)
+        for j, (p, q) in enumerate(pairs, 2)
     )
 
 

@@ -11,12 +11,12 @@ magnetic density (1/2)<(d_z phi)^2>; their position-dependent parts are
 exact negatives, so the sum is the constant -pi/(24 L^2), which is what
 the total density returns.
 
-Each quantity is one law (see :func:`geometry.law`): the densities are
-pi/(4 L^2) times a shape in sin(theta), the totals pi/(2 L) times a
-continued or cutoff mode sum, and the interaction's terms
-alpha pi^2/(m^2 L^k) times a shape (k = 4 for the density, 3 for the
-total).  The powers of L, m and alpha are applied once, to the finished
-value; a result outside the normal doubles raises RangeError.
+Each quantity is one law, an entry of :data:`geometry.LAWS` that holds
+its exact coefficient: the densities are a shape in sin(theta) at the
+scale of "scalar density", the totals a continued or cutoff mode sum at
+the scale of "scalar total", and the interaction's terms the "scalar
+correction" laws.  The powers of L, m and alpha are applied once, to the
+finished value; a result outside the normal doubles raises RangeError.
 """
 
 from __future__ import annotations
@@ -24,11 +24,10 @@ from __future__ import annotations
 import math
 import warnings
 from enum import Enum
-from fractions import Fraction
 
 from . import regsum, specfun
 from .errors import DomainError, SingularityError
-from .geometry import Geometry, Position, check_position, law, scaled, summed
+from .geometry import LAWS, Geometry, Position, check_position, law, scaled, summed
 from .record import Record
 from .regsum import PowerSeriesSpec, RegKind, RegScheme
 
@@ -108,7 +107,7 @@ class WindowIntegral(Record):
 
 def _warn_if_strong(c: Couplings, g: Geometry) -> None:
     # Validity regime of the effective theory; warn, don't reject.
-    prefactor, exponent = law(1.0, 1.0, g.length, 2, c, 1)  # alpha / (m L)^2
+    prefactor, exponent = law("validity ratio", g.length, c)
     ratio = math.ldexp(prefactor, exponent) if exponent < 1020 else math.inf
     if ratio > 0.1:
         warnings.warn(
@@ -130,19 +129,9 @@ def free_total_energy(g: Geometry) -> float:
     The mode sum sum omega_n / 2 = (pi / 2L) sum n is routed through the
     continuation engine, which assigns sum n its value zeta(-1) = -1/12.
     """
-    return scaled(*_free_total(g), "the free total", g.length)
-
-
-def _total_law(g: Geometry) -> tuple[float, int]:
-    # pi/(2 L), the scale of the mode sum of every scalar total, as law
-    # (prefactor, exponent).
-    return law(math.pi, 2.0, g.length, 1)
-
-
-def _free_total(g: Geometry) -> tuple[float, int]:
-    # (value, exponent): the engine continues the series at the law's scale.
-    scale, exponent = _total_law(g)
-    return regsum.zeta_regularize_power(PowerSeriesSpec(exponent=1.0, scale=scale)), exponent
+    scale, exponent = law("scalar total", g.length)
+    value = regsum.zeta_regularize_power(PowerSeriesSpec(exponent=1.0, scale=scale))
+    return scaled(value, exponent, "the free total", g.length)
 
 
 def _laws(g: Geometry, scheme: RegScheme | None, c: Couplings | None, sin_theta) -> tuple:
@@ -152,7 +141,7 @@ def _laws(g: Geometry, scheme: RegScheme | None, c: Couplings | None, sin_theta)
     # cos(2 n theta)] in ``scheme`` unless it is None; the total -pi/(24 L^2),
     # to which their position terms cancel; with couplings, the correction
     # -(alpha pi^2 / (8 m^2 L^4)) (1/18 + 1/sin^4 theta).
-    scale, exponent = law(math.pi, 4.0, g.length, 2)
+    scale, exponent = law("scalar density", g.length)
     constant = scale * _ZETA_MINUS_ONE
     laws = (2.0 * constant, exponent),
     if scheme is not None:
@@ -164,9 +153,10 @@ def _laws(g: Geometry, scheme: RegScheme | None, c: Couplings | None, sin_theta)
             position_part = scale * 0.5 * regsum._abel_sin_dtheta(scheme.epsilon, sin_theta)
         laws = (constant - position_part, exponent), (constant + position_part, exponent), *laws
     if c is not None:
-        interaction, correction_exponent = _interaction(g, c, 4)
+        correction, correction_exponent = law("scalar correction density", g.length, c)
+        r, s = LAWS["scalar correction density"][4]
         csc2 = 1.0 / (sin_theta * sin_theta)
-        laws += (-interaction / 8.0 * (1.0 / 18.0 + csc2 * csc2), correction_exponent),
+        laws += (correction * (r / s + csc2 * csc2), correction_exponent),
     return laws
 
 
@@ -238,7 +228,7 @@ def total_energy_by_route(
     if route is Route.SUM_THEN_REGULARIZE:
         if scheme.kind is RegKind.ZETA:
             return free_total_energy(g)
-        scale, exponent = _total_law(g)
+        scale, exponent = law("scalar total", g.length)
         value = scale * regsum.abel_sum_linear_minus_bulk(scheme.epsilon)
         return scaled(value, exponent, "the cutoff total", g.length)
     if route is not Route.INTEGRATE_REGULARIZED_DENSITY:
@@ -261,25 +251,14 @@ def total_energy_by_route(
     a = math.pi * delta / g.length
     # The 1/sin^2 part of the density integrates to cot(a)/(8 L), its
     # constant part -pi/(48 L^2) over the window length L - 2 delta.
-    estimate, exponent = law(specfun.cot(a), 8.0, g.length, 1)
-    value = estimate - law(math.pi - 2.0 * a, 48.0, g.length, 1)[0]
+    cot_a, remainder = specfun.cot(a), math.pi - 2.0 * a
+    estimate, exponent = law("window divergence", g.length, shape=cot_a)
+    value = estimate - law("window remainder", g.length, shape=remainder)[0]
     return WindowIntegral(
         value=scaled(value, exponent, "the window integral", g.length),
         delta=delta,
         divergent_estimate=scaled(estimate, exponent, "the divergent estimate", g.length),
     )
-
-
-# Constant part of the interaction correction: the coefficient 1/8 * 1/18
-# must reduce to 1/144 for the density and total-energy forms to agree,
-# which the ``verify`` suite checks ("constant-part rational identities").
-_INTERACTION_CONSTANT = Fraction(1, 8) * Fraction(1, 18)
-
-
-def _interaction(g: Geometry, c: Couplings, k: int) -> tuple[float, int]:
-    # alpha pi^2 / (m^2 L^k) as law (prefactor, exponent): the correction
-    # density (see _laws) takes k = 4, the totals k = 3.
-    return law(math.pi ** 2, 1.0, g.length, k, c, 1)
 
 
 def _interacting_at(g: Geometry, pos: Position, c: Couplings) -> tuple[tuple[float, int], ...]:
@@ -320,13 +299,16 @@ def interacting_total_energy(g: Geometry, c: Couplings) -> float:
 
     -pi/(24 L) - alpha pi^2 / (144 m^2 L^3).  The correction equals L
     times the constant part of the interacting density (1/8 * 1/18 =
-    1/144 exactly), while the integrated position-dependent part is the
-    series sum n^2, which the engine assigns zeta(-2) = 0.  Either law
+    1/144 exactly, which the ``verify`` suite checks on
+    :data:`geometry.LAWS`), while the integrated position-dependent part is
+    the series sum n^2, which the engine assigns zeta(-2) = 0.  Either law
     may underflow where the total is a normal double.
     """
     _warn_if_strong(c, g)
-    scale, exponent = _interaction(g, c, 3)
-    correction = -scale * float(_INTERACTION_CONSTANT)
-    divergent_part = regsum.zeta_regularize_power(PowerSeriesSpec(exponent=2.0, scale=-scale))
-    return summed("the interacting total", g.length, _free_total(g),
-                  (correction, exponent), (divergent_part, exponent))
+    free_scale, free_exponent = law("scalar total", g.length)
+    free = regsum.zeta_regularize_power(PowerSeriesSpec(exponent=1.0, scale=free_scale))
+    scale, exponent = law("scalar correction total", g.length, c)
+    r, s = LAWS["scalar correction total"][4]
+    divergent_part = regsum.zeta_regularize_power(PowerSeriesSpec(exponent=2.0, scale=scale))
+    return summed("the interacting total", g.length, (free, free_exponent),
+                  (scale * (r / s), exponent), (divergent_part, exponent))

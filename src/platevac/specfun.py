@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
+from collections import namedtuple
 
 from .errors import DomainError, PoleError, RangeError, SingularityError
 
@@ -52,12 +52,16 @@ def _normal(what: str, name: str, arg: float, value: float) -> float:
 # Bernoulli numbers
 # --------------------------------------------------------------------------
 
+# B_n as a reduced integer pair; the float users divide its integers, and
+# only bernoulli() builds a Fraction, so no cold command imports fractions.
+_Pair = namedtuple("_Pair", "numerator denominator")
+
 # Extended by whole-tuple replacement so concurrent readers never observe a
 # partially built table.
-_bernoulli_cache: tuple[Fraction, ...] = (Fraction(1),)
+_bernoulli_cache: tuple[_Pair, ...] = (_Pair(1, 1),)
 
 
-def bernoulli(n: int) -> Fraction:
+def bernoulli(n: int) -> "Fraction":
     """Bernoulli number B_n as an exact rational, with B_1 = -1/2.
 
     Values come from the defining recurrence
@@ -66,6 +70,13 @@ def bernoulli(n: int) -> Fraction:
     lie in [0, 64]; larger indices are rejected rather than silently
     losing exactness guarantees.
     """
+    from fractions import Fraction
+
+    pair = _bernoulli_pair(n)
+    return Fraction(pair.numerator, pair.denominator)
+
+
+def _bernoulli_pair(n: int) -> _Pair:
     global _bernoulli_cache
     if isinstance(n, bool) or not isinstance(n, int):
         raise DomainError(f"n must be an integer, got {n!r}")
@@ -81,7 +92,9 @@ def bernoulli(n: int) -> Fraction:
                 math.comb(m + 1, k) * b_k.numerator * (d // b_k.denominator)
                 for k, b_k in enumerate(work)
             )
-            work.append(Fraction(-s, d * (m + 1)))
+            d *= m + 1
+            common = math.gcd(s, d)
+            work.append(_Pair(-s // common, d // common))
         cache = tuple(work)
         _bernoulli_cache = cache
     return cache[n]
@@ -164,10 +177,8 @@ _EM_FLOOR = -0.01
 
 @functools.cache
 def _em_coefficients() -> tuple[float, ...]:
-    return tuple(
-        float(bernoulli(2 * k) / math.factorial(2 * k))
-        for k in range(1, _EM_ORDER + 1)
-    )
+    pairs = map(_bernoulli_pair, range(2, 2 * _EM_ORDER + 1, 2))
+    return tuple(p / (q * math.factorial(2 * k)) for k, (p, q) in enumerate(pairs, 1))
 
 
 def _zeta_euler_maclaurin(s: float) -> float:
@@ -192,8 +203,8 @@ def _zeta_euler_maclaurin(s: float) -> float:
 def _zeta_negative_integer(n: int) -> float:
     # zeta(-n) = (-1)^n B_{n+1} / (n+1); odd Bernoulli numbers above B_1
     # vanish, so negative even arguments give an exact 0.0.
-    sign = -1 if n % 2 else 1
-    return float(sign * bernoulli(n + 1) / (n + 1))
+    p, q = _bernoulli_pair(n + 1)
+    return (-p if n % 2 else p) / (q * (n + 1))
 
 
 def riemann_zeta(s: float) -> float:

@@ -13,7 +13,7 @@ from typing import Callable
 
 from . import em3d, regsum, scalar1d, specfun
 from .errors import ConfigError
-from .geometry import Clustering, Geometry, GridSpec, Position
+from .geometry import LAWS, Clustering, Geometry, GridSpec, Position
 from .record import Record
 from .regsum import RegScheme
 from .scalar1d import Couplings
@@ -123,11 +123,22 @@ def _scalar_density_cancellation():
     return worst, 1e-8
 
 
+# Each density of geometry.LAWS, and a law that is its integral over [0, L].
+_INTEGRALS = (("scalar correction density", "scalar correction total"),
+              ("scalar correction density", "scalar correction window"),
+              ("eh density", "eh total"), ("em density", "em total"))
+
+
 def _rational_identities():
+    # The integral's coefficient times its constant part is the density's, at
+    # one power of L less and the same powers of pi and alpha.
     from fractions import Fraction
 
-    ok = scalar1d._INTERACTION_CONSTANT == Fraction(1, 144)
-    ok = ok and em3d._EH_TOTAL_COEFF == Fraction(11, 3888000)
+    def integrated(name, dk):
+        (p, q), n, k, j, constant = LAWS[name]
+        return Fraction(p, q) * Fraction(*constant or (1, 1)), n, k - dk, j
+
+    ok = all(integrated(density, 1) == integrated(total, 0) for density, total in _INTEGRALS)
     return (0.0 if ok else 1.0), 0.0
 
 

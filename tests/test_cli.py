@@ -686,13 +686,15 @@ class TestImports:
         assert self._importers("dataclasses") == set()
 
     @pytest.mark.parametrize("argv,absent", [
-        (["total"], ["platevac.limits_lab", "platevac.verify", "dataclasses", "inspect"]),
+        (["total"],
+         ["platevac.limits_lab", "platevac.verify", "dataclasses", "inspect", "fractions"]),
         (["scan", "--vary", "length", "--values", "1,2"],
-         ["platevac.limits_lab", "platevac.verify", "dataclasses", "inspect"]),
-        (["density", "--grid", "5"], ["platevac.verify", "numpy", "dataclasses", "inspect"]),
+         ["platevac.limits_lab", "platevac.verify", "dataclasses", "inspect", "fractions"]),
+        (["density", "--grid", "5"],
+         ["platevac.verify", "numpy", "dataclasses", "inspect", "fractions"]),
         (["density", "--model", "em", "--alpha", "0.01", "--format", "json"],
-         ["platevac.verify", "numpy", "dataclasses", "inspect"]),
-        (["commute"], ["platevac.verify", "numpy", "dataclasses", "inspect"]),
+         ["platevac.verify", "numpy", "dataclasses", "inspect", "fractions"]),
+        (["commute"], ["platevac.verify", "numpy", "dataclasses", "inspect", "fractions"]),
         (["verify", "--suite", "quick"], ["platevac.limits_lab", "dataclasses", "inspect"]),
         (["verify", "--suite", "full"], ["numpy", "dataclasses", "inspect"]),
     ])

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import platevac
-from platevac import em3d, limits_lab, scalar1d
+from platevac import em3d, geometry, limits_lab, scalar1d
 from platevac.errors import RangeError
 from platevac.geometry import Geometry, Position, scaled
 from platevac.limits_lab import FieldModel
@@ -331,6 +331,42 @@ def test_no_power_of_length_mass_or_coupling_is_formed():
             if isinstance(node.op, ast.Mult) and left == right and left in _SCALES:
                 found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert found == []
+
+
+def test_every_law_coefficient_comes_from_the_table():
+    # geometry.law takes an entry's name, L, the couplings and a computed
+    # shape: no numeric literal and no math.pi expression reaches it from
+    # src/, and every entry of the table is some call's law.
+    found, named = [], set()
+    for path in sorted(pathlib.Path(platevac.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(node, ast.Call) and "law" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None))):
+                continue
+            name, *args = node.args
+            named.add(name.value if isinstance(name, ast.Constant) else ast.unparse(name))
+            for sub in (n for arg in args + [k.value for k in node.keywords] for n in ast.walk(arg)):
+                if ((isinstance(sub, ast.Constant) and type(sub.value) in (int, float, complex))
+                        or (isinstance(sub, ast.Attribute) and sub.attr == "pi")):
+                    found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert found == []
+    assert named == set(geometry.LAWS)
+
+
+@pytest.mark.parametrize("name, numerator, denominator", [
+    ("validity ratio", 1.0, 1.0), ("scalar total", math.pi, 2.0),
+    ("scalar density", math.pi, 4.0), ("window divergence", 1.0, 8.0),
+    ("window remainder", 1.0, 48.0), ("scalar correction density", -math.pi ** 2, 8.0),
+    ("scalar correction window", -math.pi ** 2, 8.0),
+    ("scalar correction total", -math.pi ** 2, 1.0), ("em correlator", math.pi ** 2, 16.0),
+    ("em density", -math.pi ** 2, 720.0), ("em total", -math.pi ** 2, 720.0),
+    ("casimir force", math.pi ** 2, 240.0), ("near-plate correlator", 3.0, 16.0 * math.pi ** 2),
+    ("eh density", -math.pi ** 4, 17280.0), ("eh total", -math.pi ** 4, 17280.0),
+])
+def test_law_takes_the_floats_of_the_written_coefficients(name, numerator, denominator):
+    # The table rebuilds p pi^n and q (or q pi^-n) as the floats the laws
+    # were written with, so every prefactor keeps its bits.
+    assert geometry._FLOATS[name][:2] == (numerator, denominator)
 
 
 class _quiet:

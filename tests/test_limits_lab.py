@@ -705,18 +705,20 @@ class TestInteractingWindow:
 class TestModelPrivateNames:
     """limits_lab reads the density laws through each model's one evaluator."""
 
-    # Validation, the two law evaluators, the EM cancellation guard, and the
-    # total laws of the commutation report.
+    # Validation, the two law evaluators and the EM cancellation guard.
     READ = {
-        "scalar1d._warn_if_strong", "scalar1d._laws", "scalar1d._interaction",
-        "scalar1d._free_total", "scalar1d._total_law", "scalar1d._INTERACTION_CONSTANT",
+        "scalar1d._warn_if_strong", "scalar1d._laws",
         "em3d._require_zeta", "em3d._laws", "em3d._check_cancellation",
     }
-    # The helpers that wrote the density laws a second time in limits_lab.
+    # The helpers that wrote the density laws a second time in limits_lab, and
+    # the law wrappers and coefficient constants that geometry.LAWS replaced.
     FOLDED = {
         "scalar1d._density_law", "scalar1d._split", "scalar1d._correction",
         "scalar1d._ZETA_MINUS_ONE", "em3d._halves_law", "em3d._halves", "em3d._profile",
         "em3d._eh", "em3d._eh_density",
+        "scalar1d._interaction", "scalar1d._free_total", "scalar1d._total_law",
+        "scalar1d._INTERACTION_CONSTANT", "em3d._free", "em3d._EH_NUMERATOR",
+        "em3d._EH_DENOMINATOR", "em3d._EH_TOTAL_COEFF", "em3d._EH_CONSTANT",
     }
 
     def test_limits_lab_reads_only_the_declared_private_names(self):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from platevac import em3d, limits_lab, regsum, scalar1d, specfun, verify
+from platevac import em3d, geometry, limits_lab, regsum, scalar1d, specfun, verify
 from platevac.geometry import Clustering, Geometry, GridSpec, Position
 from platevac.regsum import RegScheme
 
@@ -140,6 +140,19 @@ class TestRewrittenChecks:
         assert verify._bernoulli_recurrence() == (1.0, 0.0)
         assert fraction_bernoulli_recurrence() == (1.0, 0.0)
         assert not suite_result("bernoulli recurrence").passed
+
+    @pytest.mark.parametrize("name, entry", [
+        ("scalar correction total", ((-1, 1), 2, 3, 1, (1, 143))),
+        ("scalar correction density", ((-1, 9), 2, 4, 1, (1, 18))),
+        ("eh total", ((-1, 17280), 4, 7, 2, (11, 226))),
+        ("em total", ((-1, 721), 2, 3, 0, None)),
+        ("em density", ((-1, 720), 2, 4, 1, None)),
+    ])
+    def test_law_table_entry_changed_fails(self, monkeypatch, name, entry):
+        # One integer of one entry of the table, or its power of alpha, changed.
+        monkeypatch.setitem(geometry.LAWS, name, entry)
+        assert verify._rational_identities() == (1.0, 0.0)
+        assert not suite_result("constant-part rational identities").passed
 
     def test_closed_form_scaled_by_one_plus_1e_9_fails(self, monkeypatch):
         exact = regsum.abel_sum_sin
