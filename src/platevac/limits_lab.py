@@ -212,9 +212,10 @@ def _digit_tables() -> tuple:
     # 10**k, k in [-300, 300], as double-doubles from exact integers: hi,
     # its halves, lo; and the least double >= 10**k.  Then byte rows read
     # as 8-byte words, so one gather fetches a row: the digits of 0..9999
-    # and, in 2-byte digit-point slots, the digits kept up to digit j and
-    # the point after digit j (none in row 17); "0.000" cut to m bytes;
-    # "e-XXX" in row e + 331.
+    # in 2-byte digit-point slots; over the five words of 20 such slots,
+    # past three NUL slots, the digits kept up to digit j and the point
+    # after digit j (none in row 17); "0.000" cut to m bytes; "e-XXX" in
+    # row e + 331.
     import numpy as np
 
     hi, lo = [], []
@@ -230,9 +231,9 @@ def _digit_tables() -> tuple:
 
     quads = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
     return (hi, *_split(hi), lo, np.where(lo > 0.0, np.nextafter(hi, np.inf), hi),
-            quads.astype("<u2").view(np.uint64),
-            words([b"\xff\0" * (j + 1) for j in range(17)], 40),
-            words([b"\0\0" * j + b"\0." for j in range(18)], 40),
+            quads.astype("<u2").view(np.uint64)[:, 0],
+            words([b"\0" * 6 + b"\xff\0" * (j + 1) for j in range(17)], 40),
+            words([b"\0" * (7 + 2 * j) + b"." for j in range(17)] + [b""], 40),
             words([b"0.000"[:m] for m in range(6)], 8),
             words([b""] + [b"e%+03d" % e for e in range(-330, 331)], 8))
 
@@ -251,33 +252,39 @@ def _table_rows(columns: Sequence[np.ndarray], shortest: bool = False,
     takes repr's digits instead: N rounded to 15 digits, else to 16,
     whichever lies within half an ulp of |x| first (a decimal of at most 15
     digits survives the trip through a double, so the shortest one, if it
-    has 15 digits or fewer, is x rounded to 15).  The cell then fills fixed
+    has 15 digits or fewer, is x rounded to 15).  The cell then fills 45
     byte slots (sign, lead "0.000", 17 digit-point pairs, "e+XXX") in %g's
     or repr's fixed or scientific form without trailing zeros, NUL in every
-    unused slot, which one translate removes.  "%.17g" or repr itself
-    writes every other cell, one within 1e-6 of a rounding tie or of the
-    ulp bound, and with ``shortest`` a significand that is a power of two,
-    whose rounding interval is lopsided.
+    unused slot: N's digits, read as five 8-byte words, are masked whole
+    (digits kept, point set) and copied in one assignment, then the sign
+    and lead fill their first six bytes.  A row is its cells and the
+    ``between`` after each but the last, then ``row_end``, each written
+    once per table; one translate per chunk removes the NULs.  "%.17g" or
+    repr itself writes every other cell, one within 1e-6 of a rounding tie
+    or of the ulp bound, and with ``shortest`` a significand that is a
+    power of two, whose rounding interval is lopsided.
     """
     import numpy as np
 
     hi, hi_big, hi_small, lo, ceil_tens, quads, keep, points, leads, exponents = _digit_tables()
     between, row_end = between.encode(), row_end.encode()
-    width = 45 + max(len(between), len(row_end))
+    span, gap = 45 + len(between), max(len(between), len(row_end))
 
     def text(value):  # the cell as "%.17g" or repr writes it, NUL-padded
         return list((repr(float(value)) if shortest else "%.17g" % value).encode().ljust(45, b"\0"))
 
-    # One cell buffer serves every pass, which rewrites all 45 bytes of each
+    # One row buffer serves every pass, which rewrites all 45 bytes of each
     # live cell: a column of one bit pattern (0.0 and -0.0 print apart) and
-    # the separators are written once per table.
+    # the separators are written once per table.  Cell j starts at j span.
     live = [j for j, column in enumerate(columns)
             if (column.view(np.uint64) != column.view(np.uint64)[0]).any()]
-    buffer = np.zeros((min(len(columns[0]), _TABLE_CHUNK), len(columns), width), np.uint8)
+    rows = np.zeros((min(len(columns[0]), _TABLE_CHUNK), len(columns) * span - len(between) + gap),
+                    np.uint8)
+    buffer = rows[:, :len(columns) * span].reshape(len(rows), len(columns), span)
     for j in set(range(len(columns))) - set(live):
         buffer[:, j, :45] = text(columns[j][0])
-    buffer[..., 45:45 + len(between)] = list(between)
-    buffer[:, -1, 45:] = list(row_end.ljust(width - 45, b"\0"))
+    buffer[..., 45:] = list(between)
+    rows[:, len(columns) * span - len(between):] = list(row_end.ljust(gap, b"\0"))
     table = np.stack(columns, axis=1)[:, live]
     chunks = []
     for start in range(0, len(table), _TABLE_CHUNK):
@@ -310,21 +317,22 @@ def _table_rows(columns: Sequence[np.ndarray], shortest: bool = False,
         for i in (4, 3, 2, 1):
             n, groups[..., i] = np.divmod(n, 10 ** 4)
         groups[..., 0] = n
-        digits = quads[groups].view("<u2").reshape(x.shape + (20,))[..., 3:]
+        words = quads[groups]  # 20 digits in 2-byte slots, the first three '0'
+        digits = words.view("<u2")[..., 3:]
         last = 16 - np.argmax(digits[..., ::-1] != ord("0"), axis=-1)  # the last nonzero digit
         sci = (e < -4) | (e > 16 - shortest)
         whole = np.where(sci, 0, e)  # the digits before the point, less one
         last = np.maximum(last, whole + ~sci if shortest else whole)  # repr writes 1.0, %g 1
+        words &= keep[last]
+        words |= points[np.where((last > whole) & (whole >= 0), whole, 17)]
         cell = buffer[:len(x)]
+        cell[:, live, :40] = words.view(np.uint8)  # bytes 0-5 NUL, then the digit-point pairs
         cell[:, live, 0] = np.where(x < 0, ord("-"), 0)
         cell[:, live, 1:6] = leads[np.where(sci | (e >= 0), 0, 1 - e)].view(np.uint8)[..., :5]
-        pairs = (digits & keep[last].view("<u2")[..., :17]
-                 | points[np.where((last > whole) & (whole >= 0), whole, 17)].view("<u2")[..., :17])
-        cell[:, live, 6:40] = pairs.view(np.uint8)
         cell[:, live, 40:45] = exponents[np.where(sci, e + 331, 0)].view(np.uint8)[..., :5]
         for row, col in zip(*np.nonzero(fallback)):
             cell[row, live[col], :45] = text(x[row, col])
-        chunks.append(cell.tobytes().translate(None, b"\0").decode())
+        chunks.append(rows[:len(x)].tobytes().translate(None, b"\0").decode())
     chunks[-1] = chunks[-1][:-len(row_end)]
     return chunks
 

@@ -298,9 +298,11 @@ def richardson_extrapolate(
     h values to be strictly decreasing in a constant ratio, with at least
     order + 1 of them.  Returns (limit, error_estimate); the estimate is
     the difference between the last two extrapolation stages.  A sample
-    that is not finite is a DomainError; a stage whose arithmetic
-    overflows a double is a RangeError, even where the limit itself is
-    a normal double.
+    that is not finite is a DomainError.  Where a stage overflows a double,
+    the stages are redone on the samples scaled by an exact power of two
+    (the largest below 1 in magnitude) and the results scaled back, so a
+    limit and estimate that are normal doubles are still returned; one
+    that is not, or a stage weight that overflows, is a RangeError.
     """
     if isinstance(order, bool) or not isinstance(order, int) or order < 1:
         raise DomainError(f"order must be a positive integer, got {order!r}")
@@ -317,7 +319,22 @@ def richardson_extrapolate(
     if any(hs[i + 1] >= hs[i] for i in range(len(hs) - 1)):
         raise DomainError("sample step sizes must be strictly decreasing")
     ratio = _common_ratio(hs, "sample step sizes")
-    level = [v for _, v in pts]
+    values = [v for _, v in pts]
+    limit, error = _richardson_stages(values, ratio, order)
+    if not math.isfinite(error):
+        shift = max(math.frexp(v)[1] for v in values)
+        limit, error = _richardson_stages([math.ldexp(v, -shift) for v in values], ratio, order)
+        try:
+            limit, error = math.ldexp(limit, shift), math.ldexp(error, shift)
+        except OverflowError:
+            error = math.inf
+    if not math.isfinite(error):
+        raise RangeError("the extrapolation's arithmetic overflows a double")
+    return limit, error
+
+
+def _richardson_stages(level: list[float], ratio: float, order: int) -> tuple[float, float]:
+    # The last stage's value and its distance from the stage before.
     previous_head = level[-1]
     stage = 1
     while len(level) > 1:
@@ -332,6 +349,4 @@ def richardson_extrapolate(
         if len(level) > 1:
             previous_head = level[-1]
         stage += 1
-    if not math.isfinite(level[0] - previous_head):
-        raise RangeError("the extrapolation's arithmetic overflows a double")
     return level[0], abs(level[0] - previous_head)

@@ -575,6 +575,40 @@ class TestTable:
         assert text == reference_table(JSON_HEADERS[5], [c.tolist() for c in columns], fmt)
 
 
+def hand_joined(columns, shortest, between, row_end):
+    cell = repr if shortest else (lambda x: format(x, ".17g"))
+    return row_end.join(between.join(map(cell, row)) for row in zip(*columns))
+
+
+class TestTableRowsLayout:
+    """limits_lab._table_rows on 1 to 7 columns, against cells joined by hand.
+
+    Cell j of a row starts j (45 + len(between)) bytes in; the separators
+    here are longer and shorter than the row end, unlike CSV's and JSON's.
+    """
+
+    @pytest.mark.parametrize("between,row_end", [(";;;;", "\n"), (",", "\n]\n[")])
+    @pytest.mark.parametrize("count", CHUNK_COUNTS)
+    @pytest.mark.parametrize("width", range(1, 8))
+    def test_cells_joined_by_hand(self, width, count, between, row_end):
+        rng = np.random.default_rng([width, count, len(between)])
+        kinds = [("random", "constant", "zeros")[i % 3] for i in rng.permutation(width)]
+        mixed = [random_column(rng, kind, count) for kind in kinds]
+        constant = [random_column(rng, "constant", count) for _ in range(width)]
+        for columns in (mixed, constant):
+            for shortest in (False, True):
+                rows = limits_lab._table_rows(list(map(np.array, columns)), shortest, between, row_end)
+                assert "".join(rows) == hand_joined(columns, shortest, between, row_end)
+
+    def test_masks_leave_the_sign_and_lead_bytes_nul(self):
+        # keep and points line up with the five words of 20 digit slots, the
+        # first three unused: bytes 0-5 of every row are for the sign and lead.
+        keep, points = limits_lab._digit_tables()[6:8]
+        for masks in (keep, points):
+            assert masks.shape[1:] == (5,)
+            assert not masks.view(np.uint8)[:, :6].any()
+
+
 def csv_cells(values):
     """``values`` as the array writer's 6-column CSV rows, split back into cells."""
     columns = np.asarray(values, dtype=float).reshape(-1, 6).T

@@ -297,12 +297,28 @@ class TestRichardson:
 
     @pytest.mark.parametrize("values", [
         (1e308, -1e308, 1e308),  # the limit itself is past the doubles
-        (1e308, 1e308, 1e308),  # the limit is 1e308; 4 * 1e308 is not
     ])
     def test_overflowing_stage_is_a_range_error(self, values):
         samples = list(zip((0.4, 0.2, 0.1), values))
         with pytest.raises(RangeError, match="^the extrapolation's arithmetic overflows a double$"):
             regsum.richardson_extrapolate(samples, order=2)
+
+    @pytest.mark.parametrize("value", [1e308, -1e308, 1.7976931348623157e308])
+    def test_overflowing_stage_with_a_normal_limit(self, value):
+        # 4 * 1e308 overflows in the first stage, but the limit is 1e308:
+        # the stages are redone on samples scaled by a power of two.
+        samples = list(zip((0.4, 0.2, 0.1), (value,) * 3))
+        assert regsum.richardson_extrapolate(samples, order=2) == (value, 0.0)
+
+    def test_scaled_stages_are_the_unscaled_ones_times_a_power_of_two(self):
+        # Samples 2**1021 times a finite case give its limit and estimate
+        # times 2**1021, bit for bit, though the unscaled stages overflow.
+        samples = [(0.4, 3.0), (0.2, 2.0), (0.1, 1.5), (0.05, 1.375)]
+        limit, error = regsum.richardson_extrapolate(samples, order=1)
+        big = [(h, math.ldexp(v, 1021)) for h, v in samples]
+        assert regsum._richardson_stages([v for _, v in big], 2.0, 1) == (math.inf, math.inf)
+        assert regsum.richardson_extrapolate(big, order=1) == (
+            math.ldexp(limit, 1021), math.ldexp(error, 1021))
 
     @pytest.mark.parametrize("steps,order", [
         ((1e200, 1.0, 1e-200), 2), ((1e110, 1.0, 1e-110, 1e-220), 3)])
