@@ -169,8 +169,7 @@ def _table(header: dict, columns: list, out_format: str) -> str:
     CSV: the header["columns"] line, then a line per row of its cells as
     format(x, ".17g"); JSON: the bytes of ``_json({**header, "rows": rows})``,
     each cell repr(x), in which only nan and inf hold an 'n'.  Numpy columns go
-    through ``limits_lab._table_rows``; lists fill one template, into which a
-    column of one nonzero value is written once (0.0 == -0.0 prints two ways).
+    through ``limits_lab._table_rows``; lists fill one template per row.
     The rows' pieces and the framing are joined once.
     """
     cell, start, between, end, newline = (
@@ -178,12 +177,8 @@ def _table(header: dict, columns: list, out_format: str) -> str:
         else ("%r", "    [\n      ", ",\n      ", "\n    ]", ",\n"))
     lists = isinstance(columns[0], (list, tuple))
     if lists:
-        fixed = [column[0] and column.count(column[0]) == len(column) for column in columns]
-        live = [column for column, one in zip(columns, fixed) if not one]
-        template = start + between.join(
-            cell % column[0] if one else cell for column, one in zip(columns, fixed)) + end
-        parts = [newline.join([template % row for row in zip(*live)] if live
-                              else [template] * len(columns[0]))]
+        template = start + between.join([cell] * len(columns)) + end
+        parts = [newline.join([template % row for row in zip(*columns)])]
     else:
         from . import limits_lab
 

@@ -55,11 +55,6 @@ class CorrelatorPair(Record):
 
     __slots__ = ("e2", "b2")
 
-    def __init__(self, e2: float, b2: float):
-        set_e2, set_b2 = self._setters
-        set_e2(self, e2)
-        set_b2(self, b2)
-
 
 class EhCouplings(Couplings):
     """:class:`scalar1d.Couplings` with the electromagnetic defaults.
@@ -97,18 +92,17 @@ def _sine_at(g: Geometry, pos: Position) -> float:
     return specfun.check_sine(pos.sin_theta, specfun.require_interior_angle(pos.theta))
 
 
-def _laws(g: Geometry, c: Couplings | None, sin_theta, halves: bool = True) -> tuple:
+def _laws(g: Geometry, c: Couplings | None, sin_theta) -> tuple:
     # The density laws at L as (value, exponent) pairs, worth value * 2**exponent,
     # in plain arithmetic on a validated sin(theta) (a float, or an array of
-    # them) through the profile F: if ``halves``, <E^2>/2 and <B^2>/2 of
+    # them) through the profile F: <E^2>/2 and <B^2>/2 of
     # -(pi^2/(16 L^4)) (1/45 -/+ F); with couplings, the correction
-    # -(alpha^2 pi^4 / (2^7 3^3 5 m^4 L^8)) (11/225 + 9 F^2).
+    # -(alpha^2 pi^4 / (2^7 3^3 5 m^4 L^8)) (11/225 + 9 F^2).  Nothing here
+    # raises: a caller puts only the laws it returns through scaled.
     f_value = _profile(sin_theta)
-    laws = ()
-    if halves:
-        scale, exponent = law("em correlator", g.length)
-        laws = ((0.5 * (-scale * (1.0 / 45.0 - f_value)), exponent),
-                (0.5 * (-scale * (1.0 / 45.0 + f_value)), exponent))
+    scale, exponent = law("em correlator", g.length)
+    laws = ((0.5 * (-scale * (1.0 / 45.0 - f_value)), exponent),
+            (0.5 * (-scale * (1.0 / 45.0 + f_value)), exponent))
     if c is not None:
         scale, exponent = law("eh density", g.length, c)
         r, s = LAWS["eh density"][4]
@@ -194,7 +188,7 @@ def eh_correction_density(g: Geometry, pos: Position, c: Couplings) -> float:
     -(alpha^2 pi^4 / (2^7 3^3 5 m^4 L^8)) (11/225 + 9 F^2(theta)).
     Diverges like 1/sin^8 near the plates.
     """
-    ((value, exponent),) = _laws(g, c, _sine_at(g, pos), False)
+    value, exponent = _laws(g, c, _sine_at(g, pos))[-1]
     return scaled(value, exponent, "the correction density", g.length)
 
 

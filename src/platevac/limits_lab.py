@@ -333,7 +333,7 @@ def _table_rows(columns: Sequence[np.ndarray], shortest: bool = False,
         for row, col in zip(*np.nonzero(fallback)):
             cell[row, live[col], :45] = text(x[row, col])
         chunks.append(rows[:len(x)].tobytes().translate(None, b"\0").decode())
-    chunks[-1] = chunks[-1][:-len(row_end)]
+    chunks[-1] = chunks[-1][:len(chunks[-1]) - len(row_end)]
     return chunks
 
 

@@ -225,6 +225,15 @@ def _quadratic_bulk_coeffs() -> tuple[float, ...]:
     )
 
 
+def _laurent(coeffs: tuple[float, ...], power: float, eps: float) -> float:
+    # sum_k coeffs[k] power eps^(2k), term by term from the lowest power.
+    total = 0.0
+    for c in coeffs:
+        total += c * power
+        power *= eps * eps
+    return total
+
+
 def abel_sum_linear_minus_bulk(eps: float) -> float:
     """abel_sum_linear(eps) - 1/eps^2, evaluated without cancellation.
 
@@ -236,12 +245,7 @@ def abel_sum_linear_minus_bulk(eps: float) -> float:
     eps = _check_eps(eps)
     if eps > _SUBTRACT_SERIES_RADIUS:
         return abel_sum_linear(eps) - 1.0 / (eps * eps)
-    total = 0.0
-    power = 1.0
-    for c in _linear_bulk_coeffs():
-        total += c * power
-        power *= eps * eps
-    return total
+    return _laurent(_linear_bulk_coeffs(), 1.0, eps)
 
 
 def abel_sum_quadratic(eps: float) -> float:
@@ -265,12 +269,7 @@ def abel_sum_quadratic_minus_bulk(eps: float) -> float:
     eps = _check_eps(eps)
     if eps > _SUBTRACT_SERIES_RADIUS:
         return abel_sum_quadratic(eps) - 2.0 / (eps * eps * eps)
-    total = 0.0
-    power = eps
-    for c in _quadratic_bulk_coeffs():
-        total += c * power
-        power *= eps * eps
-    return total
+    return _laurent(_quadratic_bulk_coeffs(), eps, eps)
 
 
 # --------------------------------------------------------------------------

@@ -134,24 +134,24 @@ def free_total_energy(g: Geometry) -> float:
     return scaled(value, exponent, "the free total", g.length)
 
 
-def _laws(g: Geometry, scheme: RegScheme | None, c: Couplings | None, sin_theta) -> tuple:
+def _laws(g: Geometry, scheme: RegScheme, c: Couplings | None, sin_theta) -> tuple:
     # The density laws at L as (value, exponent) pairs, worth value * 2**exponent,
     # in plain arithmetic on a validated sin(theta) (a float, or an array of
     # them): the electric and magnetic densities (pi/(4 L^2)) [sum n -/+ sum n
-    # cos(2 n theta)] in ``scheme`` unless it is None; the total -pi/(24 L^2),
-    # to which their position terms cancel; with couplings, the correction
-    # -(alpha pi^2 / (8 m^2 L^4)) (1/18 + 1/sin^4 theta).
+    # cos(2 n theta)] in ``scheme``; the total -pi/(24 L^2), to which their
+    # position terms cancel; with couplings, the correction
+    # -(alpha pi^2 / (8 m^2 L^4)) (1/18 + 1/sin^4 theta).  Nothing here
+    # raises: a caller puts only the laws it returns through scaled.
     scale, exponent = law("scalar density", g.length)
     constant = scale * _ZETA_MINUS_ONE
-    laws = (2.0 * constant, exponent),
-    if scheme is not None:
-        if scheme.kind is RegKind.ZETA:
-            position_part = scale * regsum._sum_n_cos_continued(sin_theta)
-        else:
-            # sum n e^(-eps n) cos(2 n theta) is half the theta-derivative of
-            # the cutoff sine sum, taken analytically on the closed form.
-            position_part = scale * 0.5 * regsum._abel_sin_dtheta(scheme.epsilon, sin_theta)
-        laws = (constant - position_part, exponent), (constant + position_part, exponent), *laws
+    if scheme.kind is RegKind.ZETA:
+        position_part = scale * regsum._sum_n_cos_continued(sin_theta)
+    else:
+        # sum n e^(-eps n) cos(2 n theta) is half the theta-derivative of
+        # the cutoff sine sum, taken analytically on the closed form.
+        position_part = scale * 0.5 * regsum._abel_sin_dtheta(scheme.epsilon, sin_theta)
+    laws = ((constant - position_part, exponent), (constant + position_part, exponent),
+            (2.0 * constant, exponent))
     if c is not None:
         correction, correction_exponent = law("scalar correction density", g.length, c)
         r, s = LAWS["scalar correction density"][4]
@@ -266,7 +266,7 @@ def _interacting_at(g: Geometry, pos: Position, c: Couplings) -> tuple[tuple[flo
     if not pos.interior:
         raise SingularityError("the interaction correction diverges on the walls")
     sin_theta = specfun.check_sine(pos.sin_theta, pos.theta)
-    return _laws(g, None, c, sin_theta)
+    return _laws(g, RegScheme.zeta(), c, sin_theta)[2:]
 
 
 def correction_density(g: Geometry, pos: Position, c: Couplings) -> float:

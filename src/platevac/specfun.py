@@ -104,21 +104,6 @@ def _bernoulli_pair(n: int) -> _Pair:
 # Gamma
 # --------------------------------------------------------------------------
 
-# Lanczos approximation, g = 7 with 9 coefficients.  Relative accuracy is a
-# few ulp across (0, 30], well inside the 1e-12 target.
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 
 def sin_pi(x: float) -> float:
     """sin(pi * x) with the nearest integer to ``x`` reduced exactly.
@@ -138,28 +123,18 @@ def sin_pi(x: float) -> float:
 def gamma(x: float) -> float:
     """Gamma function for real ``x`` that is not a non-positive integer.
 
-    Lanczos series for 0.5 <= x <= 140 and the reflection formula
-    Gamma(x) Gamma(1-x) = pi / sin(pi x) down to -140; past |x| = 140, where
-    the series' power overflows, ``math.gamma``.  A result outside the
-    normal doubles (from x = 171.62..., and next to 0) raises RangeError.
+    ``math.gamma``, within a few ulp of the exact value wherever that is a
+    normal double.  A result outside the normal doubles (from x =
+    171.62..., next to 0, and far below 0 between the poles) raises
+    RangeError.
     """
     x = _require_finite("x", x)
     if x <= 0.0 and x == math.floor(x):
         raise PoleError(f"gamma has a pole at the non-positive integer x = {x}")
-    if abs(x) > 140.0:
-        try:
-            value = math.gamma(x)
-        except OverflowError:
-            value = math.inf
-    elif x < 0.5:
-        value = math.pi / (sin_pi(x) * gamma(1.0 - x))
-    else:
-        z = x - 1.0
-        acc = _LANCZOS_COEFFS[0]
-        for i in range(1, len(_LANCZOS_COEFFS)):
-            acc += _LANCZOS_COEFFS[i] / (z + i)
-        t = z + _LANCZOS_G + 0.5
-        value = math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
+    try:
+        value = math.gamma(x)
+    except OverflowError:
+        value = math.inf
     return _normal("gamma", "x", x, value)
 
 

@@ -584,10 +584,11 @@ class TestTableRowsLayout:
     """limits_lab._table_rows on 1 to 7 columns, against cells joined by hand.
 
     Cell j of a row starts j (45 + len(between)) bytes in; the separators
-    here are longer and shorter than the row end, unlike CSV's and JSON's.
+    here are longer and shorter than the row end, unlike CSV's and JSON's,
+    and the row end may be empty.
     """
 
-    @pytest.mark.parametrize("between,row_end", [(";;;;", "\n"), (",", "\n]\n[")])
+    @pytest.mark.parametrize("between,row_end", [(";;;;", "\n"), (",", "\n]\n["), (";", "")])
     @pytest.mark.parametrize("count", CHUNK_COUNTS)
     @pytest.mark.parametrize("width", range(1, 8))
     def test_cells_joined_by_hand(self, width, count, between, row_end):

@@ -176,6 +176,20 @@ class TestGamma:
             else:
                 assert specfun.gamma(x) == pytest.approx(exact, rel=1e-12)
 
+    def test_within_2e_15_of_mpmath(self):
+        # 2,000 seeded points: the whole range, 1e-9 either side of the poles
+        # down to -170, and tiny positive x; results outside the normal
+        # doubles are test_outside_the_normal_doubles's.
+        mpmath.mp.dps = 50
+        rng = np.random.default_rng(2025)
+        poles = -np.arange(1.0, 171.0)
+        xs = [*rng.uniform(-170.5, 171.6, 1500), *(poles - 1e-9), *(poles + 1e-9),
+              *10.0 ** rng.uniform(-300.0, -1.0, 160)]
+        for x in xs:
+            exact = mpmath.gamma(x)
+            if 2.2250738585072014e-308 <= abs(float(exact)) < math.inf:
+                assert abs(specfun.gamma(x) - exact) <= 2e-15 * abs(exact), x
+
     @pytest.mark.parametrize("x, message", [
         (171.7, "gamma overflows a double at x = 171.7"),
         (1e300, "gamma overflows a double at x = 1e+300"),
