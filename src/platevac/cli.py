@@ -14,6 +14,7 @@ import functools
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 from . import em3d, scalar1d
@@ -429,6 +430,11 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "func", None) is None:
         parser.print_help(sys.stderr)
         return 2
+    # A ValidityWarning prints as one line, without its source path and line.
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = lambda message, category, *where: (
+        f"warning: {message}\n" if issubclass(category, scalar1d.ValidityWarning)
+        else formatwarning(message, category, *where))
     try:
         return args.func(args)
     except ConfigError as exc:
@@ -437,6 +443,8 @@ def main(argv: list[str] | None = None) -> int:
     except (PlatevacError, ArithmeticError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ tolerance; the suite passes when every deviation is inside its tolerance.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import random
@@ -236,9 +237,10 @@ def _near_plate_exponent(kind: str):
     return abs(fit.exponent - exponent), tolerance
 
 
+@functools.cache
 def _free_report():
-    # The free-scalar commutation report, read by its route-equivalence and
-    # window-exponent checks.
+    # The free-scalar commutation report, read by two checks: run_suite
+    # clears the cache before and after each run, so a run builds it once.
     from . import limits_lab
 
     return limits_lab.commutation_report(
@@ -346,15 +348,11 @@ def run_suite(suite: str) -> list[CheckResult]:
     """Run the named invariant suite ("quick" or "full")."""
     if suite not in SUITES:
         raise ConfigError("suite", f"must be one of {sorted(SUITES)}, got {suite!r}")
-    results = []
-    for name, check in SUITES[suite]:
-        measured, tolerance = check()
-        results.append(
-            CheckResult(
-                name=name,
-                measured=float(measured),
-                tolerance=float(tolerance),
-                passed=bool(measured <= tolerance),
-            )
-        )
-    return results
+    _free_report.cache_clear()
+    try:
+        measures = [(name, *check()) for name, check in SUITES[suite]]
+    finally:
+        _free_report.cache_clear()
+    return [CheckResult(name=name, measured=float(measured), tolerance=float(tolerance),
+                        passed=bool(measured <= tolerance))
+            for name, measured, tolerance in measures]

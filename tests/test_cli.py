@@ -279,6 +279,43 @@ class TestTotalCommand:
                                 + ",".join([model, *cells]) + "\n")
 
 
+WARNING_LINE = (b"warning: alpha/(m L)^2 = %s exceeds 0.1; the lowest-order correction "
+                b"is outside its validity regime\n")
+
+
+class TestValidityWarningLine:
+    """The CLI prints each ValidityWarning as one stderr line.
+
+    The default filter shows a message once per place that warns, so a
+    repeated length in a scan prints its line once.
+    """
+
+    @pytest.mark.parametrize("argv,ratios", [
+        (["total", "--alpha", "5", "--mass", "1"], [b"5"]),
+        (["density", "--alpha", "0.5", "--grid", "3"], [b"0.5"]),
+        (["density", "--alpha", "0.5", "--grid", "1001", "--format", "json"], [b"0.5"]),
+        (["scan", "--vary", "length", "--values", "1,1,0.5,2", "--alpha", "0.5"],
+         [b"0.5", b"2", b"0.125"]),
+    ])
+    def test_stderr_bytes(self, argv, ratios, capsys):
+        result = run_cli(argv)
+        assert result.returncode == 0
+        assert result.stderr == b"".join(WARNING_LINE % ratio for ratio in ratios)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", scalar1d.ValidityWarning)
+            assert run_in_process(argv, capsys) == (0, result.stdout, b"")
+
+    def test_main_restores_formatwarning(self, capsys):
+        # Library callers, and main's caller once it has returned, get
+        # Python's own warning format.
+        formatwarning = warnings.formatwarning
+        with pytest.warns(scalar1d.ValidityWarning):
+            assert run_in_process(["total", "--alpha", "5"], capsys)[0] == 0
+        assert warnings.formatwarning is formatwarning
+        assert run_in_process(["total", "--length", "-2"], capsys)[0] == 2
+        assert warnings.formatwarning is formatwarning
+
+
 class TestExitCodes:
     def test_missing_epsilon_is_config_error(self):
         result = run_cli(["total", "--scheme", "cutoff"])

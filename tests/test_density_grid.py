@@ -388,7 +388,7 @@ class TestDensityCommandBytes:
 
     @pytest.mark.parametrize("count", [3, 1000, 1001])
     def test_validity_warning_names_the_cli_line(self, count):
-        # The warning's stderr line is the one in cli.py that asks for the columns.
+        # The warning names the line in cli.py that asks for the columns.
         argv = ["density", "--alpha", "0.5", "--mass", "1", "--grid", str(count)]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -608,6 +608,48 @@ class TestTableRowsLayout:
         for masks in (keep, points):
             assert masks.shape[1:] == (5,)
             assert not masks.view(np.uint8)[:, :6].any()
+
+    def test_sign_and_lead_words_leave_the_digit_bytes_nul(self):
+        # Each row is OR'd into a cell's first digit word, whose bytes 6 and
+        # 7 hold the first digit and the point after it.
+        signs = limits_lab._digit_tables()[8]
+        assert signs.shape == (12,)
+        assert not signs.view(np.uint8).reshape(12, 8)[:, 6:].any()
+
+
+class TestTableRowsPasses:
+    """cli._table through limits_lab._table_rows across passes, cell by cell.
+
+    One cell buffer serves every pass, so what a pass leaves in it must not
+    show in the next: each cell against format(x, ".17g") or repr(x).
+    """
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("scientific", ["first", "last", "none"])
+    def test_state_from_pass_to_pass(self, scientific, fmt):
+        # Three passes, the last of one row.  Every 7th row of one pass holds
+        # scientific cells, so the next pass must clear their exponent slots;
+        # the other cells are fixed, the negative ones in [1e-4, 1) next to
+        # positive ones, so each cell takes its own sign and "0.000" lead.
+        rng = np.random.default_rng([len(scientific), fmt == "json"])
+        count = 2 * CHUNK + 1
+        signs = rng.choice([-1.0, 1.0], (count, 4))
+        table = 10 ** np.column_stack([rng.uniform(-4, 0, (count, 3)),
+                                       rng.uniform(0, 15, count)]) * signs
+        rows = {"first": slice(0, CHUNK, 7), "last": slice(count - 1, count), "none": slice(0)}
+        sci = table[rows[scientific], :3]  # a view: the cells change in the table
+        sci *= 10 ** rng.choice([-20.0, 20.0], sci.shape)
+        columns = [table[:, 0], table[:, 1], np.full(count, -0.5), table[:, 2], table[:, 3]]
+        assert len(limits_lab._table_rows(columns)) == 3
+        assert (cli._table(JSON_HEADERS[5], columns, fmt)
+                == reference_table(JSON_HEADERS[5], [c.tolist() for c in columns], fmt))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_no_live_column(self, fmt):
+        # Every column is one bit pattern, so no cell runs the digit passes.
+        columns = [np.full(CHUNK + 1, value) for value in (-0.00015, 1e-7, 2.0, -0.0, 1e20)]
+        assert (cli._table(JSON_HEADERS[5], columns, fmt)
+                == reference_table(JSON_HEADERS[5], [c.tolist() for c in columns], fmt))
 
 
 def csv_cells(values):

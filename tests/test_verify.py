@@ -210,3 +210,53 @@ class TestLinspace:
         assert [v.hex() for v in verify._linspace(start, stop, num)] == [
             v.hex() for v in np.linspace(start, stop, num).tolist()
         ]
+
+
+class TestFreeReport:
+    """run_suite builds the free-scalar commutation report once per run.
+
+    The route-equivalence and window-exponent checks read the same report,
+    and a run reads none built before it.
+    """
+
+    CHECKS = ("route equivalence, free scalar", "window-integral divergence exponent -1")
+
+    @staticmethod
+    def counted_reports(monkeypatch, deltas=None):
+        built = []
+        report = limits_lab.commutation_report
+
+        def counted(g, model, **kwargs):
+            if model is limits_lab.CommutationModel.FREE_SCALAR:
+                built.append(kwargs)
+                kwargs = {**kwargs, "deltas": deltas or kwargs["deltas"]}
+            return report(g, model, **kwargs)
+
+        monkeypatch.setattr(limits_lab, "commutation_report", counted)
+        return built
+
+    @classmethod
+    def measured(cls, results):
+        return [r.measured for r in results if r.name in cls.CHECKS]
+
+    @staticmethod
+    def from_report(report):
+        return [report.verdict.difference / abs(report.sum_then_regularize),
+                abs(report.window_fit_exponent + 1.0)]
+
+    def test_built_once_per_run(self, monkeypatch):
+        built = self.counted_reports(monkeypatch)
+        first = verify.run_suite("full")
+        assert len(built) == 1
+        assert self.measured(first) == self.from_report(verify._free_report.__wrapped__())
+        assert verify.run_suite("full") == first
+        assert len(built) == 3  # the second run built its own
+        verify.run_suite("quick")
+        assert len(built) == 3
+
+    def test_a_run_reads_no_report_built_before_it(self, monkeypatch):
+        before = self.measured(verify.run_suite("full"))
+        self.counted_reports(monkeypatch, deltas=[0.04, 0.02, 0.01, 0.005])
+        after = self.measured(verify.run_suite("full"))
+        assert after == self.from_report(verify._free_report.__wrapped__())
+        assert after[1] != before[1]
