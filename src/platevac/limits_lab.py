@@ -216,7 +216,10 @@ def _digit_tables() -> tuple:
     # past three NUL slots, the digits kept up to digit j and the point
     # after digit j (none in row 17); the sign and the lead "0.000" cut to
     # 1 - e bytes for e in (-5, 0), in row 6 (x < 0) + 5 + clip(e, -5, 0);
-    # and the five bytes of "e-XXX" in row e + 331.
+    # and the five bytes of "e-XXX" in row e + 331.  Last, for N's last
+    # base-10**4 group g, the index of N's last nonzero digit among its 17:
+    # 16 less g's trailing zeros, and 0 for g = 0, whose N is read digit by
+    # digit.
     import numpy as np
 
     hi, lo = [], []
@@ -237,7 +240,8 @@ def _digit_tables() -> tuple:
             words([b"\0" * (7 + 2 * j) + b"." for j in range(17)] + [b""], 40),
             words([sign + (b"0.000"[:1 - e] if -5 < e < 0 else b"")
                    for sign in (b"\0", b"-") for e in range(-5, 1)], 8)[:, 0],
-            words([b""] + [b"e%+03d" % e for e in range(-330, 331)], 8).view(np.uint8)[:, :5])
+            words([b""] + [b"e%+03d" % e for e in range(-330, 331)], 8).view(np.uint8)[:, :5],
+            np.r_[0, 16 - sum(np.arange(1, 10000) % 10 ** i == 0 for i in (1, 2, 3))])
 
 
 def _table_rows(columns: Sequence[np.ndarray], shortest: bool = False,
@@ -250,7 +254,8 @@ def _table_rows(columns: Sequence[np.ndarray], shortest: bool = False,
     once.  For |x| in [1e-270, 1e290], p + t = |x| 10^(16-e) comes from a
     double-double power of ten and Dekker's exact product, with e log10's
     exponent corrected by comparing |x| with the least doubles at or above
-    10^e and 10^(e+1), and N = round(p + t) is its 17 digits.  ``shortest``
+    10^e and 10^(e+1), and N = round(p + t) is its 17 digits, split into
+    base-10^4 groups by floor division and a subtraction.  ``shortest``
     takes repr's digits instead: N rounded to 15 digits, else to 16,
     whichever lies within half an ulp of |x| first (a decimal of at most 15
     digits survives the trip through a double, so the shortest one, if it
@@ -258,7 +263,9 @@ def _table_rows(columns: Sequence[np.ndarray], shortest: bool = False,
     byte slots (sign, lead "0.000", 17 digit-point pairs, "e+XXX") in %g's
     or repr's fixed or scientific form without trailing zeros, NUL in every
     unused slot: N's digits, read as five 8-byte words, are masked whole
-    (digits kept, point set), take the sign and lead in bytes 0-5 from a
+    (digits kept up to the last nonzero one, which a 10,000-row table gives
+    from N's last group, or, where that group is 0, a scan of the digits
+    from the end; point set), take the sign and lead in bytes 0-5 from a
     sign-by-lead table and are copied in one assignment; the exponent
     slots are written only in a pass with a scientific cell and in the one
     after it.  Table rows are gathered by np.take(axis=0), 4x faster than
@@ -267,16 +274,19 @@ def _table_rows(columns: Sequence[np.ndarray], shortest: bool = False,
     per chunk, on the bytearray under the buffer, removes the NULs.
     "%.17g" or repr itself writes every other cell, one within 1e-6 of a
     rounding tie or of the ulp bound, and with ``shortest`` a significand
-    that is a power of two, whose rounding interval is lopsided.
+    that is a power of two, whose rounding interval is lopsided; a pass
+    puts those cells in with one assignment from their joined bytes.
     """
     import numpy as np
 
-    hi, hi_big, hi_small, lo, ceil_tens, quads, keep, points, signs, exponents = _digit_tables()
+    (hi, hi_big, hi_small, lo, ceil_tens, quads, keep, points, signs, exponents,
+     lasts) = _digit_tables()
     between, row_end = between.encode(), row_end.encode()
     span, gap = 45 + len(between), max(len(between), len(row_end))
 
-    def text(value):  # the cell as "%.17g" or repr writes it, NUL-padded
-        return list((repr(float(value)) if shortest else "%.17g" % value).encode().ljust(45, b"\0"))
+    def text(values):  # the cells as "%.17g" or repr writes them, NUL-padded, one row each
+        cells = ((repr(x) if shortest else "%.17g" % x).encode().ljust(45, b"\0") for x in values)
+        return np.frombuffer(b"".join(cells), np.uint8).reshape(-1, 45)
 
     # One row buffer serves every pass, which rewrites all 45 bytes of each
     # live cell: a column of one bit pattern (0.0 and -0.0 print apart) and
@@ -288,7 +298,7 @@ def _table_rows(columns: Sequence[np.ndarray], shortest: bool = False,
     rows = np.frombuffer(text_rows, np.uint8).reshape(-1, width)
     buffer = rows[:, :len(columns) * span].reshape(len(rows), len(columns), span)
     for j in set(range(len(columns))) - set(live):
-        buffer[:, j, :45] = text(columns[j][0])
+        buffer[:, j, :45] = text(columns[j][:1].tolist())
     buffer[..., 45:] = list(between)
     rows[:, len(columns) * span - len(between):] = list(row_end.ljust(gap, b"\0"))
     table = np.stack([columns[j] for j in live], 1) if live else np.empty((len(columns[0]), 0))
@@ -313,7 +323,8 @@ def _table_rows(columns: Sequence[np.ndarray], shortest: bool = False,
             half = np.spacing(ax) * hi[k] / 2  # half an ulp of |x|, in units of p
             fallback |= (ax.view(np.uint64) & (2 ** 52 - 1)) == 0
             for step in (10, 100):  # 16 digits, then 15
-                q, r = np.divmod(p_int, step)
+                q = p_int // step
+                r = p_int - q * step
                 up = np.floor((r + t) / step + 0.5)
                 miss = np.abs(up * step - r - t)  # |(q + up) step - (p + t)|
                 fallback |= (np.abs(miss - half) < 1e-6) | (np.abs(miss - step / 2) < 1e-6)
@@ -321,11 +332,16 @@ def _table_rows(columns: Sequence[np.ndarray], shortest: bool = False,
         fallback |= (n < 10 ** 16) | (n >= 10 ** 17)
         groups = np.empty(x.shape + (5,), np.intp)  # N in base 10**4, by scalar divisors
         for i in (4, 3, 2, 1):
-            n, groups[..., i] = np.divmod(n, 10 ** 4)
+            q = n // 10 ** 4
+            groups[..., i] = n - q * 10 ** 4
+            n = q
         groups[..., 0] = n
-        words = quads[groups]  # 20 digits in 2-byte slots, the first three '0'
-        digits = words.view("<u2")[..., 3:]
-        last = 16 - np.argmax(digits[..., ::-1] != ord("0"), axis=-1)  # the last nonzero digit
+        words = np.take(quads, groups)  # 20 digits in 2-byte slots, the first three '0'
+        last = np.take(lasts, groups[..., 4])  # the last nonzero digit, from N's last group
+        zero = np.flatnonzero(last == 0)
+        if len(zero):  # a last group of 0: read N's digits back, from the last
+            digits = words.reshape(-1, 5)[zero].view("<u2")[:, 3:]
+            np.put(last, zero, 16 - np.argmax(digits[:, ::-1] != ord("0"), axis=-1))
         sci = (e < -4) | (e > 16 - shortest)
         whole = np.where(sci, 0, e)  # the digits before the point, less one
         last = np.maximum(last, whole + ~sci if shortest else whole)  # repr writes 1.0, %g 1
@@ -337,8 +353,9 @@ def _table_rows(columns: Sequence[np.ndarray], shortest: bool = False,
         set_before, exponents_set = exponents_set, sci.any()
         if exponents_set or set_before:  # else every exponent slot still holds NUL
             cell[:, live, 40:45] = np.take(exponents, np.where(sci, e + 331, 0), axis=0)
-        for row, col in zip(*np.nonzero(fallback)):
-            cell[row, live[col], :45] = text(x[row, col])
+        row, col = np.nonzero(fallback)
+        if len(row):
+            cell[row, np.take(live, col), :45] = text(x[row, col].tolist())
         chunks.append((text_rows if len(x) == len(rows) else text_rows[:len(x) * width])
                       .translate(None, b"\0").decode())
     chunks[-1] = chunks[-1][:len(chunks[-1]) - len(row_end)]

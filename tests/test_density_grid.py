@@ -652,6 +652,39 @@ class TestTableRowsPasses:
                 == reference_table(JSON_HEADERS[5], [c.tolist() for c in columns], fmt))
 
 
+def trailing_zero_cells(cell, fill):
+    """One 2,048-row pass of 6 columns holding cells whose 17-digit N ends in
+    each count of zeros from 0 to 16, in fixed and scientific form, both signs.
+
+    N is the significand the writer's digit rule gives (``cell`` is format
+    with ".17g" or repr): from a nonzero last base-10**4 group it reads the
+    last nonzero digit from a table, else N's digits.  ``fill`` "mixed" puts
+    three cells of each kind among signed log-normal cells; "whole pass"
+    tiles them over the pass.
+    """
+    rng = np.random.default_rng(27)
+    pool = []  # short decimals, integers that are doubles, dyadic fractions
+    for digits in range(1, 18):
+        for d in rng.integers(10 ** (digits - 1), 10 ** digits, 40).tolist():
+            d -= d % 10 == 0
+            pool.append(float(f"{d}e{rng.integers(-30, 30) - digits}"))
+            pool += [float(d * 10 ** k) for k in range(23) if float(d * 10 ** k) == d * 10 ** k]
+    for q in range(1, 40):
+        pool += [int(m) / 2 ** q for m in rng.integers(1, 2 ** rng.integers(1, 53, 20)) | 1]
+    kinds = {}
+    for x in pool:
+        text = cell(x)
+        digits = text.partition("e")[0].replace(".", "").strip("0")
+        kinds.setdefault((17 - len(digits), "e" in text), []).append(x)
+    assert sorted(kinds) == [(zeros, sci) for zeros in range(17) for sci in (False, True)]
+    values = np.array([sign * x for xs in kinds.values() for x in xs[:3] for sign in (1.0, -1.0)])
+    if fill == "whole pass":
+        return np.resize(values, 6 * CHUNK)
+    table = rng.lognormal(0.0, 30.0, 6 * CHUNK) * rng.choice([-1.0, 1.0], 6 * CHUNK)
+    table[rng.choice(len(table), len(values), replace=False)] = values
+    return table
+
+
 def csv_cells(values):
     """``values`` as the array writer's 6-column CSV rows, split back into cells."""
     columns = np.asarray(values, dtype=float).reshape(-1, 6).T
@@ -703,6 +736,11 @@ class TestArrayCsvCells:
                     values += [m / 2 ** q, -m / 2 ** q]
         values = values[:len(values) // 6 * 6]
         assert len(values) > 20_000
+        assert csv_cells(values) == [format(x, ".17g") for x in values]
+
+    @pytest.mark.parametrize("fill", ["mixed", "whole pass"])
+    def test_trailing_zeros_of_the_digits(self, fill):
+        values = trailing_zero_cells(lambda x: format(x, ".17g"), fill).tolist()
         assert csv_cells(values) == [format(x, ".17g") for x in values]
 
     def test_signed_zeros_and_three_digit_exponents(self):
@@ -792,6 +830,11 @@ class TestArrayJsonCells:
         values = np.concatenate([values, decimals, np.nextafter(decimals, 0.0),
                                  np.nextafter(decimals, np.inf)])
         values, expected = reprs(values.tolist())
+        assert json_cells(values) == expected
+
+    @pytest.mark.parametrize("fill", ["mixed", "whole pass"])
+    def test_trailing_zeros_of_the_digits(self, fill):
+        values, expected = reprs(trailing_zero_cells(repr, fill).tolist())
         assert json_cells(values) == expected
 
     def test_zeros_subnormals_and_non_finite_cells(self):
