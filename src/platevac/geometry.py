@@ -134,7 +134,6 @@ LAWS = {
     "window divergence": ((1, 8), 0, 1, 0, None),  # times cot(a), a = pi delta / L
     "window remainder": ((1, 48), 0, 1, 0, None),  # times pi - 2a
     "scalar correction density": ((-1, 8), 2, 4, 1, (1, 18)),  # times 1/18 + 1/sin^4
-    "scalar correction window": ((-1, 8), 2, 3, 1, (1, 18)),  # L times the density
     "scalar correction total": ((-1, 1), 2, 3, 1, (1, 144)),
     "em correlator": ((1, 16), 2, 4, 0, None),  # times -(1/45 -/+ F)
     "em density": ((-1, 720), 2, 4, 0, None),

@@ -27,7 +27,7 @@ from .geometry import (
     LAWS, Clustering, FieldModel, Geometry, GridSpec, Position, law, scaled, summed,
 )
 from .record import Record
-from .regsum import PowerSeriesSpec, RegKind, RegScheme
+from .regsum import RegKind, RegScheme
 from .scalar1d import Couplings, EnergySplit, Route
 
 if TYPE_CHECKING:
@@ -687,33 +687,81 @@ class CommutationReport(Record):
         }
 
 
-def _interacting_window_integral(
-    g: Geometry, c: Couplings, delta: float
-) -> tuple[float, float]:
-    """Interacting density integrated over [delta, L - delta], in closed form.
+def _free_windows(g: Geometry, c: None, total: float, deltas: Sequence[float]):
+    # total_energy_by_route's window of the continued electric density at each
+    # delta: its constant part is half the constant part of ``total``.
+    zeta = RegScheme.zeta()
+    for delta in deltas:
+        result = scalar1d.total_energy_by_route(
+            g, Route.INTEGRATE_REGULARIZED_DENSITY, zeta, delta)
+        yield result.value, result.divergent_estimate
 
-    Returns (value, divergent part).  The density's constant part
-    contributes its value times L - 2 delta; the 1/sin^4 term has the
-    exact antiderivative -cot - cot^3/3, so the window grows with
-    cot(a) + cot(a)^3 / 3, a = pi delta / L.
+
+def _interacting_windows(g: Geometry, c: Couplings, total: float, deltas: Sequence[float]):
+    """The interacting density over [delta, L - delta] at each delta, in closed form.
+
+    Yields (value, divergent part).  The density's constant part is ``total``
+    / L (zeta(-2) = 0 removes the rest), so it adds ``total`` (1 - 2 delta / L).
+    The 1/sin^4 term has the exact antiderivative -cot - cot^3/3: the window
+    grows with (2/pi) (cot(a) + cot(a)^3 / 3), a = pi delta / L, times L/8
+    the correction total's law.
     """
     scalar1d._warn_if_strong(c, g)
-    # L times the correction density's law, times its shape.
-    prefactor, exponent = law("scalar correction window", g.length, c)
-    # cot^3 overflows before the estimate does: the sum is taken at 2**(-3 power)
-    # of its size, which leaves every bit of it as it was.
-    mantissa, power = math.frexp(specfun.cot(math.pi * delta / g.length))
-    window = math.ldexp(mantissa, -2 * power) + mantissa ** 3 / 3.0
+    prefactor, exponent = law("scalar correction total", g.length, c)
     what = "the window integral"
-    estimate = scaled(prefactor * (2.0 / math.pi) * window, exponent + 3 * power, what, g.length)
-    # The constant part, the free total plus prefactor r / s: divided by s, where
-    # the total multiplies by a rounded r / s.
-    free_scale, free_exponent = law("scalar total", g.length)
-    r, s = LAWS["scalar correction window"][4]
-    free = regsum.zeta_regularize_power(PowerSeriesSpec(exponent=1.0, scale=free_scale))
-    constant = summed(what, g.length, (free, free_exponent), (prefactor * r / s, exponent))
-    value = (1.0 - 2.0 * delta / g.length) * constant + estimate
-    return scaled(value, 0, what, g.length), estimate
+    for delta in deltas:
+        # cot^3 overflows before the estimate does: the sum is taken at 2**(-3 power)
+        # of its size, which leaves every bit of it as it was; the exponent also
+        # takes the law's 1/8, a power of two.
+        mantissa, power = math.frexp(specfun.cot(math.pi * delta / g.length))
+        window = math.ldexp(mantissa, -2 * power) + mantissa ** 3 / 3.0
+        estimate = scaled(prefactor * (2.0 / math.pi) * window, exponent - 3 + 3 * power,
+                          what, g.length)
+        value = (1.0 - 2.0 * delta / g.length) * total + estimate
+        yield scaled(value, 0, what, g.length), estimate
+
+
+def _free_cutoffs(g: Geometry, c: None, epsilons: Sequence[float]):
+    # The (raw, bulk, subtracted) law terms at each eps: sum n e^(-eps n), its bulk
+    # 1/eps^2 and their difference.  Position terms integrate to zero at any eps.
+    scale, exponent = law("scalar total", g.length)
+    for eps in epsilons:
+        yield (((scale * regsum.abel_sum_linear(eps), exponent),),
+               ((scale / (eps * eps), exponent),),
+               ((scale * regsum.abel_sum_linear_minus_bulk(eps), exponent),))
+
+
+def _interacting_cutoffs(g: Geometry, c: Couplings, epsilons: Sequence[float]):
+    # The free terms, and at the correction total's scale its constant part
+    # plus the squared-index series sum n^2 e^(-2 eps n), with the bulk 2/(2 eps)^3.
+    scale, exponent = law("scalar correction total", g.length, c)
+    r, s = LAWS["scalar correction total"][4]
+    constant = scale * (r / s)
+    for eps, (raw, bulk, subtracted) in zip(epsilons, _free_cutoffs(g, c, epsilons)):
+        yield (raw + ((constant + scale * regsum.abel_sum_quadratic(2.0 * eps), exponent),),
+               bulk + ((scale * 2.0 / (2.0 * eps) ** 3, exponent),),
+               subtracted + ((constant + scale * regsum.abel_sum_quadratic_minus_bulk(2.0 * eps),
+                              exponent),))
+
+
+# Each model's report: (a) its total at (g, c); (b) its windows, (value, divergent
+# estimate) at each delta; (c) its cutoff (raw, bulk, subtracted) law terms at each
+# eps; the Richardson order of (c) (the free remainder is even in eps, the
+# interacting one is not); its notes; and whether it reads the couplings.
+_MODELS = {
+    CommutationModel.FREE_SCALAR: (
+        lambda g, c: scalar1d.free_total_energy(g), _free_windows, _free_cutoffs, 2, (), False,
+    ),
+    CommutationModel.INTERACTING_SCALAR: (
+        lambda g, c: scalar1d.interacting_total_energy(g, c), _interacting_windows,
+        _interacting_cutoffs, 1, (
+            "cutoff handling of the 1/sin^4 position term maps it to "
+            "4 (dS/dtheta)^2, whose full-interval integral is the squared-index "
+            "series; the bulk-subtracted values below are measurements made by "
+            "this harness's own construction",
+        ), True,
+    ),
+}
 
 
 # The verdict's agreement test: |limit - total| <= rtol * max(1, |total|).
@@ -754,107 +802,59 @@ def commutation_report(
     """Quantify the non-commutation of regularization and integration.
 
     Sections: (a) the finite sum-then-regularize total; (b) integrals of
-    the continued density over [delta, L - delta] with a power-law fit of
-    their divergence in delta; (c) full-interval cutoff totals at each
-    eps, reported raw, with their boundary-independent bulk divergence,
-    and with the bulk subtracted; (d) a verdict comparing (a) with the
-    eps -> 0 extrapolation of (c).
+    the continued density over [delta, L - delta], with a power-law fit in
+    delta of their divergent part (None where that is 0, at alpha = 0);
+    (c) full-interval cutoff totals at each eps, reported raw, with their
+    boundary-independent bulk divergence, and with the bulk subtracted;
+    (d) a verdict comparing (a) with the eps -> 0 extrapolation of (c).
 
     The cutoff bulk is 1/eps^2 per unit mode sum (and 2/eps^3 for the
     squared-frequency series of the interacting position term); removing
     it is this harness's own construction, not an input prescription.
+    Each model is one entry of ``_MODELS``.
     """
     deltas = _ladder("delta", deltas, g)
     epsilons = _ladder("epsilon", epsilons, g)
-    interacting = model is CommutationModel.INTERACTING_SCALAR
-    if interacting and couplings is None:
-        raise DomainError("the interacting model requires couplings")
+    total_of, windows, cutoffs, order, notes, coupled = _MODELS[model]
+    c = couplings if coupled else None
+    if coupled and c is None:
+        raise DomainError(f"the {model.value} model requires couplings")
 
     # (a) integrate first, regularize the total afterwards.
-    if interacting:
-        total = scalar1d.interacting_total_energy(g, couplings)
-    else:
-        total = scalar1d.free_total_energy(g)
-
+    total = total_of(g, c)
     # (b) regularize first, integrate the density over a shrinking window.
-    window_rows = []
-    for delta in deltas:
-        if interacting:
-            value, estimate = _interacting_window_integral(g, couplings, delta)
-        else:
-            result = scalar1d.total_energy_by_route(
-                g, Route.INTEGRATE_REGULARIZED_DENSITY, RegScheme.zeta(), delta=delta
-            )
-            value, estimate = result.value, result.divergent_estimate
-        window_rows.append(
-            WindowRow(delta=delta, partial_total=value, divergent_estimate=estimate)
-        )
-    log_d = [math.log(d) for d in deltas]
-    log_v = [math.log(abs(r.partial_total)) for r in window_rows]
-    window_exponent, _, window_r2 = _log_log_fit(log_d, log_v)
-
-    # (c) cutoff scheme on the full interval; position terms integrate to
-    # zero at any eps, the rest carries the bulk divergence.
-    # The free total law, plus the interaction law's terms when interacting.
-    lin_scale, lin_exponent = law("scalar total", g.length)
-    quad_exponent = 0
-    if interacting:
-        quad_scale, quad_exponent = law("scalar correction total", g.length, couplings)
-        r, s = LAWS["scalar correction total"][4]
-        const_correction = quad_scale * (r / s)
-    rows = []
-    for eps in epsilons:
-        free = (lin_scale * regsum.abel_sum_linear(eps), lin_scale / (eps * eps),
-                lin_scale * regsum.abel_sum_linear_minus_bulk(eps))
-        quad = (0.0, 0.0, 0.0)
-        if interacting:
-            quad = (
-                const_correction + quad_scale * regsum.abel_sum_quadratic(2.0 * eps),
-                quad_scale * 2.0 / (2.0 * eps) ** 3,
-                const_correction + quad_scale * regsum.abel_sum_quadratic_minus_bulk(2.0 * eps),
-            )
-        rows.append(CutoffRow(eps, *(
-            summed("the cutoff total", g.length, (f, lin_exponent), (q, quad_exponent))
-            for f, q in zip(free, quad))))
-    subtracted_values = [r.subtracted for r in rows]
-    spread = max(subtracted_values) - min(subtracted_values)
-    # The free remainder is even in eps; the interacting construction also
-    # carries odd powers, so extrapolate in plain powers of eps there.
-    order = 1 if interacting else 2
-    if len(rows) >= order + 1:
+    window_rows = tuple(WindowRow(delta, *pair)
+                        for delta, pair in zip(deltas, windows(g, c, total, deltas)))
+    estimates = [abs(r.divergent_estimate) for r in window_rows]
+    window_exponent = window_r2 = None
+    if 0.0 not in estimates:
+        window_exponent, _, window_r2 = _log_log_fit(
+            [math.log(d) for d in deltas], [math.log(e) for e in estimates])
+    # (c) cutoff scheme on the full interval.
+    rows = tuple(CutoffRow(eps, *(summed("the cutoff total", g.length, *terms) for terms in row))
+                 for eps, row in zip(epsilons, cutoffs(g, c, epsilons)))
+    subtracted = [r.subtracted for r in rows]
+    limit = subtracted[-1]
+    if len(rows) > order:
         limit, _ = regsum.richardson_extrapolate(
             [(r.epsilon, r.subtracted) for r in rows], order=order
         )
-    else:
-        limit = subtracted_values[-1]
 
     difference = abs(limit - total)
-    verdict = Verdict(
-        agrees=difference <= _AGREEMENT_RTOL * max(1.0, abs(total)),
-        sum_then_regularize=total,
-        cutoff_limit=limit,
-        difference=difference,
-        tolerance=_AGREEMENT_RTOL,
-    )
-    notes = ()
-    if interacting:
-        notes = (
-            "cutoff handling of the 1/sin^4 position term maps it to "
-            "4 (dS/dtheta)^2, whose full-interval integral is the squared-index "
-            "series; the bulk-subtracted values below are measurements made by "
-            "this harness's own construction",
-        )
+    verdict = Verdict(agrees=difference <= _AGREEMENT_RTOL * max(1.0, abs(total)),
+                      sum_then_regularize=total, cutoff_limit=limit, difference=difference,
+                      tolerance=_AGREEMENT_RTOL)
     return CommutationReport(
         model=model.value,
         length=g.length,
-        alpha=couplings.alpha if interacting else None,
-        mass=couplings.m if interacting else None,
+        alpha=None if c is None else c.alpha,
+        mass=None if c is None else c.m,
         sum_then_regularize=total,
-        window_rows=tuple(window_rows),
+        window_rows=window_rows,
         window_fit_exponent=window_exponent,
         window_fit_r_squared=window_r2,
-        cutoff_rows=tuple(rows),
-        cutoff_spread=spread,
+        cutoff_rows=rows,
+        cutoff_spread=max(subtracted) - min(subtracted),
         cutoff_limit=limit,
         verdict=verdict,
         notes=notes,

@@ -126,7 +126,6 @@ def _scalar_density_cancellation():
 
 # Each density of geometry.LAWS, and a law that is its integral over [0, L].
 _INTEGRALS = (("scalar correction density", "scalar correction total"),
-              ("scalar correction density", "scalar correction window"),
               ("eh density", "eh total"), ("em density", "em total"))
 
 

@@ -411,6 +411,7 @@ class TestCommuteCommand:
         payload = json.loads(result.stdout)
         assert payload["verdict"]["agrees"] is True
         assert payload["sum_then_regularize"] == pytest.approx(-math.pi / 24.0, rel=1e-12)
+        assert payload["window_fit"]["exponent"] == pytest.approx(-1.0, abs=0.004)
 
     def test_interacting_report(self):
         result = run_cli(
@@ -421,6 +422,13 @@ class TestCommuteCommand:
         payload = json.loads(result.stdout)
         assert payload["model"] == "interacting_scalar"
         assert payload["verdict"]["agrees"] is True
+        assert payload["window_fit"]["exponent"] == pytest.approx(-3.0, abs=0.004)
+
+    def test_no_window_fit_at_zero_alpha(self, capsys):
+        # The divergent estimate is 0 at every delta: nothing diverges to fit.
+        code, out, _ = run_in_process(["commute", "--alpha", "0", "--format", "json"], capsys)
+        assert code == 0
+        assert json.loads(out)["window_fit"] == {"exponent": None, "r_squared": None}
 
     def test_csv_flattening(self):
         result = run_cli(["commute", "--format", "csv"], check=True)

@@ -357,7 +357,6 @@ def test_every_law_coefficient_comes_from_the_table():
     ("validity ratio", 1.0, 1.0), ("scalar total", math.pi, 2.0),
     ("scalar density", math.pi, 4.0), ("window divergence", 1.0, 8.0),
     ("window remainder", 1.0, 48.0), ("scalar correction density", -math.pi ** 2, 8.0),
-    ("scalar correction window", -math.pi ** 2, 8.0),
     ("scalar correction total", -math.pi ** 2, 1.0), ("em correlator", math.pi ** 2, 16.0),
     ("em density", -math.pi ** 2, 720.0), ("em total", -math.pi ** 2, 720.0),
     ("casimir force", math.pi ** 2, 240.0), ("near-plate correlator", 3.0, 16.0 * math.pi ** 2),
