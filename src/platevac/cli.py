@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 import warnings
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import em3d, scalar1d
@@ -161,7 +161,30 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _json(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    return _json_text(payload) + "\n"
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """The bytes of ``json.dumps(value, indent=2)``, whose indent runs a pure-Python
+    encoder, for what a CLI document holds: dicts with str keys, lists, tuples, str,
+    float, int, bool, None.  ``indent`` opens the value's lines; others raise TypeError."""
+    if isinstance(value, float):
+        return (float.__repr__(value) if math.isfinite(value) else "NaN" if value != value
+                else "Infinity" if value > 0.0 else "-Infinity")
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [_json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _table(header: dict, columns: list, out_format: str) -> str:
@@ -191,7 +214,7 @@ def _table(header: dict, columns: list, out_format: str) -> str:
     if lists or not all(math.isfinite(column.min()) and math.isfinite(column.max())
                         for column in columns):
         parts = [part.replace("nan", "NaN").replace("inf", "Infinity") for part in parts]
-    return "".join([json.dumps(header, indent=2)[:-2] + ',\n  "rows": [\n', *parts, "\n  ]\n}\n"])
+    return "".join([_json_text(header)[:-2] + ',\n  "rows": [\n', *parts, "\n  ]\n}\n"])
 
 
 # --------------------------------------------------------------------------
@@ -299,10 +322,7 @@ def _cmd_commute(args: argparse.Namespace) -> int:
     epsilons = _checked(
         "epsilons", limits_lab._ladder, "epsilon", _parse_float_list(args.epsilons, "epsilons"), g
     )
-    if config.interacting:
-        model = CommutationModel.INTERACTING_SCALAR
-    else:
-        model = CommutationModel.FREE_SCALAR
+    model = CommutationModel("interacting_scalar" if config.interacting else "free_scalar")
     # The free report ignores the couplings.
     report = limits_lab.commutation_report(
         g, model, deltas=deltas, epsilons=epsilons, couplings=config.couplings
@@ -423,7 +443,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    commands = next(action for action in parser._actions if action.dest == "command").choices
+    # A subcommand's strings go through its parser only: the top-level parser
+    # hands them on unchanged, and rejects only "--=..." (ambiguous to it).
+    if argv and argv[0] in commands and not any(arg.startswith("--=") for arg in argv):
+        args, extras = commands[argv[0]].parse_known_args(
+            argv[1:], argparse.Namespace(units_note=False, command=argv[0]))
+        if extras:
+            parser.error("unrecognized arguments: " + " ".join(extras))
+    else:
+        args = parser.parse_args(argv)
     if args.units_note:
         sys.stdout.write(UNITS_NOTE)
         return 0

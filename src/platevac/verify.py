@@ -154,12 +154,15 @@ def _gamma_recurrence():
 
 def _bernoulli_recurrence():
     # sum_k C(n+1, k) B_k = 0 for n = 1..64, in integers: every B_k is
-    # scaled by the common denominator D, which leaves each sum exact.
-    b = [specfun.bernoulli(k) for k in range(specfun.MAX_BERNOULLI_INDEX + 1)]
-    d = math.lcm(*(b_k.denominator for b_k in b))
-    scaled = [b_k.numerator * (d // b_k.denominator) for b_k in b]
-    for n in range(1, specfun.MAX_BERNOULLI_INDEX + 1):
-        if sum(math.comb(n + 1, k) * scaled[k] for k in range(n + 1)):
+    # scaled by the common denominator D, which leaves each sum exact.  The
+    # terms of the odd B_k above B_1, which are 0, are left out.
+    pairs = [specfun._bernoulli_pair(k) for k in range(specfun.MAX_BERNOULLI_INDEX + 1)]
+    d = math.lcm(*(q for _, q in pairs))
+    terms = []  # (k, D B_k) for the nonzero B_k, k <= n
+    for n, (p, q) in enumerate(pairs):
+        if p:
+            terms.append((n, p * (d // q)))
+        if n and sum(math.comb(n + 1, k) * b_k for k, b_k in terms):
             return 1.0, 0.0
     return 0.0, 0.0
 

@@ -10,6 +10,8 @@ import warnings
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import platevac
 from platevac import scalar1d
@@ -143,6 +145,112 @@ class TestInProcessCalls:
             fresh = run_cli(argv)
             assert run_in_process(argv, capsys) == (0, fresh.stdout, b""), columns
             assert fresh.returncode == 0 and fresh.stderr == b""
+
+
+TOP_USAGE = b"usage: platevac [-h] [--units-note] {density,total,verify,commute,scan} ...\n"
+HELP = TOP_USAGE + b"""
+Regularized vacuum energies for plate-confined fields.
+
+positional arguments:
+  {density,total,verify,commute,scan}
+    density             sample an energy-density profile
+    total               total energy (and EM force per area)
+    verify              run the built-in invariant suite
+    commute             order-of-limits report: regularization vs integration
+    scan                sweep epsilon, delta or length
+
+options:
+  -h, --help            show this help message and exit
+  --units-note          print the unit conventions and exit
+"""
+
+
+class TestSingleParse:
+    """A subcommand's argv goes through its own parser only.
+
+    What the top-level parser reported before is reported with the same
+    bytes: strings the subcommand leaves, an unknown command, no command,
+    and the ambiguous "--=" form.
+    """
+
+    @pytest.mark.parametrize("argv, stderr", [
+        (["total", "--bogus"], TOP_USAGE + b"platevac: error: unrecognized arguments: --bogus\n"),
+        (["commute", "--", "--length", "1"],
+         TOP_USAGE + b"platevac: error: unrecognized arguments: -- --length 1\n"),
+        (["total", "--units-note"],
+         TOP_USAGE + b"platevac: error: unrecognized arguments: --units-note\n"),
+        (["total", "total"], TOP_USAGE + b"platevac: error: unrecognized arguments: total\n"),
+        (["nope"], TOP_USAGE + b"platevac: error: argument command: invalid choice: 'nope' "
+                               b"(choose from 'density', 'total', 'verify', 'commute', 'scan')\n"),
+        ([], HELP),
+        (["total", "--=x"],
+         TOP_USAGE + b"platevac: error: ambiguous option: --=x could match --help, --units-note\n"),
+    ])
+    def test_top_level_messages_keep_their_bytes(self, argv, stderr, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run_in_process(argv, capsys) == (2, b"", stderr)
+
+    def test_subcommand_does_not_reach_the_top_level_parser(self, monkeypatch, capsys):
+        from platevac import cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the top-level parser parsed a subcommand")
+
+        parser = cli._build_parser()
+        for name in ("parse_args", "parse_known_args", "parse_intermixed_args"):
+            monkeypatch.setattr(parser, name, refuse)
+        code, out, err = run_in_process(["total"], capsys)
+        assert (code, err) == (0, b"") and out.startswith(b"model,length,alpha,mass,total_energy\n")
+
+
+# Leaves a CLI document may hold, with the edge cases of each type.
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(), st.integers(min_value=-(10 ** 40), max_value=10 ** 40),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.225e-308, 1e308, -1e308]),
+    st.text(), st.text(st.characters(max_codepoint=0x9f)),
+    st.sampled_from(["", "\x00\x1f\x7f\t\n", "caf\u00e9", "\u2028", "\ud800", "\U0001f600", '"\\/']),
+)
+JSON_TREES = st.recursive(
+    JSON_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6), children, max_size=4),
+    ),
+    max_leaves=40,
+)
+
+
+class TestJsonWriter:
+    """cli._json_text writes the bytes of json.dumps(value, indent=2)."""
+
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(JSON_TREES)
+    def test_equals_json_dumps(self, value):
+        from platevac import cli
+
+        assert cli._json_text(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [
+        {}, [], (), {"a": {}}, [[], {}], {"rows": [[1.0, -0.0], []]}, [math.nan, [math.inf]],
+    ])
+    def test_empty_and_nested_containers(self, value):
+        from platevac import cli
+
+        assert cli._json(value) == json.dumps(value, indent=2) + "\n"
+
+    @pytest.mark.parametrize("value", [
+        {1, 2}, b"bytes", 1j, object(), [1.0, {"a": frozenset()}], {"a": (1, {2})},
+    ])
+    def test_unsupported_value_raises_type_error(self, value):
+        from platevac import cli
+
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError):
+            cli._json_text(value)
 
 
 class TestDensityCommand:
@@ -768,9 +876,11 @@ class TestPublicNames:
     """Every name in a module's ``__all__`` is read somewhere in ``src/``."""
 
     # Names kept public with no reader in src/: the package version, the
-    # paper's own quantities, and the API of the benchmark's profile workload.
+    # paper's own quantities, the exact Bernoulli numbers (verify reads the
+    # integer pairs they wrap), and the API of the benchmark's profile workload.
     UNREAD = {
         "__version__",
+        "specfun.bernoulli",
         "em3d.thermal_free_energy_density",
         "scalar1d.magnetic_density",
         "scalar1d.correction_density",
