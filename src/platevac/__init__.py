@@ -18,7 +18,7 @@ from .errors import (
 )
 from .geometry import Geometry, Position
 from .regsum import PowerSeriesSpec, RegKind, RegScheme
-from .scalar1d import Couplings, EnergySplit, Route
+from .scalar1d import Couplings, EnergySplit
 from .em3d import CorrelatorPair, EhCouplings
 
 __version__ = "0.1.0"
@@ -39,7 +39,6 @@ __all__ = [
     "PowerSeriesSpec",
     "Couplings",
     "EnergySplit",
-    "Route",
     "CorrelatorPair",
     "EhCouplings",
 ]

@@ -19,10 +19,12 @@ from pathlib import Path
 
 from . import em3d, scalar1d
 from .errors import ConfigError, PlatevacError
-from .geometry import Clustering, FieldModel as Model, Geometry, GridSpec, Position
+from .geometry import (
+    Clustering, FieldModel as Model, Geometry, GridSpec, Position, window_integral,
+)
 from .record import Record
 from .regsum import RegKind, RegScheme
-from .scalar1d import Couplings, Route
+from .scalar1d import Couplings
 
 __all__ = ["main"]
 
@@ -370,12 +372,16 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         if config.model is not Model.SCALAR:
             raise ConfigError("vary", "delta sweeps apply to the scalar model")
         header = ["delta", "window_integral", "divergent_estimate"]
+        total = scalar1d._free_total(g.length)
         for delta in values:
-            result = _checked(
-                "values", scalar1d.total_energy_by_route,
-                g, Route.INTEGRATE_REGULARIZED_DENSITY, RegScheme.zeta(), delta=delta,
-            )
-            rows.append([delta, result.value, result.divergent_estimate])
+            if delta == 0.0:
+                raise ConfigError("values", "the continued electric density integrates to "
+                                  "cot(pi delta / L)/(8 L) + finite as delta -> 0; the "
+                                  "full-interval integral diverges")
+            if not 0.0 < delta < 0.5 * g.length:
+                raise ConfigError("values", f"delta must lie in (0, L/2), got {delta!r}")
+            rows.append([delta, *window_integral(scalar1d.ELECTRIC_WINDOW, g.length, None,
+                                                 total, delta)])
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError("vary", f"unknown sweep {vary!r}")
     table = {"command": "scan", "vary": vary, "model": config.model.value, "columns": header}

@@ -6,7 +6,8 @@ an exact coefficient times alpha^j / (m^2j L^k) times a shape in
 sin(theta).  :data:`LAWS` is the one table of those coefficients;
 :func:`law` reads an entry by name, and it and :func:`scaled` apply the
 powers of L, m and alpha by exponent arithmetic, so none of them is ever
-formed as a float.
+formed as a float.  :func:`window_integral` integrates a continued
+density over [delta, L - delta] for every model.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .specfun import _TINY
 
 __all__ = [
     "FieldModel", "Clustering", "GridSpec", "Geometry", "Position", "check_position",
-    "LAWS", "law", "scaled", "summed",
+    "LAWS", "law", "scaled", "summed", "window_integral",
 ]
 
 
@@ -131,10 +132,10 @@ LAWS = {
     "validity ratio": ((1, 1), 0, 2, 1, None),  # alpha / (m L)^2
     "scalar total": ((1, 2), 1, 1, 0, None),  # times a mode sum
     "scalar density": ((1, 4), 1, 2, 0, None),  # times mode sums in theta
-    "window divergence": ((1, 8), 0, 1, 0, None),  # times cot(a), a = pi delta / L
-    "window remainder": ((1, 48), 0, 1, 0, None),  # times pi - 2a
+    "window divergence": ((1, 8), 0, 1, 0, None),  # the electric window: times P_1(cot a)
     "scalar correction density": ((-1, 8), 2, 4, 1, (1, 18)),  # times 1/18 + 1/sin^4
     "scalar correction total": ((-1, 1), 2, 3, 1, (1, 144)),
+    "scalar correction window": ((-1, 4), 1, 3, 1, None),  # times P_2(cot a)
     "em correlator": ((1, 16), 2, 4, 0, None),  # times -(1/45 -/+ F)
     "em density": ((-1, 720), 2, 4, 0, None),
     "em total": ((-1, 720), 2, 3, 0, None),
@@ -221,3 +222,42 @@ def summed(what: str, length: float, *terms: tuple[float, int]) -> float:
         if value != 0.0:  # an exact zero carries no scale; below top, ldexp cannot overflow
             total += math.ldexp(value, exponent - top)
     return scaled(total, top, what, length)
+
+
+def window_integral(window: tuple, length: float, couplings, total: tuple[float, int],
+                    delta: float) -> tuple[float, float]:
+    """(value, divergent estimate) of a continued density over [delta, L - delta].
+
+    ``window`` is (law, terms, share).  The density's divergent part,
+    (pi K / 2L) sum c_n csc^2n(pi z / L) over the (c_n, n) terms with K the
+    law, integrates to the estimate K sum c_n P_n(cot a), a = pi delta / L,
+    P_n(c) = sum_{k<n} C(n-1, k) c^(2k+1) / (2k+1).  The value adds the
+    constant part, share * total * (1 - 2 delta / L), ``total`` a (value,
+    exponent) pair.  The caller validates 0 < delta < L/2; a result outside
+    the normal doubles raises RangeError "the window integral ...".
+    """
+    name, terms, share = window
+    pi_delta = math.pi * delta  # where it leaves the normal doubles, a is rounded from delta / L
+    a = pi_delta / length if _TINY <= pi_delta < math.inf else math.pi * (delta / length)
+    if a >= _TINY:
+        mantissa, power = math.frexp(specfun.cot(a))
+    else:  # cot a = 1/a = L / (pi delta) to within a^2/3, from the pairs of delta and L
+        (d, d_exponent), (l, l_exponent) = math.frexp(delta), math.frexp(length)
+        mantissa, power = math.frexp(l / (math.pi * d))
+        power += l_exponent - d_exponent
+    # Each power c^j is taken at 2**(-power top) of its size, top the highest
+    # power 2n - 1, so none overflows before the one scaled call.
+    top = 2 * max(n for _, n in terms) - 1
+    shape = 0.0
+    for coefficient, n in terms:
+        for k in range(n):
+            j = 2 * k + 1
+            power_j = math.ldexp(mantissa ** j, power * (j - top))
+            shape += coefficient * math.comb(n - 1, k) * power_j / j
+    prefactor, exponent = law(name, length, couplings, shape)
+    exponent += top * power
+    what = "the window integral"
+    estimate = scaled(prefactor, exponent, what, length)
+    constant, constant_exponent = total
+    constant = share * (1.0 - 2.0 * delta / length) * constant
+    return summed(what, length, (prefactor, exponent), (constant, constant_exponent)), estimate

@@ -25,10 +25,11 @@ from . import em3d, regsum, scalar1d, specfun
 from .errors import DomainError, FitError
 from .geometry import (
     LAWS, Clustering, FieldModel, Geometry, GridSpec, Position, law, scaled, summed,
+    window_integral,
 )
 from .record import Record
 from .regsum import RegKind, RegScheme
-from .scalar1d import Couplings, EnergySplit, Route
+from .scalar1d import Couplings, EnergySplit
 
 if TYPE_CHECKING:
     import numpy as np
@@ -687,40 +688,6 @@ class CommutationReport(Record):
         }
 
 
-def _free_windows(g: Geometry, c: None, total: float, deltas: Sequence[float]):
-    # total_energy_by_route's window of the continued electric density at each
-    # delta: its constant part is half the constant part of ``total``.
-    zeta = RegScheme.zeta()
-    for delta in deltas:
-        result = scalar1d.total_energy_by_route(
-            g, Route.INTEGRATE_REGULARIZED_DENSITY, zeta, delta)
-        yield result.value, result.divergent_estimate
-
-
-def _interacting_windows(g: Geometry, c: Couplings, total: float, deltas: Sequence[float]):
-    """The interacting density over [delta, L - delta] at each delta, in closed form.
-
-    Yields (value, divergent part).  The density's constant part is ``total``
-    / L (zeta(-2) = 0 removes the rest), so it adds ``total`` (1 - 2 delta / L).
-    The 1/sin^4 term has the exact antiderivative -cot - cot^3/3: the window
-    grows with (2/pi) (cot(a) + cot(a)^3 / 3), a = pi delta / L, times L/8
-    the correction total's law.
-    """
-    scalar1d._warn_if_strong(c, g)
-    prefactor, exponent = law("scalar correction total", g.length, c)
-    what = "the window integral"
-    for delta in deltas:
-        # cot^3 overflows before the estimate does: the sum is taken at 2**(-3 power)
-        # of its size, which leaves every bit of it as it was; the exponent also
-        # takes the law's 1/8, a power of two.
-        mantissa, power = math.frexp(specfun.cot(math.pi * delta / g.length))
-        window = math.ldexp(mantissa, -2 * power) + mantissa ** 3 / 3.0
-        estimate = scaled(prefactor * (2.0 / math.pi) * window, exponent - 3 + 3 * power,
-                          what, g.length)
-        value = (1.0 - 2.0 * delta / g.length) * total + estimate
-        yield scaled(value, 0, what, g.length), estimate
-
-
 def _free_cutoffs(g: Geometry, c: None, epsilons: Sequence[float]):
     # The (raw, bulk, subtracted) law terms at each eps: sum n e^(-eps n), its bulk
     # 1/eps^2 and their difference.  Position terms integrate to zero at any eps.
@@ -744,16 +711,18 @@ def _interacting_cutoffs(g: Geometry, c: Couplings, epsilons: Sequence[float]):
                               exponent),))
 
 
-# Each model's report: (a) its total at (g, c); (b) its windows, (value, divergent
-# estimate) at each delta; (c) its cutoff (raw, bulk, subtracted) law terms at each
-# eps; the Richardson order of (c) (the free remainder is even in eps, the
-# interacting one is not); its notes; and whether it reads the couplings.
+# Each model's report: (a) its total at (g, c); (b) its window, the density that
+# geometry.window_integral integrates at each delta; (c) its cutoff (raw, bulk,
+# subtracted) law terms at each eps; the Richardson order of (c) (the free
+# remainder is even in eps, the interacting one is not); its notes; and whether
+# it reads the couplings.
 _MODELS = {
     CommutationModel.FREE_SCALAR: (
-        lambda g, c: scalar1d.free_total_energy(g), _free_windows, _free_cutoffs, 2, (), False,
+        lambda g, c: scalar1d.free_total_energy(g), scalar1d.ELECTRIC_WINDOW, _free_cutoffs, 2,
+        (), False,
     ),
     CommutationModel.INTERACTING_SCALAR: (
-        lambda g, c: scalar1d.interacting_total_energy(g, c), _interacting_windows,
+        lambda g, c: scalar1d.interacting_total_energy(g, c), scalar1d.INTERACTING_WINDOW,
         _interacting_cutoffs, 1, (
             "cutoff handling of the 1/sin^4 position term maps it to "
             "4 (dS/dtheta)^2, whose full-interval integral is the squared-index "
@@ -815,7 +784,7 @@ def commutation_report(
     """
     deltas = _ladder("delta", deltas, g)
     epsilons = _ladder("epsilon", epsilons, g)
-    total_of, windows, cutoffs, order, notes, coupled = _MODELS[model]
+    total_of, window, cutoffs, order, notes, coupled = _MODELS[model]
     c = couplings if coupled else None
     if coupled and c is None:
         raise DomainError(f"the {model.value} model requires couplings")
@@ -823,8 +792,8 @@ def commutation_report(
     # (a) integrate first, regularize the total afterwards.
     total = total_of(g, c)
     # (b) regularize first, integrate the density over a shrinking window.
-    window_rows = tuple(WindowRow(delta, *pair)
-                        for delta, pair in zip(deltas, windows(g, c, total, deltas)))
+    window_rows = tuple(WindowRow(delta, *window_integral(window, g.length, c, (total, 0), delta))
+                        for delta in deltas)
     estimates = [abs(r.divergent_estimate) for r in window_rows]
     window_exponent = window_r2 = None
     if 0.0 not in estimates:

@@ -1,9 +1,9 @@
 """Massless Dirichlet scalar field on an interval of length L.
 
 Electric/magnetic vacuum-energy densities under both regularization
-schemes, total energies both ways around the integration/regularization
-order, and the quartic-interaction correction in the effective
-low-energy theory.
+schemes, the total energy, the windows of the continued densities that
+geometry.window_integral integrates, and the quartic-interaction
+correction in the effective low-energy theory.
 
 Conventions: modes phi_n(z) = sqrt(2/L) sin(omega_n z) with
 omega_n = pi n / L.  The electric density is (1/2)<(d_t phi)^2>, the
@@ -13,9 +13,9 @@ the total density returns.
 
 Each quantity is one law, an entry of :data:`geometry.LAWS` that holds
 its exact coefficient: the densities are a shape in sin(theta) at the
-scale of "scalar density", the totals a continued or cutoff mode sum at
-the scale of "scalar total", and the interaction's terms the "scalar
-correction" laws.  The powers of L, m and alpha are applied once, to the
+scale of "scalar density", the total a continued mode sum at the scale
+of "scalar total", and the interaction's terms the "scalar correction"
+laws.  The powers of L, m and alpha are applied once, to the
 finished value; a result outside the normal doubles raises RangeError.
 """
 
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from enum import Enum
 
 from . import regsum, specfun
 from .errors import DomainError, SingularityError
@@ -34,14 +33,13 @@ from .regsum import PowerSeriesSpec, RegKind, RegScheme
 __all__ = [
     "Couplings",
     "EnergySplit",
-    "Route",
-    "WindowIntegral",
     "ValidityWarning",
+    "ELECTRIC_WINDOW",
+    "INTERACTING_WINDOW",
     "free_total_energy",
     "electric_density",
     "magnetic_density",
     "density_split",
-    "total_energy_by_route",
     "correction_density",
     "interacting_density",
     "interacting_total_energy",
@@ -88,21 +86,14 @@ class EnergySplit(Record):
         return cls(electric=electric, magnetic=magnetic, total=electric + magnetic)
 
 
-class Route(Enum):
-    SUM_THEN_REGULARIZE = "sum_then_regularize"
-    INTEGRATE_REGULARIZED_DENSITY = "integrate_regularized_density"
-
-
-class WindowIntegral(Record):
-    """Integral of the continued electric density over [delta, L - delta].
-
-    ``value`` is the exact antiderivative cot(a)/(8 L) - (pi - 2a)/(48 L)
-    with a = pi delta / L.  ``divergent_estimate`` is its leading boundary
-    term cot(a) / (8 L); the integral grows with it as delta -> 0, which
-    is the order-of-limits clash in one number.
-    """
-
-    __slots__ = ("value", "delta", "divergent_estimate")
+# The continued densities over [delta, L - delta], as geometry.window_integral
+# reads them: (law, terms, share).  The electric density's position part
+# (pi/(16 L^2)) csc^2 and the interaction's -(alpha pi^2/(8 m^2 L^4)) csc^4
+# integrate to their law times P_1(cot a) and P_2(cot a); their constant
+# parts are half the free total and the whole interacting total, per length.
+# Each window grows without bound as delta -> 0, where the totals are finite.
+ELECTRIC_WINDOW = ("window divergence", ((1, 1),), 0.5)
+INTERACTING_WINDOW = ("scalar correction window", ((1, 2),), 1.0)
 
 
 def _warn_if_strong(c: Couplings, g: Geometry) -> None:
@@ -129,9 +120,13 @@ def free_total_energy(g: Geometry) -> float:
     The mode sum sum omega_n / 2 = (pi / 2L) sum n is routed through the
     continuation engine, which assigns sum n its value zeta(-1) = -1/12.
     """
-    scale, exponent = law("scalar total", g.length)
-    value = regsum.zeta_regularize_power(PowerSeriesSpec(exponent=1.0, scale=scale))
-    return scaled(value, exponent, "the free total", g.length)
+    return scaled(*_free_total(g.length), "the free total", g.length)
+
+
+def _free_total(length: float) -> tuple[float, int]:
+    # The free total at L as (value, exponent), worth value * 2**exponent.
+    scale, exponent = law("scalar total", length)
+    return regsum.zeta_regularize_power(PowerSeriesSpec(exponent=1.0, scale=scale)), exponent
 
 
 def _laws(g: Geometry, scheme: RegScheme, c: Couplings | None, sin_theta) -> tuple:
@@ -204,63 +199,6 @@ def density_split(g: Geometry, pos: Position, scheme: RegScheme) -> EnergySplit:
     return EnergySplit(*_split_at(g, pos, scheme))
 
 
-def total_energy_by_route(
-    g: Geometry,
-    route: Route,
-    scheme: RegScheme | None = None,
-    delta: float | None = None,
-):
-    """Total energy, taking regularization and integration in either order.
-
-    SUM_THEN_REGULARIZE integrates mode by mode first (the position terms
-    drop out exactly) and regularizes the remaining sum n: the finite
-    -pi/(24 L).  Under the cutoff scheme the same route returns the bulk
-    subtracted cutoff total, which approaches that value as eps^2.
-
-    INTEGRATE_REGULARIZED_DENSITY instead integrates the continued
-    electric density over [delta, L - delta] in closed form and returns a
-    :class:`WindowIntegral`; the result grows like cot(pi delta / L) and
-    has no delta -> 0 limit.  delta = 0 is rejected with that diagnosis
-    rather than attempted.
-    """
-    if scheme is None:
-        scheme = RegScheme.zeta()
-    if route is Route.SUM_THEN_REGULARIZE:
-        if scheme.kind is RegKind.ZETA:
-            return free_total_energy(g)
-        scale, exponent = law("scalar total", g.length)
-        value = scale * regsum.abel_sum_linear_minus_bulk(scheme.epsilon)
-        return scaled(value, exponent, "the cutoff total", g.length)
-    if route is not Route.INTEGRATE_REGULARIZED_DENSITY:
-        raise DomainError(f"unknown route {route!r}")
-    if scheme.kind is not RegKind.ZETA:
-        raise DomainError(
-            "the window integral probes the continued density; use the zeta scheme"
-        )
-    if delta is None:
-        raise DomainError("the window integral requires a boundary margin delta")
-    delta = float(delta)
-    if delta == 0.0:
-        raise SingularityError(
-            "the continued electric density integrates to cot(pi delta / L)/(8 L) "
-            "+ finite as delta -> 0; the full-interval integral diverges"
-        )
-    if not math.isfinite(delta) or delta < 0.0 or delta >= 0.5 * g.length:
-        raise DomainError(f"delta must lie in (0, L/2), got {delta!r}")
-
-    a = math.pi * delta / g.length
-    # The 1/sin^2 part of the density integrates to cot(a)/(8 L), its
-    # constant part -pi/(48 L^2) over the window length L - 2 delta.
-    cot_a, remainder = specfun.cot(a), math.pi - 2.0 * a
-    estimate, exponent = law("window divergence", g.length, shape=cot_a)
-    value = estimate - law("window remainder", g.length, shape=remainder)[0]
-    return WindowIntegral(
-        value=scaled(value, exponent, "the window integral", g.length),
-        delta=delta,
-        divergent_estimate=scaled(estimate, exponent, "the divergent estimate", g.length),
-    )
-
-
 def _interacting_at(g: Geometry, pos: Position, c: Couplings) -> tuple[tuple[float, int], ...]:
     # (value, exponent) of the free constant and the correction at a validated pos.
     if not pos.interior:
@@ -305,10 +243,9 @@ def interacting_total_energy(g: Geometry, c: Couplings) -> float:
     may underflow where the total is a normal double.
     """
     _warn_if_strong(c, g)
-    free_scale, free_exponent = law("scalar total", g.length)
-    free = regsum.zeta_regularize_power(PowerSeriesSpec(exponent=1.0, scale=free_scale))
+    free = _free_total(g.length)
     scale, exponent = law("scalar correction total", g.length, c)
     r, s = LAWS["scalar correction total"][4]
     divergent_part = regsum.zeta_regularize_power(PowerSeriesSpec(exponent=2.0, scale=scale))
-    return summed("the interacting total", g.length, (free, free_exponent),
+    return summed("the interacting total", g.length, free,
                   (scale * (r / s), exponent), (divergent_part, exponent))

@@ -665,7 +665,9 @@ class TestScanCommand:
     @pytest.mark.parametrize("vary,values", [
         ("epsilon", "0.1,0"),
         ("delta", "0.5"),
+        ("delta", "0.6"),
         ("delta", "nan"),
+        ("delta", "0"),
         ("length", "inf"),
     ])
     def test_every_sweep_rejects_bad_values(self, vary, values):
@@ -673,6 +675,26 @@ class TestScanCommand:
         assert result.returncode == 2
         assert result.stdout == b""
         assert result.stderr.startswith(b"error: values:")
+        if (vary, values) == ("delta", "0"):
+            assert result.stderr == (
+                b"error: values: the continued electric density integrates to "
+                b"cot(pi delta / L)/(8 L) + finite as delta -> 0; the full-interval "
+                b"integral diverges\n")
+
+    @pytest.mark.parametrize("argv, exact", [
+        # The window integral to 50 digits (its constant part lies below the
+        # last digit): a = pi delta / L is below the normal doubles in each,
+        # and cot a is past them in the first two.
+        (["--length", "1e300", "--values", "1e-9"], "39788735.772973831"),
+        (["--length", "1e300", "--values", "1e-20"], "3.9788735772973836e+18"),
+        (["--length", "1e200", "--values", "1e-110"], "3.9788735772973832e+108"),
+    ])
+    def test_window_where_cot_leaves_the_doubles(self, argv, exact, capsys):
+        code, out, err = run_in_process(["scan", "--vary", "delta", *argv], capsys)
+        assert (code, err) == (0, b"")
+        _, value, estimate = out.decode().splitlines()[1].split(",")
+        assert float(value) == pytest.approx(float(exact), rel=1e-12)
+        assert float(estimate) == pytest.approx(float(exact), rel=1e-12)
 
 
 class TestSmallestCutoff:
@@ -760,6 +782,35 @@ class TestCommuteCotCubed:
             "", "numeric error: the window integral overflows a double at L = 1.0\n")
 
 
+class TestDeepWindows:
+    """Windows where a = pi delta / L is below the normal doubles."""
+
+    def test_free_report_where_cot_overflows(self, capsys):
+        # cot a is past the doubles; 50-digit mpmath gives cot(a)/(8 L) less
+        # (pi - 2a)/(48 L) for each window.
+        code, out, err = run_in_process(
+            ["commute", "--length", "1e300", "--deltas", "1e-9,5e-10", "--format", "json"], capsys)
+        assert (code, err) == (0, b"")
+        rows = json.loads(out)["integrate_then_regularize"]
+        with mpmath.workdps(50):
+            for row in rows:
+                L, d = mpmath.mpf(1e300), mpmath.mpf(row["delta"])
+                a = mpmath.pi * d / L
+                exact = mpmath.cot(a) / (8 * L) - (mpmath.pi - 2 * a) / (48 * L)
+                assert row["partial_total"] == pytest.approx(float(exact), rel=1e-12)
+                assert row["divergent_estimate"] == pytest.approx(
+                    float(mpmath.cot(a) / (8 * L)), rel=1e-12)
+
+    @pytest.mark.parametrize("argv", [
+        ["commute", "--deltas", "1e-320,5e-321"],
+        ["scan", "--vary", "delta", "--length", "1e300", "--values", "1e-320"],
+    ])
+    def test_a_window_past_the_doubles_names_the_window(self, argv, capsys):
+        assert run_in_process(argv, capsys) == (1, b"", b"numeric error: the window integral "
+                                                b"overflows a double at L = %s\n" % (
+                                                    b"1e+300" if "scan" in argv else b"1.0"))
+
+
 class TestConfigFile:
     def test_flags_take_precedence(self, tmp_path):
         config = tmp_path / "run.conf"
@@ -843,6 +894,9 @@ class TestImports:
          ["platevac.limits_lab", "platevac.verify", "dataclasses", "inspect", "fractions"]),
         (["scan", "--vary", "length", "--values", "1,2"],
          ["platevac.limits_lab", "platevac.verify", "dataclasses", "inspect", "fractions"]),
+        (["scan", "--vary", "delta", "--values", "0.01"],
+         ["platevac.limits_lab", "platevac.verify", "numpy", "dataclasses", "inspect",
+          "fractions"]),
         (["density", "--grid", "5"],
          ["platevac.verify", "numpy", "dataclasses", "inspect", "fractions"]),
         (["density", "--model", "em", "--alpha", "0.01", "--format", "json"],

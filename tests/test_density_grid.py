@@ -21,7 +21,7 @@ import pytest
 
 from platevac import cli, em3d, limits_lab, scalar1d
 from platevac.errors import DomainError, PlatevacError, RangeError, SingularityError
-from platevac.geometry import Geometry, Position
+from platevac.geometry import Geometry, Position, window_integral
 from platevac.limits_lab import Clustering, FieldModel, GridSpec
 from platevac.regsum import RegScheme
 from platevac.scalar1d import Couplings, ValidityWarning
@@ -314,10 +314,10 @@ CLI_CASES = [
 ]
 
 
-def scan_route_rows(g, deltas):
-    results = [scalar1d.total_energy_by_route(g, scalar1d.Route.INTEGRATE_REGULARIZED_DENSITY,
-                                              RegScheme.zeta(), delta=delta) for delta in deltas]
-    return [[delta, r.value, r.divergent_estimate] for delta, r in zip(deltas, results)]
+def scan_window_rows(g, deltas):
+    total = scalar1d._free_total(g.length)
+    return [[delta, *window_integral(scalar1d.ELECTRIC_WINDOW, g.length, None, total, delta)]
+            for delta in deltas]
 
 
 def scan_split_rows(g, theta, epsilons):
@@ -340,7 +340,7 @@ SCAN_CASES = [
                em3d.casimir_force_per_area(Geometry(length))] for length in (0.1, 1.0, 10.0)]),
     (["--vary", "delta", "--values", "0.02,0.01,1e-8"], "scalar",
      ["delta", "window_integral", "divergent_estimate"],
-     lambda: scan_route_rows(Geometry(1.0), [0.02, 0.01, 1e-8])),
+     lambda: scan_window_rows(Geometry(1.0), [0.02, 0.01, 1e-8])),
 ]
 
 

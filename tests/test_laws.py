@@ -9,9 +9,11 @@ relative to |constant| + |position term|.
 """
 
 import ast
+import inspect
 import math
 import pathlib
 import sys
+import textwrap
 
 import mpmath as mp
 import numpy as np
@@ -20,12 +22,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import platevac
-from platevac import em3d, geometry, limits_lab, scalar1d
+from platevac import cli, em3d, geometry, limits_lab, scalar1d
 from platevac.errors import RangeError
-from platevac.geometry import Geometry, Position, scaled
-from platevac.limits_lab import FieldModel
+from platevac.geometry import Geometry, Position, scaled, window_integral
+from platevac.limits_lab import CommutationModel, FieldModel
 from platevac.regsum import RegScheme
-from platevac.scalar1d import Couplings, Route
+from platevac.scalar1d import Couplings
 
 mp.mp.dps = 50
 RTOL = 1e-12
@@ -240,8 +242,10 @@ class TestTotalLaws:
         expect(lambda: scalar1d.free_total_energy(g), [free])
         with _quiet():
             expect(lambda: scalar1d.interacting_total_energy(g, c), [free + correction])
-        expect(lambda: scalar1d.total_energy_by_route(
-            g, Route.SUM_THEN_REGULARIZE, RegScheme.cutoff(eps)), [cutoff])
+        # The bulk-subtracted cutoff total: the free report's (c) column.
+        expect(lambda: limits_lab.commutation_report(
+            g, CommutationModel.FREE_SCALAR, deltas=[0.25 * length, 0.125 * length],
+            epsilons=[eps]).cutoff_rows[0].subtracted, [cutoff])
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(LENGTHS, ALPHAS, MASSES)
@@ -337,27 +341,37 @@ def test_every_law_coefficient_comes_from_the_table():
     # geometry.law takes an entry's name, L, the couplings and a computed
     # shape: no numeric literal and no math.pi expression reaches it from
     # src/, and every entry of the table is some call's law.
-    found, named = [], set()
+    # The one call that takes its law by variable is window_integral's, which
+    # reads each window's law from its data, with integer terms.
+    found, named, by_variable = [], set(), []
     for path in sorted(pathlib.Path(platevac.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if not (isinstance(node, ast.Call) and "law" in (
                     getattr(node.func, "id", None), getattr(node.func, "attr", None))):
                 continue
             name, *args = node.args
-            named.add(name.value if isinstance(name, ast.Constant) else ast.unparse(name))
+            if isinstance(name, ast.Constant):
+                named.add(name.value)
+            else:
+                by_variable.append(f"{path.name}: {ast.unparse(node)}")
             for sub in (n for arg in args + [k.value for k in node.keywords] for n in ast.walk(arg)):
                 if ((isinstance(sub, ast.Constant) and type(sub.value) in (int, float, complex))
                         or (isinstance(sub, ast.Attribute) and sub.attr == "pi")):
                     found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert found == []
-    assert named == set(geometry.LAWS)
+    assert by_variable == ["geometry.py: law(name, length, couplings, shape)"]
+    assert "law(name, length, couplings, shape)" in inspect.getsource(window_integral)
+    windows = (scalar1d.ELECTRIC_WINDOW, scalar1d.INTERACTING_WINDOW)
+    assert all(type(c) is int and type(n) is int for _, terms, _ in windows for c, n in terms)
+    assert named | {law for law, _, _ in windows} == set(geometry.LAWS)
 
 
 @pytest.mark.parametrize("name, numerator, denominator", [
     ("validity ratio", 1.0, 1.0), ("scalar total", math.pi, 2.0),
     ("scalar density", math.pi, 4.0), ("window divergence", 1.0, 8.0),
-    ("window remainder", 1.0, 48.0), ("scalar correction density", -math.pi ** 2, 8.0),
-    ("scalar correction total", -math.pi ** 2, 1.0), ("em correlator", math.pi ** 2, 16.0),
+    ("scalar correction density", -math.pi ** 2, 8.0),
+    ("scalar correction total", -math.pi ** 2, 1.0), ("scalar correction window", -math.pi, 4.0),
+    ("em correlator", math.pi ** 2, 16.0),
     ("em density", -math.pi ** 2, 720.0), ("em total", -math.pi ** 2, 720.0),
     ("casimir force", math.pi ** 2, 240.0), ("near-plate correlator", 3.0, 16.0 * math.pi ** 2),
     ("eh density", -math.pi ** 4, 17280.0), ("eh total", -math.pi ** 4, 17280.0),
@@ -380,3 +394,90 @@ class _quiet:
 
     def __exit__(self, *exc):
         return self._catch.__exit__(*exc)
+
+
+def p_n(n, c):
+    """P_n(c) = sum_{k<n} C(n-1, k) c^(2k+1) / (2k+1): (pi / 2L) times the integral of
+    csc^2n(pi z / L) over [delta, L - delta], c = cot(pi delta / L)."""
+    return mp.fsum(mp.binomial(n - 1, k) * c ** (2 * k + 1) / (2 * k + 1) for k in range(n))
+
+
+# Each window law with its couplings and its exact K at L.
+WINDOW_LAWS = {
+    "window divergence": (None, lambda length: 1 / (8 * mp.mpf(length))),
+    "scalar correction window": (Couplings(0.01, 10.0), lambda length: -mp.mpf(0.01) * PI / (
+        4 * mp.mpf(10.0) ** 2 * mp.mpf(length) ** 3)),
+}
+
+
+class TestWindowIntegral:
+    """geometry.window_integral holds K P_n(cot a) to 50-digit mpmath, n = 1-4."""
+
+    @staticmethod
+    def check(law, n, length, delta, share=0.5):
+        couplings, k = WINDOW_LAWS[law]
+        with mp.workdps(60):
+            estimate = k(length) * p_n(n, mp.cot(PI * mp.mpf(delta) / mp.mpf(length)))
+            total = -PI / (24 * mp.mpf(length))
+            constant = share * (1 - 2 * mp.mpf(delta) / mp.mpf(length)) * total
+        window = (law, ((1, n),), share)
+        expect(lambda: window_integral(window, length, couplings, scalar1d._free_total(length),
+                                       delta), [estimate + constant, estimate],
+               [abs(estimate) + abs(constant), abs(estimate)])
+
+    @pytest.mark.parametrize("law", list(WINDOW_LAWS))
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("length", [1e-2, 1.0, 1e2])
+    @pytest.mark.parametrize("fraction", [1e-8, 1e-4, 0.2])
+    def test_each_p_n(self, law, n, length, fraction):
+        self.check(law, n, length, fraction * length)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("length, delta", [
+        (1e300, 1e-9), (1e300, 1e-20), (1e200, 1e-110), (1.0, 1e-320), (1e-310, 1e-311),
+        (1e-310, 4.9e-311), (1.5e308, 7e307)])
+    def test_where_a_leaves_the_normal_doubles(self, n, length, delta):
+        # a = pi delta / L is subnormal or 0 (cot a is past the doubles), or
+        # pi delta is subnormal (L = 1e-310) or past the doubles (L = 1.5e308).
+        self.check("window divergence", n, length, delta)
+
+    def test_terms_add(self):
+        # 81 P_4 - 108 P_3 + 36 P_2 on one law: each term at its coefficient.
+        window = ("window divergence", ((81, 4), (-108, 3), (36, 2)), 0.0)
+        for length, delta in ((1.0, 0.01), (1e2, 1e-6), (1e-2, 2e-3)):
+            with mp.workdps(60):
+                c = mp.cot(PI * mp.mpf(delta) / mp.mpf(length))
+                exact = WINDOW_LAWS["window divergence"][1](length) * (
+                    81 * p_n(4, c) - 108 * p_n(3, c) + 36 * p_n(2, c))
+            value, estimate = window_integral(window, length, None, (1.0, 0), delta)
+            assert value == estimate
+            assert abs(mp.mpf(estimate) - exact) <= RTOL * abs(exact)
+
+
+def test_one_window_function():
+    # Every window of every model is geometry.window_integral: the report's
+    # section (b) and scan --vary delta call it, and no other function in
+    # src/ names a window (but the verify check that reads the report's fit)
+    # or takes the cot of an angle other than its own argument.
+    windows, cots = [], []
+    for path in sorted(pathlib.Path(platevac.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            if "window" in node.name:
+                windows.append(f"{path.stem}.{node.name}")
+            calls = [call for call in ast.walk(node) if isinstance(call, ast.Call)
+                     and ast.unparse(call.func) in ("cot", "specfun.cot")]
+            if calls and [ast.unparse(call) for call in calls] != [
+                    f"{ast.unparse(calls[0].func)}({node.args.args[0].arg})"]:
+                cots.append(f"{path.stem}.{node.name}")
+    assert windows == ["geometry.window_integral", "verify._window_divergence_exponent"]
+    assert cots == ["geometry.window_integral"]
+    for function in (limits_lab.commutation_report, cli._cmd_scan):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
+        assert "window_integral" in {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    gone = {"total_energy_by_route", "Route", "WindowIntegral", "_free_windows",
+            "_interacting_windows"}
+    for module in (platevac, geometry, scalar1d, limits_lab, cli, em3d):
+        assert not gone & set(vars(module))
+    assert "window remainder" not in geometry.LAWS

@@ -14,7 +14,7 @@ from scipy.integrate import quad
 
 from platevac import em3d, limits_lab, regsum, scalar1d
 from platevac.errors import DomainError, FitError
-from platevac.geometry import Geometry, Position
+from platevac.geometry import Geometry, Position, window_integral
 from platevac.limits_lab import (
     Clustering,
     CommutationModel,
@@ -572,6 +572,18 @@ class TestCommutationModels:
     def test_every_model_has_one_entry(self):
         assert list(limits_lab._MODELS) == list(CommutationModel)
         assert all(len(entry) == 6 for entry in limits_lab._MODELS.values())
+        # Slot (b) is data: the window geometry.window_integral integrates.
+        assert [entry[1] for entry in limits_lab._MODELS.values()] == [
+            scalar1d.ELECTRIC_WINDOW, scalar1d.INTERACTING_WINDOW]
+
+    def test_a_strong_coupling_warns_once_per_report(self):
+        # Through its (a) total; the window is model data and does not warn.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            limits_lab.commutation_report(
+                G1, CommutationModel.INTERACTING_SCALAR, deltas=FREE_DELTAS,
+                epsilons=INTERACTING_EPSILONS, couplings=Couplings(alpha=1.0, m=1.0))
+        assert [w.category for w in caught] == [ValidityWarning]
 
     def test_report_does_not_branch_on_the_model(self):
         source = inspect.getsource(limits_lab.commutation_report)
@@ -712,8 +724,7 @@ def interacting_window(g, c, delta):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ValidityWarning)
         total = scalar1d.interacting_total_energy(g, c)
-    [(value, estimate)] = limits_lab._interacting_windows(g, c, total, [delta])
-    return value, estimate
+    return window_integral(scalar1d.INTERACTING_WINDOW, g.length, c, (total, 0), delta)
 
 
 class TestInteractingWindow:
@@ -768,13 +779,6 @@ class TestInteractingWindow:
                      + 2 * p * (L / mpmath.pi) * (ct + ct ** 3 / 3))
         value, _ = interacting_window(Geometry(length), c, delta)
         assert value == pytest.approx(float(exact), rel=1e-12)
-
-    def test_warns_once_per_window(self):
-        strong = Couplings(alpha=1.0, m=1.0)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            interacting_window(G1, strong, 0.01)
-        assert [w.category for w in caught] == [ValidityWarning]
 
 
 class TestModelPrivateNames:

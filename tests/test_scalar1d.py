@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from platevac import regsum, scalar1d
+from platevac import limits_lab, regsum, scalar1d
 from platevac.errors import DomainError, RangeError, SingularityError
-from platevac.geometry import Geometry, Position
+from platevac.geometry import Geometry, Position, window_integral
 from platevac.regsum import RegScheme
-from platevac.scalar1d import Couplings, EnergySplit, Route, ValidityWarning
+from platevac.scalar1d import Couplings, EnergySplit, ValidityWarning
 
 G1 = Geometry(1.0)
 
@@ -271,16 +271,24 @@ class TestSchemeComparison:
             assert abs(integral) < 1e-10
 
 
-class TestTotalEnergyByRoute:
+def electric_window(g, delta):
+    """The continued electric density over [delta, L - delta], as scan --vary delta takes it."""
+    return window_integral(scalar1d.ELECTRIC_WINDOW, g.length, None,
+                           scalar1d._free_total(g.length), delta)
+
+
+class TestElectricWindow:
+    """The free scalar's window through geometry.window_integral, and the two totals."""
+
     def test_sum_then_regularize(self):
-        value = scalar1d.total_energy_by_route(G1, Route.SUM_THEN_REGULARIZE)
+        value = scalar1d.free_total_energy(G1)
         assert value == pytest.approx(-math.pi / 24.0, rel=1e-12)
 
     def test_sum_then_regularize_cutoff_scheme(self):
-        value = scalar1d.total_energy_by_route(
-            G1, Route.SUM_THEN_REGULARIZE, RegScheme.cutoff(1e-3)
-        )
-        assert value == pytest.approx(-math.pi / 24.0, rel=1e-5)
+        # The bulk-subtracted cutoff total, the report's (c) column.
+        report = limits_lab.commutation_report(
+            G1, limits_lab.CommutationModel.FREE_SCALAR, deltas=[0.02, 0.01], epsilons=[1e-3])
+        assert report.cutoff_rows[0].subtracted == pytest.approx(-math.pi / 24.0, rel=1e-5)
 
     @staticmethod
     def window_closed_form(delta):
@@ -290,29 +298,17 @@ class TestTotalEnergyByRoute:
 
     def test_window_integral_matches_antiderivative(self):
         for delta in (0.01, 0.005):
-            result = scalar1d.total_energy_by_route(
-                G1, Route.INTEGRATE_REGULARIZED_DENSITY, delta=delta
-            )
-            assert result.value == pytest.approx(self.window_closed_form(delta), abs=1e-9)
+            value, _ = electric_window(G1, delta)
+            assert value == pytest.approx(self.window_closed_form(delta), abs=1e-9)
 
     def test_window_difference_matches_cot_difference(self):
-        r1 = scalar1d.total_energy_by_route(
-            G1, Route.INTEGRATE_REGULARIZED_DENSITY, delta=0.01
-        )
-        r2 = scalar1d.total_energy_by_route(
-            G1, Route.INTEGRATE_REGULARIZED_DENSITY, delta=0.005
-        )
+        (v1, _), (v2, _) = electric_window(G1, 0.01), electric_window(G1, 0.005)
         expected = self.window_closed_form(0.005) - self.window_closed_form(0.01)
-        assert r2.value - r1.value == pytest.approx(expected, abs=1e-6)
+        assert v2 - v1 == pytest.approx(expected, abs=1e-6)
 
     def test_window_divergence_exponent(self):
         deltas = [0.02, 0.01, 0.005, 0.0025]
-        values = [
-            scalar1d.total_energy_by_route(
-                G1, Route.INTEGRATE_REGULARIZED_DENSITY, delta=d
-            ).value
-            for d in deltas
-        ]
+        values = [electric_window(G1, d)[0] for d in deltas]
         slope = np.polyfit(np.log(deltas), np.log(np.abs(values)), 1)[0]
         assert slope == pytest.approx(-1.0, abs=0.02)
 
@@ -332,10 +328,8 @@ class TestTotalEnergyByRoute:
     @pytest.mark.parametrize("fraction", [1e-8, 1e-6, 0.49])
     def test_window_against_mpmath_down_to_deep_margins(self, length, fraction):
         delta = fraction * length
-        result = scalar1d.total_energy_by_route(
-            Geometry(length), Route.INTEGRATE_REGULARIZED_DENSITY, delta=delta
-        )
-        assert result.value == pytest.approx(float(self.mp_window(delta, length)), rel=1e-12)
+        value, _ = electric_window(Geometry(length), delta)
+        assert value == pytest.approx(float(self.mp_window(delta, length)), rel=1e-12)
 
     @pytest.mark.parametrize("length", [0.5, 3.0])
     @pytest.mark.parametrize("fraction", [0.01, 0.03, 0.1, 0.2])
@@ -346,28 +340,8 @@ class TestTotalEnergyByRoute:
             lambda z: scalar1d.electric_density(g, Position.from_z(z, g), RegScheme.zeta()),
             delta, length - delta, epsabs=1e-12, epsrel=1e-12, limit=200,
         )
-        result = scalar1d.total_energy_by_route(
-            g, Route.INTEGRATE_REGULARIZED_DENSITY, delta=delta
-        )
-        assert result.value == pytest.approx(oracle, rel=1e-10)
-
-    def test_zero_margin_rejected_with_diagnosis(self):
-        with pytest.raises(SingularityError):
-            scalar1d.total_energy_by_route(
-                G1, Route.INTEGRATE_REGULARIZED_DENSITY, delta=0.0
-            )
-
-    def test_margin_bounds(self):
-        with pytest.raises(DomainError):
-            scalar1d.total_energy_by_route(
-                G1, Route.INTEGRATE_REGULARIZED_DENSITY, delta=0.6
-            )
-
-    def test_window_route_requires_continued_scheme(self):
-        with pytest.raises(DomainError):
-            scalar1d.total_energy_by_route(
-                G1, Route.INTEGRATE_REGULARIZED_DENSITY, RegScheme.cutoff(0.1), delta=0.01
-            )
+        value, _ = electric_window(g, delta)
+        assert value == pytest.approx(oracle, rel=1e-10)
 
 
 class TestInteractingDensity:

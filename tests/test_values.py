@@ -19,7 +19,7 @@ from platevac.limits_lab import (
     WindowRow,
 )
 from platevac.regsum import PowerSeriesSpec, RegKind, RegScheme
-from platevac.scalar1d import Couplings, EnergySplit, WindowIntegral
+from platevac.scalar1d import Couplings, EnergySplit
 from platevac.verify import CheckResult
 
 ZETA = RegScheme(RegKind.ZETA, None)
@@ -52,8 +52,6 @@ CASES = [
     (Couplings, {"alpha": 0.1, "m": 2.0}, {}, "Couplings(alpha=0.1, m=2.0)"),
     (EnergySplit, {"electric": -1.0, "magnetic": 0.5, "total": -0.5}, {},
      "EnergySplit(electric=-1.0, magnetic=0.5, total=-0.5)"),
-    (WindowIntegral, {"value": 1.5, "delta": 0.01, "divergent_estimate": 2.0}, {},
-     "WindowIntegral(value=1.5, delta=0.01, divergent_estimate=2.0)"),
     (CorrelatorPair, {"e2": 0.25, "b2": -0.25}, {}, "CorrelatorPair(e2=0.25, b2=-0.25)"),
     (EhCouplings, {"alpha": 0.1, "m": 2.0}, {"alpha": FINE_STRUCTURE_ALPHA, "m": 1.0},
      "EhCouplings(alpha=0.1, m=2.0)"),
