@@ -169,7 +169,8 @@ def _json(payload: dict) -> str:
 def _json_text(value, indent: str = "\n") -> str:
     """The bytes of ``json.dumps(value, indent=2)``, whose indent runs a pure-Python
     encoder, for what a CLI document holds: dicts with str keys, lists, tuples, str,
-    float, int, bool, None.  ``indent`` opens the value's lines; others raise TypeError."""
+    float, int, bool, None.  ``indent`` opens the value's lines; others raise TypeError.
+    A finite float item (x - x == 0.0) is written in place, without a call."""
     if isinstance(value, float):
         return (float.__repr__(value) if math.isfinite(value) else "NaN" if value != value
                 else "Infinity" if value > 0.0 else "-Infinity")
@@ -177,10 +178,13 @@ def _json_text(value, indent: str = "\n") -> str:
         return encode_basestring_ascii(value)
     inner = indent + "  "
     if isinstance(value, dict):
-        items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in value.items()]
+        items = [encode_basestring_ascii(k) + ": " + (
+            float.__repr__(v) if v.__class__ is float and v - v == 0.0 else _json_text(v, inner))
+            for k, v in value.items()]
         return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
     if isinstance(value, (list, tuple)):
-        items = [_json_text(v, inner) for v in value]
+        items = [float.__repr__(v) if v.__class__ is float and v - v == 0.0
+                 else _json_text(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
     if value is None or isinstance(value, bool):
         return "null" if value is None else "true" if value else "false"

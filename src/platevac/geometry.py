@@ -167,7 +167,7 @@ def law(name: str, length: float, couplings=None, shape=None):
     if j:
         a_mantissa, a_exponent = math.frexp(couplings.alpha)
         m_mantissa, m_exponent = math.frexp(couplings.m)
-        numerator = a_mantissa ** j * numerator
+        numerator = a_mantissa ** j * numerator + 0.0  # alpha = 0 and p < 0 give +0.0, not -0.0
         denominator = denominator * m_mantissa ** (2 * j)
         exponent += j * (a_exponent - 2 * m_exponent)
     return numerator / (denominator * l_mantissa ** k), exponent
@@ -216,6 +216,9 @@ def summed(what: str, length: float, *terms: tuple[float, int]) -> float:
     The terms are added at the largest exponent of a nonzero value, so a
     term may underflow where the sum is a normal double.
     """
+    if len(terms) == 1:  # scaled, but an exact zero, of either sign, is +0.0
+        value, exponent = terms[0]
+        return scaled(value, exponent, what, length) if value != 0.0 else 0.0
     top = max([exponent for value, exponent in terms if value != 0.0], default=0)
     total = 0.0
     for value, exponent in terms:

@@ -75,10 +75,16 @@ def theta_grid(spec: GridSpec) -> tuple[float, ...]:
     Computed with ``math`` alone, so a caller that needs only the angles
     does not load numpy.
     """
+    return tuple(_grid_angles(spec))
+
+
+def _grid_angles(spec: GridSpec):
+    # The angles of theta_grid, lazily: a caller that reads the first few
+    # computes only those.
     n = spec.count
     if spec.clustering is Clustering.UNIFORM:
-        return tuple(math.pi * k / (n + 1) for k in range(1, n + 1))
-    return tuple(0.5 * math.pi * (1.0 - math.cos(math.pi * (i + 0.5) / n)) for i in range(n))
+        return (math.pi * k / (n + 1) for k in range(1, n + 1))
+    return (0.5 * math.pi * (1.0 - math.cos(math.pi * (i + 0.5) / n)) for i in range(n))
 
 
 # The largest grid that grid_angles hands out as floats.  At 1000

@@ -29,17 +29,26 @@ class Record:
         cls._setters = tuple(getattr(cls, field).__set__ for field in cls._fields)
 
     def __init__(self, *args, **kwargs):
-        name, fields = type(self).__name__, self._fields
-        if len(args) > len(fields):
-            raise TypeError(f"{name}() takes {len(fields)} arguments, got {len(args)}")
-        unknown = kwargs.keys() - fields[len(args):]
-        if unknown:
-            raise TypeError(f"{name}() got unexpected or repeated arguments {sorted(unknown)}")
-        bound = {**self._defaults, **dict(zip(fields, args)), **kwargs}
-        for field, setter in zip(fields, self._setters):
-            if field not in bound:
-                raise TypeError(f"{name}() missing argument {field!r}")
-            setter(self, bound[field])
+        fields, setters, given = self._fields, self._setters, len(args)
+        if given > len(fields):
+            raise TypeError(f"{type(self).__name__}() takes {len(fields)} arguments, got {given}")
+        for setter, value in zip(setters, args):
+            setter(self, value)
+        missing, used = None, 0
+        for i in range(given, len(fields)):
+            field = fields[i]
+            if field in kwargs:
+                setters[i](self, kwargs[field])
+                used += 1
+            elif field in self._defaults:
+                setters[i](self, self._defaults[field])
+            elif missing is None:
+                missing = field
+        if used < len(kwargs):  # a keyword that names no field, or one given by position
+            unknown = sorted(kwargs.keys() - fields[given:])
+            raise TypeError(f"{type(self).__name__}() got unexpected or repeated arguments {unknown}")
+        if missing is not None:
+            raise TypeError(f"{type(self).__name__}() missing argument {missing!r}")
         self._validate()
 
     def _validate(self) -> None:
@@ -50,7 +59,7 @@ class Record:
 
     def asdict(self) -> dict:
         """The fields by name, in order; nested values are not converted."""
-        return dict(zip(self._fields, self._values()))
+        return {field: getattr(self, field) for field in self._fields}
 
     def __repr__(self) -> str:
         args = ", ".join(f"{field}={getattr(self, field)!r}" for field in self._fields)

@@ -7,6 +7,7 @@ tolerance; the suite passes when every deviation is inside its tolerance.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import random
@@ -231,7 +232,8 @@ def _near_plate_exponent(kind: str):
     # residuals of the 200-point endpoint-clustered grid; next to a wall
     # every residual is large, so it reads the first n_points angles only.
     n_points = 4
-    grid = limits_lab.theta_grid(GridSpec(200, Clustering.ENDPOINTS))[:n_points]
+    grid = tuple(itertools.islice(limits_lab._grid_angles(GridSpec(200, Clustering.ENDPOINTS)),
+                                  n_points))
     fit = limits_lab._fit_walk(
         grid, [density(Position.from_theta(theta, g)) for theta in grid],
         limits_lab.Endpoint.LEFT, constant_part=constant, n_points=n_points, window=None,

@@ -593,6 +593,46 @@ class TestCommuteCommand:
         )
 
 
+class TestZeroCoupling:
+    """At alpha = 0 every correction is +0.0: no subcommand prints -0 or -0.0."""
+
+    @pytest.mark.parametrize("out_format", ["csv", "json"])
+    @pytest.mark.parametrize("argv", [
+        ["density", "--grid", "3"],
+        ["density", "--grid", "1001"],
+        ["density", "--scheme", "cutoff", "--epsilon", "0.01", "--grid", "3"],
+        ["density", "--model", "em", "--grid", "3"],
+        ["density", "--model", "em", "--grid", "1001", "--cluster", "endpoints"],
+        ["total"],
+        ["total", "--model", "em"],
+        ["commute"],
+        ["commute", "--length", "1e102"],
+        ["scan", "--vary", "length", "--values", "0.1,1,10"],
+        ["scan", "--vary", "length", "--model", "em", "--values", "0.1,1,10"],
+        ["scan", "--vary", "epsilon", "--values", "0.04,0.02"],
+        ["scan", "--vary", "delta", "--values", "0.1,0.01"],
+    ], ids=" ".join)
+    def test_no_negative_zero(self, argv, out_format, capsys):
+        code, out, err = run_in_process([*argv, "--alpha", "0", "--format", out_format], capsys)
+        assert code == 0 and err == b""
+        tokens = out.decode().replace(",", " ").replace(":", " ").split()
+        assert "-0" not in tokens and "-0.0" not in tokens
+
+    @pytest.mark.parametrize("model", ["scalar", "em"])
+    def test_correction_column_is_zero(self, model, capsys):
+        code, out, _ = run_in_process(
+            ["density", "--model", model, "--grid", "3", "--alpha", "0"], capsys)
+        assert code == 0
+        assert [line.split(",")[-1] for line in out.decode().splitlines()] == [
+            "correction", "0", "0", "0"]
+
+    def test_commute_estimates_are_zero(self, capsys):
+        code, out, _ = run_in_process(["commute", "--alpha", "0", "--format", "json"], capsys)
+        rows = json.loads(out)["integrate_then_regularize"]
+        assert code == 0
+        assert [repr(r["divergent_estimate"]) for r in rows] == ["0.0"] * 4
+
+
 class TestScanCommand:
     def test_epsilon_sweep(self):
         result = run_cli(

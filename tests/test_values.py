@@ -5,6 +5,8 @@ import copy
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from platevac.cli import RunConfig
 from platevac.em3d import FINE_STRUCTURE_ALPHA, CorrelatorPair, EhCouplings
@@ -18,6 +20,7 @@ from platevac.limits_lab import (
     Verdict,
     WindowRow,
 )
+from platevac.record import Record
 from platevac.regsum import PowerSeriesSpec, RegKind, RegScheme
 from platevac.scalar1d import Couplings, EnergySplit
 from platevac.verify import CheckResult
@@ -184,3 +187,95 @@ def test_named_constructors():
     assert Position.from_z(1, g) == Position(1.0, 3.141592653589793 / 2.0)
     assert EnergySplit.from_parts(-1.0, 0.5) == EnergySplit(-1.0, 0.5, -0.5)
     assert Geometry(2) == g and type(Geometry(2).length) is float
+
+
+def _reference_init(self, *args, **kwargs):
+    # The generic binder as it was written before it bound in one pass: a
+    # dict of defaults, positional and keyword arguments, read field by field.
+    name, fields = type(self).__name__, self._fields
+    if len(args) > len(fields):
+        raise TypeError(f"{name}() takes {len(fields)} arguments, got {len(args)}")
+    unknown = kwargs.keys() - fields[len(args):]
+    if unknown:
+        raise TypeError(f"{name}() got unexpected or repeated arguments {sorted(unknown)}")
+    bound = {**self._defaults, **dict(zip(fields, args)), **kwargs}
+    for field, setter in zip(fields, self._setters):
+        if field not in bound:
+            raise TypeError(f"{name}() missing argument {field!r}")
+        setter(self, bound[field])
+    self._validate()
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+# Every value type in the package that binds through Record's own __init__.
+GENERIC = sorted({cls for cls in _subclasses(Record) if cls.__module__.startswith("platevac.")
+                  and cls.__init__ is Record.__init__}, key=lambda cls: cls.__qualname__)
+VALID = {case[0]: case[1] for case in CASES}
+
+
+def _bind(init, cls, args, kwargs):
+    """The fields ``init`` binds, or the type and message of what it raises."""
+    value = cls.__new__(cls)
+    try:
+        init(value, *args, **kwargs)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return [getattr(value, field) for field in cls._fields]
+
+
+def test_every_generic_type_has_a_case():
+    assert len(GENERIC) == 14 and set(GENERIC) <= set(VALID)
+    assert {RunConfig, EhCouplings, CommutationReport, CheckResult} <= set(GENERIC)
+
+
+def _shapes(cls):
+    # (name, args, kwargs): each call shape over the case's valid fields.
+    fields = VALID[cls]
+    values, half = list(fields.values()), len(fields) // 2
+    required = {k: v for k, v in fields.items() if k not in cls._defaults}
+    first = next(iter(fields))
+    missing = {k: v for k, v in fields.items() if k != [*required, first][0]}
+    return [
+        ("positional", values, {}),
+        ("keyword", [], fields),
+        ("mixed", values[:half], dict(list(fields.items())[half:])),
+        ("defaults omitted", list(required.values()), {}),
+        ("missing", [], missing),
+        ("extra positional", [*values, 1.0], {}),
+        ("extra keyword", values, {"extra": 1.0}),
+        ("repeated", values[:1], {first: values[0]}),
+    ]
+
+
+@pytest.mark.parametrize("cls", GENERIC, ids=lambda cls: cls.__name__)
+def test_each_call_shape_binds_as_the_reference(cls):
+    for name, args, kwargs in _shapes(cls):
+        assert _bind(Record.__init__, cls, args, kwargs) == _bind(
+            _reference_init, cls, args, kwargs), name
+
+
+@st.composite
+def _calls(draw):
+    # A generic type and a call: some leading fields by position (maybe one
+    # too many), then keywords drawn from its fields and one unknown name;
+    # each value the case's valid one or an int that some types reject.
+    cls = draw(st.sampled_from(GENERIC))
+    fields = VALID[cls]
+    names = list(fields)
+    positional = draw(st.integers(0, len(names) + 1))
+    args = [draw(st.sampled_from([fields[name], 7])) for name in names[:positional]]
+    args += [7] * (positional - len(names))
+    keywords = draw(st.lists(st.sampled_from([*names, "extra"]), unique=True))
+    return cls, args, {name: draw(st.sampled_from([fields.get(name, 7), 7])) for name in keywords}
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True)
+@given(_calls())
+def test_any_call_binds_as_the_reference(call):
+    cls, args, kwargs = call
+    assert _bind(Record.__init__, cls, args, kwargs) == _bind(_reference_init, cls, args, kwargs)
