@@ -51,14 +51,17 @@ _FIELDS = {
     "format": (str, "csv", ["csv", "json"], "output format (default csv)"),
     "out": (str, None, None, "output path (default stdout)"),
 }
+# The common fields total, commute and scan read: all but density's scheme and grid.
+_SHARED = [name for name in _FIELDS if name not in ("scheme", "epsilon", "grid", "cluster")]
 
 
 class RunConfig(Record):
     """One command's validated common fields.
 
     ``couplings`` has alpha = 0 unless a coupling was given; ``interacting``
-    says one was, and the correction is reported.  Unlike the value types,
-    a RunConfig is mutable, and so unhashable.
+    says one was, and the correction is reported.  ``scheme`` and ``grid``
+    are None for a command that does not declare them.  Unlike the value
+    types, a RunConfig is mutable, and so unhashable.
     """
 
     __slots__ = ("model", "geometry", "couplings", "interacting", "scheme", "grid",
@@ -74,8 +77,9 @@ class RunConfig(Record):
         return self.couplings.m if self.interacting else None
 
 
-def _read_config_file(path: str) -> dict:
-    """Flat key-value file: one ``key = value`` per line, '#' comments."""
+def _read_config_file(path: str, fields) -> dict:
+    """Flat key-value file: one ``key = value`` per line, '#' comments.  Any common
+    field may appear; only those in ``fields`` are converted and kept."""
     values = {}
     try:
         text = Path(path).read_text()
@@ -91,6 +95,8 @@ def _read_config_file(path: str) -> dict:
         key, value = key.strip(), value.strip()
         if key not in _FIELDS:
             raise ConfigError("config", f"{path}:{lineno}: unknown key {key!r}")
+        if key not in fields:
+            continue
         try:
             values[key] = _FIELDS[key][0](value)
         except ValueError:
@@ -99,17 +105,19 @@ def _read_config_file(path: str) -> dict:
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    """Apply precedence: flags > config file > defaults."""
-    from_file = _read_config_file(args.config) if getattr(args, "config", None) else {}
+    """The common fields the command declares, in _FIELDS order: flags > config file > defaults."""
+    declared = vars(args)
+    fields = [key for key in _FIELDS if key in declared]
+    from_file = _read_config_file(args.config, fields) if args.config else {}
     resolved = {}
-    for key, (_, default, _, _) in _FIELDS.items():
-        flag = getattr(args, key, None)
+    for key in fields:
+        flag = declared[key]
         if flag is not None:
             resolved[key] = flag
         elif key in from_file:
             resolved[key] = from_file[key]
         else:
-            resolved[key] = default
+            resolved[key] = _FIELDS[key][1]
     return resolved
 
 
@@ -124,21 +132,27 @@ def _checked(field: str, build, *args, **kwargs):
 def _build_config(args: argparse.Namespace) -> RunConfig:
     # The domain types check their own ranges; each is built in the order
     # the fields are reported.  Couplings and GridSpec take two fields, so
-    # each is built again with the second to name it on its own.
+    # each is built again with the second to name it on its own.  The
+    # density-only fields are built only where the command declares them.
     raw = _resolve(args)
     model = _checked("model", Model, raw["model"])
     geometry = _checked("length", Geometry, raw["length"])
     alpha = raw["alpha"]
     couplings = _checked("alpha", Couplings, 0.0 if alpha is None else alpha, 1.0)
     couplings = _checked("mass", Couplings, couplings.alpha, raw["mass"])
-    kind = _checked("scheme", RegKind, raw["scheme"])
-    scheme = _checked("epsilon", RegScheme, kind, raw["epsilon"])
-    if model is Model.EM:
-        _checked("scheme", em3d._require_zeta, scheme)
-    grid = _checked("grid", GridSpec, raw["grid"])
-    grid = GridSpec(grid.count, _checked("cluster", Clustering, raw["cluster"]))
-    if raw["format"] not in ("csv", "json"):
-        raise ConfigError("format", f"must be 'csv' or 'json', got {raw['format']!r}")
+    scheme = grid = None
+    if "scheme" in raw:
+        kind = _checked("scheme", RegKind, raw["scheme"])
+        scheme = _checked("epsilon", RegScheme, kind, raw["epsilon"])
+        if model is Model.EM:
+            _checked("scheme", em3d._require_zeta, scheme)
+    if "grid" in raw:
+        grid = _checked("grid", GridSpec, raw["grid"])
+        grid = GridSpec(grid.count, _checked("cluster", Clustering, raw["cluster"]))
+    formats = _FIELDS["format"][2]
+    if raw["format"] not in formats:
+        raise ConfigError("format", f"must be {' or '.join(map(repr, formats))}, "
+                          f"got {raw['format']!r}")
     return RunConfig(
         model=model,
         geometry=geometry,
@@ -354,6 +368,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     config = _build_config(args)
     values = _parse_float_list(args.values, "values")
     vary = args.vary
+    if args.theta is not None and vary != "epsilon":
+        raise ConfigError("theta", f"only an epsilon sweep reads it, not a {vary} sweep")
     g = config.geometry
     rows: list[list] = []
     if vary == "length":
@@ -364,7 +380,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     elif vary == "epsilon":
         if config.model is not Model.SCALAR:
             raise ConfigError("vary", "epsilon sweeps apply to the scalar model")
-        theta = args.theta
+        theta = 1.0 if args.theta is None else args.theta
         if not 0.0 < theta < math.pi:
             raise ConfigError("theta", f"must lie in (0, pi), got {theta!r}")
         header = ["epsilon", "electric", "magnetic", "total"]
@@ -398,9 +414,10 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+def _add_common_flags(parser: argparse.ArgumentParser, names) -> None:
     # default None, so _resolve can tell a flag from an absent one
-    for name, (type_, _, choices, help_) in _FIELDS.items():
+    for name in names:
+        type_, _, choices, help_ = _FIELDS[name]
         parser.add_argument(f"--{name}", type=type_, choices=choices, default=None, help=help_)
     parser.add_argument("--config", default=None,
                         help="flat key-value config file; flags take precedence")
@@ -417,11 +434,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     p_density = sub.add_parser("density", help="sample an energy-density profile")
-    _add_common_flags(p_density)
+    _add_common_flags(p_density, _FIELDS)
     p_density.set_defaults(func=_cmd_density)
 
     p_total = sub.add_parser("total", help="total energy (and EM force per area)")
-    _add_common_flags(p_total)
+    _add_common_flags(p_total, _SHARED)
     p_total.set_defaults(func=_cmd_total)
 
     p_verify = sub.add_parser("verify", help="run the built-in invariant suite")
@@ -433,7 +450,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_commute = sub.add_parser(
         "commute", help="order-of-limits report: regularization vs integration"
     )
-    _add_common_flags(p_commute)
+    _add_common_flags(p_commute, _SHARED)
     p_commute.add_argument("--deltas", default="0.02,0.01,0.005,0.0025",
                            help="decreasing boundary margins (comma separated)")
     p_commute.add_argument("--epsilons", default="0.001,0.0005,0.00025",
@@ -441,11 +458,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_commute.set_defaults(func=_cmd_commute)
 
     p_scan = sub.add_parser("scan", help="sweep epsilon, delta or length")
-    _add_common_flags(p_scan)
+    _add_common_flags(p_scan, _SHARED)
     p_scan.add_argument("--vary", choices=["epsilon", "delta", "length"], required=True)
     p_scan.add_argument("--values", required=True,
                         help="comma-separated sweep values")
-    p_scan.add_argument("--theta", type=float, default=1.0,
+    p_scan.add_argument("--theta", type=float, default=None,
                         help="evaluation angle for epsilon sweeps (default 1.0)")
     p_scan.set_defaults(func=_cmd_scan)
     return parser

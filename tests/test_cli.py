@@ -426,7 +426,7 @@ class TestValidityWarningLine:
 
 class TestExitCodes:
     def test_missing_epsilon_is_config_error(self):
-        result = run_cli(["total", "--scheme", "cutoff"])
+        result = run_cli(["density", "--scheme", "cutoff"])
         assert result.returncode == 2
         assert b"epsilon" in result.stderr
 
@@ -458,8 +458,27 @@ class TestExitCodes:
         assert result.returncode == 2
 
 
+# A command line of each subcommand that reads the common fields.
+SHARED_COMMANDS = [["total"], ["commute"], ["scan", "--vary", "length", "--values", "1,2"]]
+# The flags of the common fields only density reads.
+DENSITY_ONLY_FLAGS = [["--scheme", "cutoff"], ["--epsilon", "0.1"], ["--grid", "7"],
+                      ["--cluster", "endpoints"]]
+
+
 class TestConfigFieldContract:
     """Every bad field exits 2, prints nothing and names itself on stderr."""
+
+    @staticmethod
+    def _assert_named(command, tmp_path, flags, config_line, field):
+        args = [*command, *flags]
+        if config_line is not None:
+            config = tmp_path / "run.conf"
+            config.write_text(config_line + "\n")
+            args += ["--config", str(config)]
+        result = run_cli(args)
+        assert result.returncode == 2
+        assert result.stdout == b""
+        assert result.stderr.startswith(f"error: {field}:".encode())
 
     @pytest.mark.parametrize("flags,config_line,field", [
         (["--length", "nan"], None, "length"),
@@ -474,15 +493,123 @@ class TestConfigFieldContract:
         ([], "format = xml", "format"),
     ])
     def test_bad_field_is_named(self, tmp_path, flags, config_line, field):
-        args = ["total", *flags]
-        if config_line is not None:
-            config = tmp_path / "run.conf"
-            config.write_text(config_line + "\n")
-            args += ["--config", str(config)]
-        result = run_cli(args)
-        assert result.returncode == 2
-        assert result.stdout == b""
-        assert result.stderr.startswith(f"error: {field}:".encode())
+        # density reads every common field
+        self._assert_named(["density"], tmp_path, flags, config_line, field)
+
+    @pytest.mark.parametrize("command", SHARED_COMMANDS, ids=" ".join)
+    @pytest.mark.parametrize("flags,config_line,field", [
+        (["--length", "nan"], None, "length"),
+        (["--alpha", "-1"], None, "alpha"),
+        (["--mass", "0"], None, "mass"),
+        ([], "model = photon", "model"),
+        ([], "length = short", "length"),
+        ([], "format = xml", "format"),
+    ])
+    def test_shared_bad_field_is_named(self, tmp_path, command, flags, config_line, field):
+        self._assert_named(command, tmp_path, flags, config_line, field)
+
+    @pytest.mark.parametrize("command", [["density"], *SHARED_COMMANDS], ids=" ".join)
+    def test_bad_format_message(self, tmp_path, command, capsys):
+        config = tmp_path / "run.conf"
+        config.write_text("format = xml\n")
+        assert run_in_process([*command, "--config", str(config)], capsys) == (
+            2, b"", b"error: format: must be 'csv' or 'json', got 'xml'\n")
+
+
+class TestDeclaredFields:
+    """Each subcommand declares only the flags it reads, the common ones from cli._FIELDS."""
+
+    COMMON = ["--model", "--length", "--alpha", "--mass", "--format", "--out", "--config"]
+    FLAGS = {
+        "density": ["--model", "--length", "--alpha", "--mass", "--scheme", "--epsilon",
+                    "--grid", "--cluster", "--format", "--out", "--config"],
+        "total": COMMON,
+        "verify": ["--suite", "--out"],
+        "commute": [*COMMON, "--deltas", "--epsilons"],
+        "scan": [*COMMON, "--vary", "--values", "--theta"],
+    }
+
+    @staticmethod
+    def _subparsers():
+        from platevac import cli
+
+        parser = cli._build_parser()
+        return next(a for a in parser._actions if a.dest == "command").choices
+
+    def test_each_subcommand_declares_its_flags(self):
+        flags = {name: [a.option_strings[0] for a in sub._actions if a.dest != "help"]
+                 for name, sub in self._subparsers().items()}
+        assert flags == self.FLAGS
+        assert sum(map(len, flags.values())) == 39
+
+    def test_common_flags_come_from_fields(self):
+        from platevac import cli
+
+        for name, sub in self._subparsers().items():
+            for action in sub._actions:
+                if action.dest in cli._FIELDS and name != "verify":  # verify's --out is its own
+                    type_, _, choices, help_ = cli._FIELDS[action.dest]
+                    assert (action.type, action.choices, action.help, action.default) == (
+                        type_, choices, help_, None), action
+
+    # commute reads --epsilon as its --epsilons (test_epsilon_abbreviates_commute_epsilons)
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command in SHARED_COMMANDS for flag in DENSITY_ONLY_FLAGS
+        if not (command == ["commute"] and flag[0] == "--epsilon")
+    ], ids=lambda argv: " ".join(argv))
+    def test_density_only_flags_are_unrecognized(self, command, flag, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run_in_process([*command, *flag], capsys) == (
+            2, b"", TOP_USAGE + b"platevac: error: unrecognized arguments: "
+            + " ".join(flag).encode() + b"\n")
+
+    @pytest.mark.parametrize("prefix", ["--epsilon", "--e"])
+    def test_epsilon_abbreviates_commute_epsilons(self, prefix, capsys):
+        # argparse reads a unique prefix of a flag as the flag itself.
+        expected = run_in_process(["commute", "--epsilons", "0.002,0.001"], capsys)
+        assert expected[0] == 0
+        assert run_in_process(["commute", prefix, "0.002,0.001"], capsys) == expected
+
+    @pytest.mark.parametrize("line, field", [
+        ("scheme = bogus", "scheme"), ("scheme = cutoff", "epsilon"), ("epsilon = 0", "epsilon"),
+        ("epsilon = none", "epsilon"), ("grid = 1", "grid"), ("grid = many", "grid"),
+        ("cluster = spiral", "cluster"),
+    ])
+    def test_density_only_config_values_are_read_by_density_alone(self, line, field, tmp_path,
+                                                                  capsys):
+        config = tmp_path / "run.conf"
+        config.write_text(line + "\n")
+        code, out, err = run_in_process(["density", "--config", str(config)], capsys)
+        assert (code, out) == (2, b"") and err.startswith(f"error: {field}:".encode())
+        for command in SHARED_COMMANDS:
+            assert run_in_process([*command, "--config", str(config)], capsys) == (
+                run_in_process(command, capsys)), command
+
+    def test_em_cutoff_config_runs_total(self, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        config.write_text("model = em\nscheme = cutoff\nepsilon = 0.01\n")
+        expected = run_in_process(["total", "--model", "em"], capsys)
+        assert expected[0] == 0
+        assert run_in_process(["total", "--config", str(config)], capsys) == expected
+        code, out, err = run_in_process(["density", "--config", str(config)], capsys)
+        assert (code, out) == (2, b"") and err.startswith(b"error: scheme:")
+
+    @pytest.mark.parametrize("command", [["density"], *SHARED_COMMANDS], ids=" ".join)
+    def test_readme_config_runs_every_command(self, command, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        config.write_text("model  = scalar\nlength = 2.0\ngrid   = 51\n")
+        code, out, err = run_in_process([*command, "--config", str(config)], capsys)
+        assert (code, err) == (0, b"")
+        assert out == run_in_process([*command, "--length", "2.0"]
+                                     + (["--grid", "51"] if command == ["density"] else []),
+                                     capsys)[1]
+
+    @pytest.mark.parametrize("command", [["density"], *SHARED_COMMANDS], ids=" ".join)
+    def test_unknown_config_key_rejected(self, command, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        config.write_text("speed = 11\n")
+        assert run_in_process([*command, "--config", str(config)], capsys) == (
+            2, b"", f"error: config: {config}:1: unknown key 'speed'\n".encode())
 
 
 class TestVerifyCommand:
@@ -697,6 +824,20 @@ class TestScanCommand:
         assert row[1] == "1.9633481524736918e+19"
         assert row[2] == "-1.9633481524736918e+19"
         assert float(row[3]) == pytest.approx(-math.pi / 24.0, rel=1e-15)  # not their sum, 0
+
+    @pytest.mark.parametrize("vary, values", [("length", "0.5,2"), ("delta", "0.1,0.01")])
+    def test_theta_is_read_by_epsilon_sweeps_only(self, vary, values, capsys):
+        argv = ["scan", "--vary", vary, "--values", values]
+        assert run_in_process(argv, capsys)[0] == 0
+        assert run_in_process([*argv, "--theta", "2.0"], capsys) == (
+            2, b"", f"error: theta: only an epsilon sweep reads it, not a {vary} sweep\n".encode())
+
+    def test_epsilon_sweep_theta_defaults_to_one(self, capsys):
+        argv = ["scan", "--vary", "epsilon", "--values", "0.04,0.02"]
+        code, out, err = run_in_process(argv, capsys)
+        assert (code, err) == (0, b"")
+        assert run_in_process([*argv, "--theta", "1.0"], capsys) == (0, out, b"")
+        assert run_in_process([*argv, "--theta", "2.0"], capsys)[1] != out
 
     def test_bad_values_rejected(self):
         result = run_cli(["scan", "--vary", "length", "--values", "1,-2"])

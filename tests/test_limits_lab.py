@@ -99,6 +99,21 @@ class TestSampleProfile:
                 values=(EnergySplit.from_parts(0.0, 0.0),),
             )
 
+    @pytest.mark.parametrize("grid", [(0.0, 1.0), (1.0, math.pi), (0.0, math.pi)])
+    def test_zeta_grid_stays_inside_the_walls(self, grid):
+        values = (EnergySplit.from_parts(0.0, 0.0),) * 2
+        with pytest.raises(DomainError, match=r"^zeta-scheme grids must stay strictly inside"):
+            DensityProfile(g=G1, scheme=RegScheme.zeta(), grid=grid, values=values)
+        # the cutoff density is finite at the walls
+        DensityProfile(g=G1, scheme=RegScheme.cutoff(0.1), grid=grid, values=values)
+
+    def test_values_compare_unequal_to_a_list(self):
+        profile = limits_lab.sample_profile(
+            scalar1d.density_split, G1, RegScheme.zeta(), GridSpec(3))
+        assert profile.values.__eq__(list(profile.values)) is NotImplemented
+        assert (profile.values == list(profile.values)) is False
+        assert profile.values == tuple(profile.values)
+
 
 class TestFitDivergence:
     SPEC = GridSpec(200, Clustering.ENDPOINTS)
@@ -171,6 +186,12 @@ class TestFitDivergence:
                     profile, endpoint, component="electric",
                     constant_part=-math.pi / 48.0, n_points=2,
                 )
+
+    @pytest.mark.parametrize("n_points", [1, 0, -3])
+    def test_fewer_than_two_points_rejected(self, n_points):
+        profile = limits_lab.sample_profile(scalar1d.density_split, G1, RegScheme.zeta(), self.SPEC)
+        with pytest.raises(DomainError, match=rf"^n_points must be >= 2, got {n_points}$"):
+            limits_lab.fit_divergence(profile, Endpoint.LEFT, n_points=n_points)
 
     def test_all_zero_residuals_diagnosed(self):
         profile = limits_lab.sample_profile(

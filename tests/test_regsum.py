@@ -216,6 +216,38 @@ class TestAbelSumQuadratic:
         assert regsum.abel_sum_quadratic_minus_bulk(1e-9) == pytest.approx(0.0, abs=1e-10)
 
 
+def linear_minus_bulk(eps):
+    """e^(-eps)/(1 - e^(-eps))^2 - 1/eps^2 at the double ``eps``, to 50 digits."""
+    with mpmath.workdps(50):
+        e = mpmath.mpf(eps)
+        a = mpmath.exp(-e)
+        return float(a / (1 - a) ** 2 - 1 / e ** 2)
+
+
+def quadratic_minus_bulk(eps):
+    """e^(-eps)(1 + e^(-eps))/(1 - e^(-eps))^3 - 2/eps^3 at the double ``eps``, to 50 digits."""
+    with mpmath.workdps(50):
+        e = mpmath.mpf(eps)
+        a = mpmath.exp(-e)
+        return float(a * (1 + a) / (1 - a) ** 3 - 2 / e ** 3)
+
+
+class TestMinusBulkAboveOne:
+    """Above eps = 1 the minus-bulk sums are the direct difference, not the series."""
+
+    EPS = [1.000001, 1.0001, 1.01, 1.1, 1.5, 2.0, 3.0, 5.0, 10.0, 31.6, 100.0, 316.0, 1e3]
+
+    @pytest.mark.parametrize("eps", EPS)
+    def test_linear_against_mpmath(self, eps):
+        assert regsum.abel_sum_linear_minus_bulk(eps) == pytest.approx(
+            linear_minus_bulk(eps), rel=1e-12)
+
+    @pytest.mark.parametrize("eps", EPS)
+    def test_quadratic_against_mpmath(self, eps):
+        assert regsum.abel_sum_quadratic_minus_bulk(eps) == pytest.approx(
+            quadratic_minus_bulk(eps), rel=1e-12)
+
+
 EPS_FUNCTIONS = [regsum.abel_sum_linear, regsum.abel_sum_linear_minus_bulk,
                  regsum.abel_sum_quadratic, regsum.abel_sum_quadratic_minus_bulk,
                  lambda eps: regsum.abel_sum_sin(eps, 1e-100),
@@ -285,6 +317,11 @@ class TestRichardson:
     def test_bad_order(self):
         with pytest.raises(DomainError):
             regsum.richardson_extrapolate([(0.1, 1.0), (0.05, 1.0)], order=0)
+
+    @pytest.mark.parametrize("steps", [(0.1, 0.0, -0.1), (0.0, -0.5, -1.0), (-0.1, -0.2, -0.4)])
+    def test_non_positive_steps(self, steps):
+        with pytest.raises(DomainError, match="^sample step sizes must be positive$"):
+            regsum.richardson_extrapolate([(h, 1.0) for h in steps], order=1)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("where", [0, 1, 2])

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 
 from platevac import limits_lab, regsum, scalar1d
 from platevac.errors import DomainError, RangeError, SingularityError
-from platevac.geometry import Geometry, Position, window_integral
+from platevac.geometry import Geometry, Position, check_position, window_integral
 from platevac.regsum import RegScheme
 from platevac.scalar1d import Couplings, EnergySplit, ValidityWarning
 
@@ -37,6 +37,14 @@ class TestGeometryAndPosition:
     def test_position_outside_interval(self, z):
         with pytest.raises(DomainError):
             Position.from_z(z, G1)
+
+    @pytest.mark.parametrize("z", [-0.1, 1.1])
+    def test_check_position_outside_interval(self, z):
+        # A Position built directly, not through from_z, is checked against g.
+        p = Position(z, math.pi * z)
+        with pytest.raises(DomainError, match=rf"^z = {z!r} lies outside the interval \[0, 1\.0\]$"):
+            check_position(G1, p)
+        assert check_position(Geometry(2.0), Position(1.1, math.pi * 1.1 / 2.0)).z == 1.1
 
     @pytest.mark.parametrize("d", [1e-4, 1e-7, 1e-10])
     def test_mirror_positions_from_z(self, d):

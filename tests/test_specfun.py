@@ -64,6 +64,13 @@ class TestRiemannZeta:
         with pytest.raises(PoleError):
             specfun.riemann_zeta(1.0)
 
+    def test_negative_integer_below_the_bernoulli_table(self):
+        # zeta(-n) = (-1)^n B(n+1)/(n+1) needs B(n+1); the table stops at B(64).
+        assert specfun.MAX_BERNOULLI_INDEX == 64
+        specfun.riemann_zeta(-63.0)
+        with pytest.raises(DomainError, match=r"^s = -64\.0 is below the supported range$"):
+            specfun.riemann_zeta(-64.0)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(DomainError):
