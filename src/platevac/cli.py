@@ -18,7 +18,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import em3d, scalar1d
-from .errors import ConfigError, PlatevacError
+from .errors import ConfigError, DomainError, PlatevacError
 from .geometry import (
     Clustering, FieldModel as Model, Geometry, GridSpec, Position, window_integral,
 )
@@ -336,17 +336,21 @@ def _cmd_commute(args: argparse.Namespace) -> int:
     if config.model is not Model.SCALAR:
         raise ConfigError("model", "the commutation report covers the scalar model")
     g = config.geometry
-    deltas = _checked(
-        "deltas", limits_lab._ladder, "delta", _parse_float_list(args.deltas, "deltas"), g
-    )
-    epsilons = _checked(
-        "epsilons", limits_lab._ladder, "epsilon", _parse_float_list(args.epsilons, "epsilons"), g
-    )
     model = CommutationModel("interacting_scalar" if config.interacting else "free_scalar")
-    # The free report ignores the couplings.
-    report = limits_lab.commutation_report(
-        g, model, deltas=deltas, epsilons=epsilons, couplings=config.couplings
-    )
+    deltas, epsilons = _parse_float_list(args.deltas, "deltas"), None
+    try:
+        epsilons = _parse_float_list(args.epsilons, "epsilons")
+        # The free report ignores the couplings.
+        report = limits_lab.commutation_report(
+            g, model, deltas=deltas, epsilons=epsilons, couplings=config.couplings
+        )
+    except (ConfigError, DomainError):
+        # The report checks both ladders.  On an error the ladders read so far are
+        # checked again, in flag order, so that a bad one is named by its field.
+        _checked("deltas", limits_lab._ladder, "delta", deltas, g)
+        if epsilons is not None:
+            _checked("epsilons", limits_lab._ladder, "epsilon", epsilons, g)
+        raise
     if config.out_format == "json":
         text = _json({"command": "commute", **report.to_dict()})
     else:
@@ -368,8 +372,12 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     config = _build_config(args)
     values = _parse_float_list(args.values, "values")
     vary = args.vary
-    if args.theta is not None and vary != "epsilon":
-        raise ConfigError("theta", f"only an epsilon sweep reads it, not a {vary} sweep")
+    # A flag that only one kind of sweep reads is an error on the others; a
+    # config file may hold the common fields whatever the sweep.
+    sweep = {"epsilon": "an epsilon sweep", "delta": "a delta sweep", "length": "a length sweep"}
+    for name, reader in (("alpha", "length"), ("mass", "length"), ("theta", "epsilon")):
+        if getattr(args, name) is not None and vary != reader:
+            raise ConfigError(name, f"only {sweep[reader]} reads it, not {sweep[vary]}")
     g = config.geometry
     rows: list[list] = []
     if vary == "length":

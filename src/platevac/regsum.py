@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from enum import Enum
 from typing import Sequence
 
@@ -310,15 +311,15 @@ def richardson_extrapolate(
         raise DomainError(
             f"need at least order + 1 = {order + 1} samples, got {len(pts)}"
         )
-    if not all(math.isfinite(h) and math.isfinite(v) for h, v in pts):
+    # The checks run in their order of precedence, each as one pass of a builtin.
+    hs, values = zip(*pts)
+    if not all(map(math.isfinite, hs + values)):
         raise DomainError(f"samples must be finite, got {pts!r}")
-    hs = [h for h, _ in pts]
-    if any(h <= 0.0 for h in hs):
+    if min(hs) <= 0.0:
         raise DomainError("sample step sizes must be positive")
-    if any(hs[i + 1] >= hs[i] for i in range(len(hs) - 1)):
+    if not all(map(operator.gt, hs, hs[1:])):
         raise DomainError("sample step sizes must be strictly decreasing")
     ratio = _common_ratio(hs, "sample step sizes")
-    values = [v for _, v in pts]
     limit, error = _richardson_stages(values, ratio, order)
     if not math.isfinite(error):
         shift = max(math.frexp(v)[1] for v in values)
@@ -332,7 +333,7 @@ def richardson_extrapolate(
     return limit, error
 
 
-def _richardson_stages(level: list[float], ratio: float, order: int) -> tuple[float, float]:
+def _richardson_stages(level: Sequence[float], ratio: float, order: int) -> tuple[float, float]:
     # The last stage's value and its distance from the stage before.
     previous_head = level[-1]
     stage = 1

@@ -15,7 +15,7 @@ from typing import Callable
 
 from . import em3d, regsum, scalar1d, specfun
 from .errors import ConfigError
-from .geometry import LAWS, Clustering, Geometry, GridSpec, Position
+from .geometry import LAWS, Clustering, FieldModel, Geometry, GridSpec, Position
 from .record import Record
 from .regsum import RegScheme
 from .scalar1d import Couplings
@@ -87,20 +87,28 @@ def _sine_sum_terms(eps: float) -> int:
     return math.ceil((40.0 - math.log(-math.expm1(-eps))) / eps)
 
 
-def _cutoff_sine_closed_form():
-    # The terms e^(-eps n) sin(2 theta n), n = 1 .. N(eps), from one table
-    # of decays per eps and one of sines per theta.  Each fsum is the
-    # 2000-term sum bit for bit.
+@functools.cache
+def _direct_sine_sums() -> tuple[tuple[float, float, float], ...]:
+    # (eps, theta, sum of e^(-eps n) sin(2 theta n) over n = 1 .. N(eps)), from
+    # one table of decays per eps and one of sines per theta.  Each fsum is the
+    # 2000-term sum bit for bit.  The sums read only math, so a process builds
+    # them once; the check still calls the library on every run.
     terms = {eps: _sine_sum_terms(eps) for eps in (0.05, 0.1, 0.5)}
     n_range = range(1, max(terms.values()) + 1)
     sines = {theta: [math.sin(2.0 * theta * n) for n in n_range] for theta in (0.3, 1.0, 2.5)}
-    worst = 0.0
+    sums = []
     for eps, n_terms in terms.items():
         decay = [math.exp(-eps * n) for n in range(1, n_terms + 1)]
-        for theta, sine in sines.items():
-            direct = math.fsum(map(operator.mul, decay, sine))
-            value = regsum.abel_sum_sin(eps, theta)
-            worst = max(worst, abs(value - direct) / max(abs(direct), 1e-30))
+        sums += [(eps, theta, math.fsum(map(operator.mul, decay, sine)))
+                 for theta, sine in sines.items()]
+    return tuple(sums)
+
+
+def _cutoff_sine_closed_form():
+    worst = 0.0
+    for eps, theta, direct in _direct_sine_sums():
+        value = regsum.abel_sum_sin(eps, theta)
+        worst = max(worst, abs(value - direct) / max(abs(direct), 1e-30))
     return worst, regsum.CLOSED_FORM_RTOL
 
 
@@ -187,22 +195,27 @@ def _functional_equation_integers():
 _SCHEME_LADDER = (0.04, 0.02, 0.01, 0.005)
 
 
+# Checks that use limits_lab import it where they run; all of them are in
+# the full suite, so the quick suite never loads it.
 def _scheme_agreement():
+    # The electric density at 20 interior angles, one float-engine column per
+    # scheme: each entry is scalar1d.electric_density's value bit for bit.
+    from . import limits_lab
+
     g = Geometry(1.0)
-    zeta = RegScheme.zeta()
-    cutoffs = [(eps, RegScheme.cutoff(eps)) for eps in _SCHEME_LADDER]
+    thetas = tuple(_linspace(0.2, math.pi - 0.2, 20))
+
+    def electric(scheme):
+        return limits_lab.density_columns(g, FieldModel.SCALAR, scheme, thetas)["electric"]
+
+    cutoffs = [electric(RegScheme.cutoff(eps)) for eps in _SCHEME_LADDER]
     worst = 0.0
-    for theta in _linspace(0.2, math.pi - 0.2, 20):
-        pos = Position.from_theta(theta, g)
-        continued = scalar1d.electric_density(g, pos, zeta)
-        samples = [(eps, scalar1d.electric_density(g, pos, s)) for eps, s in cutoffs]
-        limit, _ = regsum.richardson_extrapolate(samples, order=2)
+    for continued, *values in zip(electric(RegScheme.zeta()), *cutoffs):
+        limit, _ = regsum.richardson_extrapolate(list(zip(_SCHEME_LADDER, values)), order=2)
         worst = max(worst, abs(limit - continued))
     return worst, 1e-7 * math.pi / 16.0
 
 
-# Checks that use limits_lab import it where they run; all of them are in
-# the full suite, so the quick suite never loads it.
 def _expansion_slope():
     from . import limits_lab
 

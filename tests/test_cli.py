@@ -706,6 +706,31 @@ class TestCommuteCommand:
         assert result.stdout == b""
         assert result.stderr.startswith(f"error: {flag[2:]}:".encode())
 
+    @pytest.mark.parametrize("argv", [["commute"], ["commute", "--alpha", "0.01", "--mass", "10"]])
+    def test_ladders_are_checked_once_per_report(self, argv, monkeypatch, capsys):
+        # commutation_report checks each ladder; the command checks none of its own.
+        from platevac import limits_lab
+
+        calls = []
+        ladder = limits_lab._ladder
+        monkeypatch.setattr(limits_lab, "_ladder", lambda *a: calls.append(a[0]) or ladder(*a))
+        assert run_in_process(argv, capsys)[0] == 0
+        assert calls == ["delta", "epsilon"]
+
+    @pytest.mark.parametrize("argv, err", [
+        (["--deltas", "0.1,0.2", "--epsilons", "x"],
+         "error: deltas: deltas must be a decreasing sequence\n"),
+        (["--deltas", "x", "--epsilons", "0.1,0.2"],
+         "error: deltas: expected comma-separated numbers, got 'x'\n"),
+        (["--epsilons", "x"], "error: epsilons: expected comma-separated numbers, got 'x'\n"),
+        (["--deltas", "0.1,0.2", "--epsilons", "0.1,0.2"],
+         "error: deltas: deltas must be a decreasing sequence\n"),
+        (["--epsilons", "1e-80"], "error: epsilons: "),
+    ])
+    def test_errors_come_in_flag_order(self, argv, err, capsys):
+        code, out, printed = run_in_process(["commute", *argv], capsys)
+        assert (code, out) == (2, b"") and printed.decode().startswith(err)
+
     def test_non_geometric_epsilons_are_config_error(self, capsys):
         # Decreasing, but the ratios 1.5 and 4 differ: Richardson cannot
         # extrapolate them, and the ladder check says so before the report.
@@ -740,7 +765,10 @@ class TestZeroCoupling:
         ["scan", "--vary", "delta", "--values", "0.1,0.01"],
     ], ids=" ".join)
     def test_no_negative_zero(self, argv, out_format, capsys):
-        code, out, err = run_in_process([*argv, "--alpha", "0", "--format", out_format], capsys)
+        # Epsilon and delta sweeps take no coupling, and their rows hold no
+        # alpha-dependent column: they run without --alpha 0.
+        coupling = [] if argv[0] == "scan" and argv[2] != "length" else ["--alpha", "0"]
+        code, out, err = run_in_process([*argv, *coupling, "--format", out_format], capsys)
         assert code == 0 and err == b""
         tokens = out.decode().replace(",", " ").replace(":", " ").split()
         assert "-0" not in tokens and "-0.0" not in tokens
@@ -831,6 +859,27 @@ class TestScanCommand:
         assert run_in_process(argv, capsys)[0] == 0
         assert run_in_process([*argv, "--theta", "2.0"], capsys) == (
             2, b"", f"error: theta: only an epsilon sweep reads it, not a {vary} sweep\n".encode())
+
+    @pytest.mark.parametrize("flag", ["--alpha", "--mass"])
+    @pytest.mark.parametrize("vary, values", [("epsilon", "0.04,0.02"), ("delta", "0.1,0.01")])
+    def test_coupling_is_read_by_length_sweeps_only(self, vary, values, flag, capsys):
+        argv = ["scan", "--vary", vary, "--values", values]
+        assert run_in_process(argv, capsys)[0] == 0
+        article = "an" if vary == "epsilon" else "a"
+        assert run_in_process([*argv, flag, "0.05"], capsys) == (
+            2, b"", f"error: {flag[2:]}: only a length sweep reads it, "
+                    f"not {article} {vary} sweep\n".encode())
+        assert run_in_process(["scan", "--vary", "length", "--values", "1,2", flag, "0.05"],
+                              capsys)[0] == 0
+
+    @pytest.mark.parametrize("vary, values", [("epsilon", "0.04,0.02"), ("delta", "0.1,0.01")])
+    def test_config_file_coupling_is_allowed_on_every_sweep(self, vary, values, tmp_path,
+                                                             capsys):
+        config = tmp_path / "coupling.conf"
+        config.write_text("alpha = 0.05\nmass = 3\n")
+        argv = ["scan", "--vary", vary, "--values", values]
+        assert run_in_process([*argv, "--config", str(config)], capsys) == run_in_process(
+            argv, capsys)
 
     def test_epsilon_sweep_theta_defaults_to_one(self, capsys):
         argv = ["scan", "--vary", "epsilon", "--values", "0.04,0.02"]

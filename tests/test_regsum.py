@@ -1,4 +1,5 @@
 import math
+import random
 
 import mpmath
 import numpy as np
@@ -369,6 +370,76 @@ class TestRichardson:
         # Weights 1e100 and then 1e200 stay finite: the limit is computed as before.
         samples = [(1e100, 1.0), (1.0, 1.0), (1e-100, 1.0)]
         assert regsum.richardson_extrapolate(samples, order=1) == (1.0, 0.0)
+
+
+def sample_fault(samples, order):
+    """The sample checks of richardson_extrapolate as first written, one generator
+    each, in order: the DomainError message of the first that fails, else None."""
+    pts = [(float(h), float(v)) for h, v in samples]
+    if len(pts) < order + 1:
+        return f"need at least order + 1 = {order + 1} samples, got {len(pts)}"
+    if not all(math.isfinite(h) and math.isfinite(v) for h, v in pts):
+        return f"samples must be finite, got {pts!r}"
+    hs = [h for h, _ in pts]
+    if any(h <= 0.0 for h in hs):
+        return "sample step sizes must be positive"
+    if any(hs[i + 1] >= hs[i] for i in range(len(hs) - 1)):
+        return "sample step sizes must be strictly decreasing"
+    ratio = hs[0] / hs[1]
+    for a, b in zip(hs[1:], hs[2:]):
+        if abs(a / b - ratio) > 1e-9 * ratio:
+            return (f"sample step sizes must form a geometric sequence; "
+                    f"ratios {ratio!r} and {a / b!r} differ")
+    return None
+
+
+class TestRichardsonChecks:
+    """One pass per check: the same errors, in the same precedence, as the
+    checks first written, for samples that fail several checks at once."""
+
+    KINDS = ("need at least", "samples must be finite", "sample step sizes must be positive",
+             "sample step sizes must be strictly", "sample step sizes must form")
+
+    @pytest.mark.parametrize("steps, values, order, message", [
+        ((0.1,), (math.nan,), 1, "need at least order + 1 = 2 samples, got 1"),
+        ((0.1, -0.2, 0.05), (1.0, math.inf, 1.0), 2, "samples must be finite"),
+        ((math.nan, 0.2, 0.1), (1.0, 1.0, 1.0), 1, "samples must be finite"),
+        ((0.1, 0.2, -0.1), (1.0, 1.0, 1.0), 1, "sample step sizes must be positive"),
+        ((0.4, 0.2, 0.3, 0.1), (1.0,) * 4, 1, "sample step sizes must be strictly decreasing"),
+        ((0.8, 0.4, 0.2, 0.05, 0.01), (1.0,) * 5, 1,
+         "sample step sizes must form a geometric sequence; ratios 2.0 and 4.0 differ"),
+    ])
+    def test_first_failed_check_is_named(self, steps, values, order, message):
+        samples = list(zip(steps, values))
+        assert sample_fault(samples, order).startswith(message)
+        with pytest.raises(DomainError) as raised:
+            regsum.richardson_extrapolate(samples, order=order)
+        assert type(raised.value) is DomainError
+        assert str(raised.value) == sample_fault(samples, order)
+
+    def test_random_samples_against_the_checks_first_written(self):
+        rng = random.Random(35)
+        steps = [0.4, 0.2, 0.1, 0.05, 0.3, 0.2, 0.0, -0.1, math.inf, -math.inf, math.nan]
+        values = [1.0, -2.5, 0.0, math.inf, math.nan, 1e-300]
+        faults = set()
+        for _ in range(4000):
+            n, order = rng.randint(0, 5), rng.randint(1, 3)
+            if rng.random() < 0.5:  # geometric steps, with a chance of one changed
+                hs = [0.4 * 0.5 ** k for k in range(n)]
+                if hs and rng.random() < 0.5:
+                    hs[rng.randrange(n)] = rng.choice(steps)
+            else:
+                hs = [rng.choice(steps) for _ in range(n)]
+            samples = [(h, rng.choice(values) if rng.random() < 0.2 else 1.0 + h) for h in hs]
+            fault = sample_fault(samples, order)
+            faults.add(fault and next(kind for kind in self.KINDS if fault.startswith(kind)))
+            if fault is None:
+                regsum.richardson_extrapolate(samples, order=order)
+                continue
+            with pytest.raises(DomainError) as raised:
+                regsum.richardson_extrapolate(samples, order=order)
+            assert str(raised.value) == fault
+        assert faults == {None, *self.KINDS}  # every check fails somewhere, and some pass
 
 
 class TestSchemeAgreement:

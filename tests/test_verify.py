@@ -264,3 +264,44 @@ class TestFreeReport:
         after = self.measured(verify.run_suite("full"))
         assert after == self.from_report(verify._free_report.__wrapped__())
         assert after[1] != before[1]
+
+
+class TestDirectSineSums:
+    """The closed-form check's direct sums read only math: a process builds them once.
+
+    The check still calls regsum.abel_sum_sin on every run, so a run that
+    follows a changed closed form fails.
+    """
+
+    NAME = "cutoff sine sum closed form"
+
+    def test_cached_sums_equal_a_fresh_build(self):
+        cached, fresh = verify._direct_sine_sums(), verify._direct_sine_sums.__wrapped__()
+        assert [tuple(v.hex() for v in row) for row in cached] == [
+            tuple(v.hex() for v in row) for row in fresh]
+        assert [(eps, theta) for eps, theta, _ in cached] == [
+            (eps, theta) for eps in (0.05, 0.1, 0.5) for theta in (0.3, 1.0, 2.5)]
+
+    def test_built_once_across_runs(self):
+        verify._direct_sine_sums.cache_clear()
+        first = verify.run_suite("full")
+        assert verify.run_suite("full") == first
+        info = verify._direct_sine_sums.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_closed_form_is_called_on_every_run(self, monkeypatch):
+        assert suite_result(self.NAME).passed
+        exact = regsum.abel_sum_sin
+        calls = []
+
+        def scaled(eps, theta):
+            calls.append((eps, theta))
+            return exact(eps, theta) * (1.0 + 1e-9)
+
+        monkeypatch.setattr(regsum, "abel_sum_sin", scaled)
+        measured, tolerance = verify._cutoff_sine_closed_form()
+        assert measured > tolerance and len(calls) == 9
+        assert not suite_result(self.NAME).passed
+        monkeypatch.setattr(regsum, "abel_sum_sin", exact)
+        assert suite_result(self.NAME).passed
+
